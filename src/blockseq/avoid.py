@@ -397,7 +397,8 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 
     before = _triple_signs(x0, y0)
     after = _triple_signs(xwork, ywork)
-    assert np.array_equal(before, after), "normalization flipped an orientation"
+    if not np.array_equal(before, after):
+        raise SearchFailedError("normalization flipped an orientation")
 
     slab = np.flatnonzero((xwork > 0.0) & (xwork < d) & (ywork > 0.0))
     slab = slab[np.lexsort((ywork[slab], xwork[slab]))]

@@ -27,7 +27,7 @@ from itertools import combinations
 import math
 
 from .core import DEC, Sequence
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SearchFailedError
 from .partition import partition_sequence
 
 __all__ = [
@@ -247,7 +247,8 @@ def half_split(graph: OrderedGraph) -> int:
     if best < 1:
         raise InvalidInputError("no valid split vertex (attached multigraph?)")
     on_right = sum(1 for left, _ in edges if left > best)
-    assert 2 * on_right <= total, "right side of the split exceeded half the edges"
+    if 2 * on_right > total:
+        raise SearchFailedError("right side of the split exceeded half the edges")
     return best
 
 
@@ -283,8 +284,10 @@ def partition_multiset(values, k: int):
     labeled = partition_sequence(Sequence(tuple(float(r) for r in rank)), k)
     parts = tuple(witness for _, witness in labeled.parts)
     deleted = tuple(sorted(labeled.remainder))
-    assert len(deleted) <= (k - 1) ** 2, "partition deleted too many entries"
-    assert len(parts) <= _part_cap(k), "partition produced too many parts"
+    if len(deleted) > (k - 1) ** 2:
+        raise SearchFailedError("partition deleted too many entries")
+    if len(parts) > _part_cap(k):
+        raise SearchFailedError("partition produced too many parts")
     return parts, deleted
 
 
@@ -336,9 +339,10 @@ def _biarc_page(edges, b: int, n: int) -> Page:
         crossings.append(c)
     # Construction-time geometry check: lex-later edges must cross the
     # spine strictly earlier, otherwise crossing counting breaks down.
-    assert all(x > y for x, y in zip(crossings, crossings[1:])), (
-        "biarc spine crossings are not strictly decreasing in lex order"
-    )
+    if any(x <= y for x, y in zip(crossings, crossings[1:])):
+        raise SearchFailedError(
+            "biarc spine crossings are not strictly decreasing in lex order"
+        )
     return Page(tuple(edges), BIARCS, b, tuple(layout))
 
 
@@ -393,7 +397,8 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
     k = max(2, math.ceil(1.0 / epsilon))
     pages = _build_pages(sorted(graph.edges), k, graph.n)
     drawn = sorted(edge for page in pages for edge in page.edges)
-    assert drawn == sorted(graph.edges), "pages do not partition the edge set"
+    if drawn != sorted(graph.edges):
+        raise SearchFailedError("pages do not partition the edge set")
     metrics = tuple(count_page_crossings(page) for page in pages)
     return PagePartition(tuple(pages), epsilon, metrics)
 

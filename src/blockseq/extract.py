@@ -12,6 +12,11 @@ value below a_j; one prefix-sum pass per step then prices every window count
 in O(1).  A compiled kernel (numba) is used when available, with a vectorized
 numpy fallback.  The independent range-counting module can re-derive every
 window count, which the tests use as a cross-check.
+
+The largest feasible s for a target depth comes from one bottleneck pass over
+the same window counts, O(depth * n^2) per direction: for every chain length
+it keeps the largest minimum window over chains ending at each entry.  One DP
+at that s then rebuilds the witness with the usual tie-breaks.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "chain_to_blocks",
     "extract_block_monotone",
     "max_gapped_blocksize",
+    "best_gapped_s",
     "default_c",
 ]
 
@@ -51,31 +57,51 @@ def default_c() -> int:
     return c
 
 
+def _windows(vals: np.ndarray):
+    """For each i >= 1 yield (i, under, window): ``under[j]`` marks the
+    earlier entries below vals[i], ``window[j]`` counts the entries strictly
+    between j and i in position whose value is >= vals[j] and < vals[i]."""
+    below_after = np.zeros(len(vals), dtype=np.int64)  # x in (j, i) with vals[x] < vals[j]
+    for i in range(1, len(vals)):
+        v = vals[i]
+        prev = vals[:i]
+        under = prev < v
+        cum = np.cumsum(under)
+        yield i, under, (cum[-1] - cum) - below_after[:i]
+        below_after[:i] += prev > v
+
+
 def _gapped_lis_python(vals: np.ndarray, s: int):
     """Reference/fallback DP, vectorized per step with numpy."""
     n = len(vals)
-    lengths = np.zeros(n, dtype=np.int64)
+    lengths = np.ones(n, dtype=np.int64)
     pred = np.full(n, -1, dtype=np.int64)
-    below_after = np.zeros(n, dtype=np.int64)  # x in (j, i) with vals[x] < vals[j]
-    for i in range(n):
-        v = vals[i]
-        if i:
-            prev = vals[:i]
-            under = prev < v
-            cum = np.cumsum(under)
-            total = cum[-1]
-            window = (total - cum) - below_after[:i]
-            qual = under & (window >= s)
-            if qual.any():
-                best = lengths[:i][qual].max()
-                lengths[i] = best + 1
-                pred[i] = int(np.argmax(qual & (lengths[:i] == best)))
-            else:
-                lengths[i] = 1
-            below_after[:i] += prev > v
-        else:
-            lengths[i] = 1
+    for i, under, window in _windows(vals):
+        qual = under & (window >= s)
+        if qual.any():
+            best = lengths[:i][qual].max()
+            lengths[i] = best + 1
+            pred[i] = int(np.argmax(qual & (lengths[:i] == best)))
     return lengths, pred
+
+
+def _bottleneck_s(vals: np.ndarray, depth: int) -> int:
+    """Largest s admitting an s-gapped increasing chain of depth+1 entries
+    (-1 when there is no increasing chain that long).
+
+    One left-to-right pass keeps ``best[L, i]``, the largest minimum window
+    over increasing chains of L+1 entries ending at i:
+    best[L, i] = max_j min(best[L-1, j], window(j, i)).  Chain prefixes are
+    chains, so longer chains need no separate row.
+    """
+    n = len(vals)
+    best = np.full((depth + 1, n), -1, dtype=np.int64)
+    best[0] = n  # a lone entry has no window; n exceeds every window count
+    for i, under, window in _windows(vals):
+        rows = min(depth, i)
+        w = np.where(under, window, -1)
+        best[1 : rows + 1, i] = np.minimum(best[:rows, :i], w).max(axis=1)
+    return int(best[depth].max())
 
 
 try:  # pragma: no cover - exercised indirectly
@@ -238,35 +264,35 @@ def extract_block_monotone(
     return chain_to_blocks(seq, best)
 
 
+def best_gapped_s(seq: Sequence, depth: int) -> tuple[int, str | None]:
+    """Largest s admitting an s-gapped monotone chain of depth+1 entries, and
+    its direction (INC when both directions reach it); (-1, None) when no
+    monotone chain has depth+1 entries.  One bottleneck pass per direction."""
+    if depth < 1:
+        raise InvalidInputError("depth must be >= 1")
+    if len(seq) <= depth:
+        return -1, None
+    vals = np.asarray(seq.values, dtype=float)
+    s_inc, s_dec = _bottleneck_s(vals, depth), _bottleneck_s(-vals, depth)
+    if max(s_inc, s_dec) < 0:
+        return -1, None
+    return (s_inc, INC) if s_inc >= s_dec else (s_dec, DEC)
+
+
 def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | None]:
     """Largest s >= 1 admitting an s-gapped chain of length >= k+1 (either
     direction), with the corresponding witness.  (0, None) when only the
-    block-size-1 fallback exists.  Chain length is non-increasing in s, so
-    binary search applies."""
+    block-size-1 fallback exists.  A bottleneck pass finds s directly; one
+    DP per direction at that s rebuilds the witness from the longer chain."""
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = len(seq)
     if n <= k:
         raise InvalidInputError(f"need n >= k+1, got n={n}, k={k}")
-
-    def best_chain(s: int) -> GappedChain | None:
-        found = None
-        for direction in (INC, DEC):
-            ch = gapped_chain_dp(seq, s, direction)
-            if ch.length >= k + 1 and (found is None or ch.length > found.length):
-                found = ch
-        return found
-
-    hi = (n - k - 1) // k  # k windows of s entries plus k+1 chain entries
-    if hi < 1 or best_chain(1) is None:
+    s, _ = best_gapped_s(seq, k)
+    if s < 1:
         return 0, None
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if best_chain(mid) is None:
-            hi = mid - 1
-        else:
-            lo = mid
-    ch = best_chain(lo)
-    assert ch is not None
-    return lo, chain_to_blocks(seq, ch)
+    best = max(
+        (gapped_chain_dp(seq, s, d) for d in (INC, DEC)), key=lambda ch: ch.length
+    )
+    return s, chain_to_blocks(seq, best)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
 from .errors import InvalidInputError, SearchFailedError
-from .extract import chain_to_blocks, default_c, gapped_chain_dp
+from .extract import best_gapped_s, chain_to_blocks, default_c, gapped_chain_dp
 
 __all__ = [
     "PointSet",
@@ -44,9 +44,9 @@ __all__ = [
     "greedy_partition",
 ]
 
-# Size above which the per-round extraction stops probing the gapped-chain DP
-# for the best block-size and falls back to chunking a longest monotone
-# subsequence instead.
+# Size above which a partition round skips the gapped-chain search and only
+# chunks a longest monotone subsequence; pull-outs that ask to ``probe`` (the
+# public ``pullout`` and ``greedy_partition``) run the exact search at any size.
 _DP_CUTOFF = 2500
 
 
@@ -232,93 +232,38 @@ def _chain_witness(fr: _Frame, sx: np.ndarray, seq: Sequence, s: int, d: str) ->
     return _Wit(w.direction, blocks)
 
 
-def _best_gapped(
-    fr: _Frame, ids: np.ndarray, depth: int, exact: bool, hint: int | None
-) -> tuple[int, _Wit | None]:
-    """Largest block-size s whose gapped-chain reaches depth+1, per direction.
-    ``exact`` binary-searches fully; otherwise a warm bracket around ``hint``
-    is refined a couple of steps."""
-    m = len(ids)
-    hi_cap = (m - depth - 1) // depth
-    if hi_cap < 1:
+def _best_gapped(fr: _Frame, ids: np.ndarray, depth: int) -> tuple[int, _Wit | None]:
+    """Largest block-size s whose gapped chain reaches depth+1, in either
+    direction (INC first), with its witness; (0, None) if s < 1.  A
+    bottleneck pass finds s exactly, so no probe bracket is needed."""
+    if (len(ids) - depth - 1) // depth < 1:
         return 0, None
     sx = fr.by_x(ids)
     seq = fr.subseq(sx)
-    memo: dict[int, str | None] = {}
-
-    def reach(s: int) -> str | None:
-        if s not in memo:
-            memo[s] = next(
-                (
-                    d
-                    for d in (INC, DEC)
-                    if gapped_chain_dp(seq, s, d).length >= depth + 1
-                ),
-                None,
-            )
-        return memo[s]
-
-    if exact:
-        if reach(1) is None:
-            return 0, None
-        lo, hi = 1, hi_cap
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if reach(mid) is not None:
-                lo = mid
-            else:
-                hi = mid - 1
-        d = reach(lo)
-        return lo, _chain_witness(fr, sx, seq, lo, d)
-
-    s = min(max(hint or max(hi_cap // 8, 1), 1), hi_cap)
-    if reach(s) is not None:
-        while s < hi_cap:
-            nxt = min(2 * s, hi_cap)
-            if reach(nxt) is None:
-                # one refinement step inside (s, nxt)
-                mid = (s + nxt) // 2
-                if mid > s and reach(mid) is not None:
-                    s = mid
-                break
-            s = nxt
-    else:
-        while s > 1:
-            s //= 2
-            if reach(s) is not None:
-                break
-        if reach(s) is None:
-            return 0, None
-    return s, _chain_witness(fr, sx, seq, s, reach(s))
+    s, d = best_gapped_s(seq, depth)
+    if s < 1:
+        return 0, None
+    return s, _chain_witness(fr, sx, seq, s, d)
 
 
 def _extract_best(
-    fr: _Frame,
-    ids: np.ndarray,
-    depth: int,
-    *,
-    probe: bool | None = None,
-    hint: int | None = None,
-) -> tuple[_Wit | None, int]:
+    fr: _Frame, ids: np.ndarray, depth: int, *, probe: bool = False
+) -> _Wit | None:
     """Best block-monotone extraction of exact ``depth`` from a subset.
 
-    Returns (witness, block_size_hint_for_next_call).  Tries the gapped-chain
-    DP (exact below _DP_CUTOFF, warm-bracket probing above when ``probe``)
-    and always considers the chunked longest-monotone fallback; the larger
-    block-size wins.
+    Always considers the chunked longest-monotone fallback, and also the
+    exact gapped-chain search when the subset is at most _DP_CUTOFF points
+    or ``probe`` is set; the larger block-size wins.
     """
     m = len(ids)
     if depth < 1 or m <= (depth - 1) ** 2:
-        return None, 0
-    lis = _lis_witness(fr, ids, depth)
-    best = lis
-    hint_out = best.size if best else 0
-    use_dp = probe if probe is not None else (m <= _DP_CUTOFF)
-    if use_dp:
-        s, wit = _best_gapped(fr, ids, depth, exact=(m <= _DP_CUTOFF), hint=hint)
+        return None
+    best = _lis_witness(fr, ids, depth)
+    if probe or m <= _DP_CUTOFF:
+        s, wit = _best_gapped(fr, ids, depth)
         if wit is not None and s > (best.size if best else 0):
-            best, hint_out = wit, s
-    return best, hint_out
+            best = wit
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +288,8 @@ def _pullout_ids(
     parts: list[_Wit] = []
     cur = np.sort(ids)
     rounds = 0
-    hint = None
     while len(cur) > target and rounds < _round_ceiling(depth):
-        wit, hint = _extract_best(fr, cur, depth, probe=probe or None, hint=hint)
+        wit = _extract_best(fr, cur, depth, probe=probe)
         if wit is None:
             break
         parts.append(wit)
@@ -631,7 +575,7 @@ def _step(
         return parts, rest, np.empty(0, dtype=np.int64), "small"
 
     y0 = st.odds[i0]
-    x_wit, _ = _extract_best(fr, y0, 3 * k)
+    x_wit = _extract_best(fr, y0, 3 * k)
     if x_wit is None:  # cannot happen: |Y| > (3k-1)^2 guarantees a chunked LIS
         raise SearchFailedError("depth-3k extraction failed unexpectedly")
     remaining = np.setdiff1d(y0, x_wit.ids(), assume_unique=False)
@@ -692,7 +636,8 @@ def _step(
     r3 = remaining[(px > gx2) & (pu > u1)]
     z1 = remaining[(px > gx1) & (pu < u1)]
     z3 = remaining[((px < gx1) & (pu > u2) & (pu < u1)) | ((px < gx2) & (pu > u1))]
-    assert len(r7) + len(r3) + len(z1) + len(z3) == len(remaining)
+    if len(r7) + len(r3) + len(z1) + len(z3) != len(remaining):
+        raise SearchFailedError("3x3 grid regions do not cover the gutted part")
 
     for xw, z, prepend in ((x1w, z1, False), (x3w, z3, True)):
         got, residue, _ = _pullout_chain(fr, z, [_big_depth(k, c), k])
@@ -960,9 +905,8 @@ def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     fr = _frame_of(p)
     cur = np.arange(len(p), dtype=np.int64)
     parts: list[_Wit] = []
-    hint = None
     while len(cur) > (k - 1) ** 2:
-        wit, hint = _extract_best(fr, cur, k, probe=True, hint=hint)
+        wit = _extract_best(fr, cur, k, probe=True)
         if wit is None:
             break
         parts.append(wit)

@@ -242,6 +242,17 @@ def test_paginate_with_svg(tmp_path):
     assert bad_eps.exit_code == 2
 
 
+def test_paginate_part_cap_failure_is_typed(tmp_path):
+    # this instance exceeds partition_multiset's part cap; the failure must
+    # surface as exit 3 (SearchFailedError), never as a traceback
+    g = gen(tmp_path, "graph", "g.json", n=400, m=8000, seed=1)
+    pages = str(tmp_path / "pages.json")
+    result = run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages])
+    assert result.exit_code in (0, 3), result.log
+    if result.exit_code == 0:
+        ok(run(["verify", "--witness", pages, "--in", g]))
+
+
 def test_render_single_edge_semicircle(tmp_path):
     g = write(tmp_path / "g.json", {"n": 2, "edges": [[1, 2]]})
     pages = str(tmp_path / "pages.json")

@@ -1,7 +1,10 @@
+from itertools import permutations
 import math
 import os
 import random
 import time
+
+import numpy as np
 
 import pytest
 
@@ -24,7 +27,9 @@ from blockseq import (
     max_gapped_blocksize,
     validate_block_witness,
 )
+from blockseq.extract import best_gapped_s
 from blockseq.oracle import max_blocksize_exact
+from blockseq.partition import PointSet, _best_gapped, _frame_of, validate_point_witness
 from brutes import brute_chain_tables
 
 
@@ -225,6 +230,51 @@ class TestExtractBlockMonotone:
         assert t4 / max(t2, 1e-9) < 4.6 or t4 < 0.05
 
 
+class TestBestGappedS:
+    def test_matches_brute_on_all_small_permutations(self):
+        for n in range(1, 8):
+            for perm in permutations(range(1, n + 1)):
+                longest = {}  # (s, direction) -> brute longest s-gapped chain
+                for d in (INC, DEC):
+                    s = 0
+                    while s == 0 or longest[s - 1, d] >= 2:
+                        longest[s, d] = brute_chain_tables(perm, s, d)[1]
+                        s += 1
+                for depth in (1, 2, 3):
+                    reached = [sd for sd, length in longest.items() if length > depth]
+                    want = max((s for s, _ in reached), default=-1)
+                    want_d = None
+                    if want >= 0:
+                        want_d = INC if (want, INC) in reached else DEC
+                    assert best_gapped_s(Sequence(perm), depth) == (want, want_d)
+
+    def test_partition_search_is_exact(self):
+        # s reaches depth+1 and s+1 does not, INC preferred on ties
+        rng = random.Random(83)
+        for trial in range(12):
+            n = rng.randint(20, 400)
+            pts = PointSet(zip(rng.sample(range(10 * n), n), rng.sample(range(10 * n), n)))
+            fr = _frame_of(pts)
+            ids = np.sort(np.asarray(rng.sample(range(n), rng.randint(10, n)), dtype=np.int64))
+            sub = fr.subseq(fr.by_x(ids))
+            k = rng.randint(2, 4)
+            for depth in (k, k + 1, 3 * k):
+                s, wit = _best_gapped(fr, ids, depth)
+
+                def reach(s, d):
+                    return gapped_chain_dp(sub, s, d).length >= depth + 1
+
+                assert not any(reach(s + 1, d) for d in (INC, DEC))
+                if s == 0:
+                    assert wit is None
+                    continue
+                assert reach(s, wit.direction)
+                assert wit.direction == (INC if reach(s, INC) else DEC)
+                w = wit.public()
+                assert w.depth >= depth and w.block_size == s
+                assert validate_point_witness(pts, w) is True
+
+
 class TestMaxGappedBlocksize:
     def test_sorted_ten(self):
         seq = Sequence(range(1, 11))
@@ -244,8 +294,8 @@ class TestMaxGappedBlocksize:
             max_gapped_blocksize(Sequence([1, 2, 3]), 3)
 
     def test_matches_descending_scan(self):
-        # binary search result == largest s whose chain reaches k+1, found by
-        # linear scan from above
+        # bottleneck-pass result == largest s whose chain reaches k+1, found
+        # by linear scan from above
         rng = random.Random(61)
         for trial in range(15):
             n = rng.randint(6, 40)
