@@ -214,6 +214,32 @@ def longest_monotone(seq: Sequence) -> tuple[str, list[int]]:
     return DEC, [i + 1 for i in dec]
 
 
+def longest_chain(n: int, links) -> tuple[np.ndarray, np.ndarray]:
+    """Longest chains over entries 0..n-1.  ``links`` yields ``(i, mask)``
+    for i >= 1, ``mask[j]`` true when j < i may come directly before i.
+    Returns ``lengths[i]``, the most entries on a chain ending at i, and
+    ``pred[i]``, the smallest of its longest predecessors (-1 for none)."""
+    lengths = np.ones(n, dtype=np.int64)
+    pred = np.full(n, -1, dtype=np.int64)
+    for i, mask in links:
+        prev = mask.nonzero()[0]
+        if prev.size:
+            cand = lengths[prev]
+            top = cand.max()
+            lengths[i] = top + 1
+            pred[i] = prev[np.argmax(cand == top)]
+    return lengths, pred
+
+
+def trace_chain(pred: np.ndarray, end: int) -> list[int]:
+    """The chain ``longest_chain``'s ``pred`` leads back from ``end``, in order."""
+    chain = [end]
+    while pred[chain[-1]] >= 0:
+        chain.append(int(pred[chain[-1]]))
+    chain.reverse()
+    return chain
+
+
 def _merge_count(vals: list[float]) -> tuple[list[float], int]:
     n = len(vals)
     if n <= 1:

@@ -9,9 +9,10 @@ m - 1 and block-size s.
 The DP is O(n^2) total: while scanning left to right it maintains, for every
 earlier position j, the number of already-seen entries that lie after j with
 value below a_j; one prefix-sum pass per step then prices every window count
-in O(1).  A compiled kernel (numba) is used when available, with a vectorized
-numpy fallback.  The independent range-counting module can re-derive every
-window count, which the tests use as a cross-check.
+in O(1).  The chain itself comes from ``core.longest_chain``, the one numpy
+longest-chain kernel, which the Ramsey path searches share.  The independent
+range-counting module can re-derive every window count, which the tests use
+as a cross-check.
 
 The largest feasible s for a target depth comes from one bottleneck pass over
 the same window counts, O(depth * n^2) per direction: for every chain length
@@ -28,6 +29,7 @@ import os
 import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
+from .core import longest_chain, trace_chain
 from .errors import InvalidInputError, PreconditionError
 
 __all__ = [
@@ -71,20 +73,6 @@ def _windows(vals: np.ndarray):
         below_after[:i] += prev > v
 
 
-def _gapped_lis_python(vals: np.ndarray, s: int):
-    """Reference/fallback DP, vectorized per step with numpy."""
-    n = len(vals)
-    lengths = np.ones(n, dtype=np.int64)
-    pred = np.full(n, -1, dtype=np.int64)
-    for i, under, window in _windows(vals):
-        qual = under & (window >= s)
-        if qual.any():
-            best = lengths[:i][qual].max()
-            lengths[i] = best + 1
-            pred[i] = int(np.argmax(qual & (lengths[:i] == best)))
-    return lengths, pred
-
-
 def _bottleneck_s(vals: np.ndarray, depth: int) -> int:
     """Largest s admitting an s-gapped increasing chain of depth+1 entries
     (-1 when there is no increasing chain that long).
@@ -104,46 +92,8 @@ def _bottleneck_s(vals: np.ndarray, depth: int) -> int:
     return int(best[depth].max())
 
 
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    @njit(cache=True)
-    def _gapped_lis_numba(vals, s):  # noqa: ANN001 - numba signature
-        n = vals.shape[0]
-        lengths = np.zeros(n, dtype=np.int64)
-        pred = np.full(n, -1, dtype=np.int64)
-        below_after = np.zeros(n, dtype=np.int64)
-        cum = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            v = vals[i]
-            c = 0
-            for j in range(i):
-                if vals[j] < v:
-                    c += 1
-                cum[j] = c
-            best = 0
-            bj = -1
-            for j in range(i):
-                if vals[j] < v and (c - cum[j]) - below_after[j] >= s:
-                    if lengths[j] > best:
-                        best = lengths[j]
-                        bj = j
-            lengths[i] = best + 1
-            pred[i] = bj
-            for j in range(i):
-                if vals[j] > v:
-                    below_after[j] += 1
-        return lengths, pred
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def _gapped_lis(vals: np.ndarray, s: int):
-    if _HAVE_NUMBA and len(vals) > 64:
-        return _gapped_lis_numba(vals, np.int64(s))
-    return _gapped_lis_python(vals, s)
+# Read by the benchmark's environment record; the DP has no compiled kernel.
+_HAVE_NUMBA = False
 
 
 @dataclass(frozen=True)
@@ -181,12 +131,9 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
     vals = np.asarray(seq.values, dtype=float)
     if direction == DEC:
         vals = -vals
-    lengths, pred = _gapped_lis(vals, s)
-    end = int(np.argmax(lengths))  # first occurrence = smallest index
-    chain = [end]
-    while pred[chain[-1]] >= 0:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
+    links = ((i, under & (window >= s)) for i, under, window in _windows(vals))
+    lengths, pred = longest_chain(n, links)
+    chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
     return GappedChain(
         direction=direction,
         s=s,

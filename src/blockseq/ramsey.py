@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence
+from .core import DEC, INC, BlockWitness, Sequence, longest_chain, trace_chain
 from .errors import InvalidInputError
 
 __all__ = [
@@ -117,29 +117,15 @@ def longest_monochromatic_path(c: PairColoring) -> tuple[int, list[int]]:
     if c.n < 1:
         raise InvalidInputError("coloring must have at least one vertex")
     n = c.n
-    best_color, best_path = 1, [1]
+    best_color, best_path = 1, [0]
     for color in range(1, c.q + 1):
-        adj = c.matrix == color
-        lengths = np.ones(n, dtype=np.int64)
-        pred = np.zeros(n, dtype=np.int64)  # 1-based, 0 = none
-        for j in range(1, n):
-            prev = np.nonzero(adj[:j, j])[0]
-            if prev.size:
-                cand = lengths[prev]
-                top = cand.max()
-                if top + 1 > lengths[j]:
-                    lengths[j] = top + 1
-                    pred[j] = prev[np.argmax(cand == top)] + 1
+        adj = c.matrix == color  # u < v read from the upper triangle, adj[u, v]
+        lengths, pred = longest_chain(n, ((v, adj[:v, v]) for v in range(1, n)))
         top = int(lengths.max())
         if top > len(best_path):
             # reconstruct from the smallest endpoint among maxima
-            end = int(np.argmax(lengths == top)) + 1
-            path = []
-            while end:
-                path.append(end)
-                end = int(pred[end - 1])
-            best_color, best_path = color, path[::-1]
-    return best_color, best_path
+            best_color, best_path = color, trace_chain(pred, int(np.argmax(lengths)))
+    return best_color, [v + 1 for v in best_path]
 
 
 @dataclass(frozen=True)
@@ -239,25 +225,12 @@ def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
     if n < k + 1:
         return None
     for color in range(1, c.q + 1):
-        counts = _middle_counts(c, color)
-        linked = counts >= s
-        lengths = np.ones(n, dtype=np.int64)
-        pred = np.zeros(n, dtype=np.int64)
-        for j in range(1, n):
-            prev = np.nonzero(linked[:j, j])[0]
-            if prev.size:
-                cand = lengths[prev]
-                top = cand.max()
-                if top + 1 > lengths[j]:
-                    lengths[j] = top + 1
-                    pred[j] = prev[np.argmax(cand == top)] + 1
+        linked = _middle_counts(c, color) >= s
+        lengths, pred = longest_chain(n, ((v, linked[:v, v]) for v in range(1, n)))
         if int(lengths.max()) >= k + 1:
-            end = int(np.argmax(lengths >= k + 1)) + 1
-            chain = []
-            while end:
-                chain.append(end)
-                end = int(pred[end - 1])
-            chain = chain[::-1]  # first endpoint reaching k+1 has exact length
+            # the first endpoint reaching k+1 has a chain of exactly k+1
+            end = int(np.argmax(lengths >= k + 1))
+            chain = [v + 1 for v in trace_chain(pred, end)]
             blocks = []
             for u, v in zip(chain, chain[1:]):
                 row = c.matrix[u - 1, u:v - 1]

@@ -52,6 +52,55 @@ def brute_chain_tables(values, s, direction):
     return ending, (max(ending) if n else 0)
 
 
+def _dfs_longest(n, linked):
+    """Most vertices on a chain u_1 < u_2 < ... with linked(u_i, u_{i+1}),
+    by DFS from every start (0-based)."""
+    best = 0
+
+    def walk(last, length):
+        nonlocal best
+        best = max(best, length)
+        for nxt in range(last + 1, n):
+            if linked(last, nxt):
+                walk(nxt, length + 1)
+
+    for start in range(n):
+        walk(start, 1)
+    return best
+
+
+def brute_monochromatic_path(matrix, q):
+    """(vertex count, smallest colour reaching it) of the longest
+    monochromatic monotone path.  Reads only ``matrix[u][v]`` with u < v."""
+    n = len(matrix)
+    best, best_color = 1, 1
+    for color in range(1, q + 1):
+        top = _dfs_longest(n, lambda u, v: matrix[u][v] == color)
+        if top > best:
+            best, best_color = top, color
+    return best, best_color
+
+
+def brute_block_path_color(matrix, q, k, s):
+    """Smallest colour with k+1 vertices u_1 < ... < u_{k+1} where each
+    consecutive pair has >= s middles x, both spokes (u, x), (x, v) in that
+    colour; None when no colour has one.  Reads only the upper triangle."""
+    n = len(matrix)
+    for color in range(1, q + 1):
+
+        def linked(u, v):
+            mids = sum(
+                1
+                for x in range(u + 1, v)
+                if matrix[u][x] == color and matrix[x][v] == color
+            )
+            return mids >= s
+
+        if _dfs_longest(n, linked) >= k + 1:
+            return color
+    return None
+
+
 def brute_longest_monotone_indices(values):
     """All longest monotone index lists (1-based), by full enumeration."""
     n = len(values)

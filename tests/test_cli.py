@@ -222,6 +222,23 @@ def test_avoid_pipeline(tmp_path):
     assert small.exit_code == 2  # 120 <= 24 * 9
 
 
+def test_verify_all_oracle_over_budget_keeps_per_file_results(tmp_path, monkeypatch):
+    # an over-budget oracle check fails its own file with code 3; the other
+    # files in the directory still get their entries
+    monkeypatch.setattr("blockseq.oracle._TRANSVERSAL_BUDGET", 0)
+    pts = gen(tmp_path, "points", "pts.json", n=500, seed=1)
+    ok(run(["avoid", "--k", "2", "--in", pts, "--out", str(tmp_path / "av.json")]))
+    gen(tmp_path, "sequence", "seq.json", n=50, seed=1)
+    result = run(["verify", "--all", str(tmp_path), "--oracle"])
+    assert result.exit_code == 3
+    by_path = {entry["path"]: entry for entry in result.log}
+    names = ("av.json", "pts.json", "seq.json")
+    assert sorted(by_path) == [str(tmp_path / name) for name in names]
+    assert by_path[str(tmp_path / "av.json")]["event"] == "failed"
+    assert "exceed" in by_path[str(tmp_path / "av.json")]["detail"]
+    assert by_path[str(tmp_path / "seq.json")]["event"] == "verified"
+
+
 def test_paginate_with_svg(tmp_path):
     g = gen(tmp_path, "graph", "g.json", n=24, m=60, seed=3)
     pages = str(tmp_path / "pages.json")

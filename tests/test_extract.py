@@ -30,7 +30,7 @@ from blockseq import (
 from blockseq.extract import best_gapped_s
 from blockseq.oracle import max_blocksize_exact
 from blockseq.partition import PointSet, _best_gapped, _frame_of, validate_point_witness
-from brutes import brute_chain_tables
+from brutes import brute_chain_tables, naive_is_gapped
 
 
 class TestGappedChainDP:
@@ -86,6 +86,20 @@ class TestGappedChainDP:
                     ending, best = brute_chain_tables(vals, s, d)
                     assert ch.length == best
                     assert list(ch.dp_lengths) == ending
+                    # pred: the smallest valid predecessor one shorter (1-based, 0 = none)
+                    sign = 1 if d == INC else -1
+                    for i in range(n):
+                        want = next(
+                            (
+                                j + 1
+                                for j in range(i)
+                                if sign * (vals[i] - vals[j]) > 0
+                                and naive_is_gapped(vals, j + 1, i + 1, s)
+                                and ending[j] == ending[i] - 1
+                            ),
+                            0,
+                        )
+                        assert ch.dp_pred[i] == want
 
     def test_length_non_increasing_in_s(self):
         for seed in range(8):
@@ -93,18 +107,6 @@ class TestGappedChainDP:
             for d in (INC, DEC):
                 lengths = [gapped_chain_dp(seq, s, d).length for s in range(6)]
                 assert lengths == sorted(lengths, reverse=True)
-
-    def test_python_and_compiled_paths_agree(self):
-        # n=200 exercises the compiled kernel; re-check chain via DP tables
-        from blockseq.extract import _gapped_lis_python
-        import numpy as np
-
-        seq = gen_random(200, seed=77)
-        for s in (1, 3):
-            ch = gapped_chain_dp(seq, s, INC)
-            lengths, preds = _gapped_lis_python(np.asarray(seq.values), s)
-            assert list(ch.dp_lengths) == list(lengths)
-            assert list(ch.dp_pred) == [int(p) + 1 for p in preds]
 
 
 class TestChainToBlocks:
@@ -224,7 +226,7 @@ class TestExtractBlockMonotone:
                 best = min(best, time.perf_counter() - t0)
             return best
 
-        run(1000)  # warm the compiled kernel
+        run(1000)  # untimed warm-up, so first-call costs land in no ratio
         t1, t2, t4 = run(1000), run(2000), run(4000)
         assert t2 / max(t1, 1e-9) < 4.6 or t2 < 0.05
         assert t4 / max(t2, 1e-9) < 4.6 or t4 < 0.05

@@ -1,3 +1,4 @@
+from itertools import product
 import math
 import random
 
@@ -18,11 +19,20 @@ from blockseq.ramsey import (
     path_witness_to_blocks,
     validate_block_path,
 )
+from brutes import brute_block_path_color, brute_monochromatic_path
 
 
 def mono_coloring(n, color=1, q=1):
     m = np.full((n, n), color, dtype=np.int16)
     np.fill_diagonal(m, 0)
+    return PairColoring(n, q, m)
+
+
+def upper_only(n, q, colors):
+    """Coloring with ``colors`` (row-major over pairs u < v) in the upper
+    triangle and zeros below, so reading the lower triangle finds nothing."""
+    m = np.zeros((n, n), dtype=np.int16)
+    m[np.triu_indices(n, 1)] = colors
     return PairColoring(n, q, m)
 
 
@@ -102,6 +112,14 @@ class TestLongestMonochromaticPath:
         for u, v in zip(path, path[1:]):
             assert u < v and c.color(u, v) == color
 
+    def test_matches_dfs_on_every_two_coloring_of_five(self):
+        for colors in product((1, 2), repeat=10):
+            c = upper_only(5, 2, colors)
+            color, path = longest_monochromatic_path(c)
+            assert (len(path), color) == brute_monochromatic_path(c.matrix.tolist(), 2)
+            for u, v in zip(path, path[1:]):
+                assert u < v and c.color(u, v) == color
+
 
 class TestDepth1BlockPath:
     def test_triangle(self):
@@ -178,6 +196,25 @@ class TestFindBlockPath:
                 if w is not None:
                     assert w.depth == k and w.block_size == s
                     assert validate_block_path(c, w) is True
+
+    def test_matches_dfs_on_small_colorings(self):
+        rng = random.Random(29)
+        found = missed = 0
+        for trial in range(300):
+            n, q = rng.randint(2, 8), rng.randint(1, 3)
+            k, s = rng.randint(1, 3), rng.randint(1, 2)
+            c = upper_only(n, q, [rng.randint(1, q) for _ in range(n * (n - 1) // 2)])
+            want = brute_block_path_color(c.matrix.tolist(), q, k, s)
+            w = find_block_path(c, k, s)
+            if want is None:
+                assert w is None
+                missed += 1
+                continue
+            assert w is not None and w.color == want
+            assert w.depth == k and w.block_size == s
+            assert validate_block_path(c, w) is True
+            found += 1
+        assert found >= 30 and missed >= 30
 
     def test_bad_params(self):
         with pytest.raises(InvalidInputError):
