@@ -6,18 +6,22 @@ and value.  Each window of a chain then contributes one block of ``s``
 entries, so a chain of length m yields a block-monotone witness of depth
 m - 1 and block-size s.
 
-The DP is O(n^2) total: while scanning left to right it maintains, for every
-earlier position j, the number of already-seen entries that lie after j with
-value below a_j; one prefix-sum pass per step then prices every window count
-in O(1).  The chain itself comes from ``core.longest_chain``, the one numpy
-longest-chain kernel, which the Ramsey path searches share.  The independent
-range-counting module can re-derive every window count, which the tests use
-as a cross-check.
+The DP is O(n^2) total.  Window counts come in blocks of ``_WIDTH``
+columns: one cumulative sum along each row prices the entries below a_i, and
+a count carried from block to block prices those below a_j, so a block costs
+a few array operations instead of a few per column.  One signed array serves
+both directions (the count on increasing pairs, its bitwise complement on
+decreasing ones), in narrow integers.  The chain itself comes from
+``core.longest_chain``, the one numpy longest-chain kernel, which the Ramsey
+path searches share; it takes the blocks one column at a time.  The
+independent range-counting module can re-derive every window count, which
+the tests use as a cross-check.
 
 The largest feasible s for a target depth comes from one bottleneck pass over
-the same window counts, O(depth * n^2) per direction: for every chain length
-it keeps the largest minimum window over chains ending at each entry.  One DP
-at that s then rebuilds the witness with the usual tie-breaks.
+the same blocks, O(depth * n^2), filling the increasing and the decreasing
+rows together: for every chain length it keeps the largest minimum window
+over chains ending at each entry.  One DP at that s then rebuilds the
+witness with the usual tie-breaks.
 """
 
 from __future__ import annotations
@@ -59,37 +63,95 @@ def default_c() -> int:
     return c
 
 
-def _windows(vals: np.ndarray):
-    """For each i >= 1 yield (i, under, window): ``under[j]`` marks the
-    earlier entries below vals[i], ``window[j]`` counts the entries strictly
-    between j and i in position whose value is >= vals[j] and < vals[i]."""
-    below_after = np.zeros(len(vals), dtype=np.int64)  # x in (j, i) with vals[x] < vals[j]
-    for i in range(1, len(vals)):
-        v = vals[i]
-        prev = vals[:i]
-        under = prev < v
-        cum = np.cumsum(under)
-        yield i, under, (cum[-1] - cum) - below_after[:i]
-        below_after[:i] += prev > v
+_WIDTH = 32  # columns of window counts per block
 
 
-def _bottleneck_s(vals: np.ndarray, depth: int) -> int:
-    """Largest s admitting an s-gapped increasing chain of depth+1 entries
-    (-1 when there is no increasing chain that long).
+def _count_dtype(n: int):
+    """Narrowest integer type that holds every count of an n-entry sequence."""
+    return np.int16 if n < 2**15 - 1 else np.int32
 
-    One left-to-right pass keeps ``best[L, i]``, the largest minimum window
-    over increasing chains of L+1 entries ending at i:
-    best[L, i] = max_j min(best[L-1, j], window(j, i)).  Chain prefixes are
-    chains, so longer chains need no separate row.
+
+def _window_blocks(vals: np.ndarray):
+    """Window counts of every pair j < i, ``_WIDTH`` columns i at a time.
+
+    Yields ``(lo, hi, window)`` for the columns i in [lo, hi).  ``window``
+    has one contiguous row per i and one entry per j < hi, so
+    ``window[i - lo, j]`` belongs to the pair (j, i); entries with j >= i are
+    meaningless.  The sign carries the direction: when vals[j] < vals[i] the
+    entry is the count of entries strictly between j and i in position and
+    value, and when vals[j] > vals[i] it is ``~count`` (-count - 1).
+
+    With C[t][v] the number of x < t with vals[x] < v and bb[i] =
+    C[i][vals[i]], bb[i] + bb[j] - C[j+1][vals[i]] - C[i][vals[j]] is the
+    count on increasing pairs and minus the count on decreasing ones.  The
+    C[j+1] terms are one cumulative sum along each row; the C[i] terms add
+    one column of comparisons per i to C[lo], carried from block to block.
+    Partial sums may wrap around in the narrow type; the final values fit,
+    and wrapped integer arithmetic is exact modulo the type's range.
     """
     n = len(vals)
-    best = np.full((depth + 1, n), -1, dtype=np.int64)
-    best[0] = n  # a lone entry has no window; n exceeds every window count
-    for i, under, window in _windows(vals):
-        rows = min(depth, i)
-        w = np.where(under, window, -1)
-        best[1 : rows + 1, i] = np.minimum(best[:rows, :i], w).max(axis=1)
-    return int(best[depth].max())
+    dt = _count_dtype(n)
+    r = np.empty(n, dtype=dt)
+    r[np.argsort(vals)] = np.arange(n, dtype=dt)
+    bb = np.zeros(n, dtype=dt)
+    below_lo = np.zeros(n, dtype=dt)  # C[lo][r[j]], set for j < hi
+    for lo in range(0, n, _WIDTH):
+        hi = min(lo + _WIDTH, n)
+        rb = r[lo:hi, None]
+        window = np.cumsum(rb > r[:hi], axis=1, dtype=dt)  # C[j+1][r[i]]
+        bb[lo:hi] = window[:, lo:hi].diagonal()
+        if lo:
+            below_lo[lo:hi] = window[:, lo - 1]
+        np.subtract(bb[lo:hi, None], window, out=window)
+        down = rb < r[:hi]
+        before = np.empty(window.shape, dtype=dt)  # C[i][r[j]]
+        before[0] = below_lo[:hi]
+        for c in range(1, hi - lo):
+            np.add(before[c - 1], down[c - 1], out=before[c])
+        below_lo[:hi] = before[-1] + down[-1]
+        window += bb[:hi]
+        window -= before
+        window -= down
+        yield lo, hi, window
+
+
+def _bottleneck_s(vals: np.ndarray, depth: int) -> tuple[int, int]:
+    """Largest s admitting an s-gapped increasing, and a decreasing, chain of
+    depth+1 entries (-1 where no monotone chain is that long).
+
+    One left-to-right pass keeps ``best[d, L, i]``, the largest minimum window
+    over direction-d chains of L+1 entries ending at i:
+    best[d, L, i] = max_j min(best[d, L-1, j], window(j, i)), where a
+    negative value means no chain.  Chain prefixes are chains, so longer
+    chains need no separate row.  Entries j before a block are final, so they
+    are folded in for the whole block at once; the entries inside it follow
+    column by column.
+    """
+    n = len(vals)
+    dt = _count_dtype(n)
+    best = np.full((2, depth + 1, n), -1, dtype=dt)  # direction INC, DEC
+    best[:, 0] = n  # a lone entry has no window; n exceeds every window count
+    for lo, hi, window in _window_blocks(vals):
+        links = np.stack((window, ~window))  # negative where not a link
+        head = np.full((2, depth, hi - lo), -1, dtype=dt)
+        for L in range(depth if lo else 0):
+            head[:, L] = np.minimum(best[:, L, None, :lo], links[:, :, :lo]).max(axis=2)
+        best[:, 1:, lo] = head[:, :, 0]
+        for c in range(1, hi - lo):
+            i = lo + c
+            inside = np.minimum(best[:, :depth, lo:i], links[:, None, c, lo:i]).max(axis=2)
+            best[:, 1:, i] = np.maximum(head[:, :, c], inside)
+    s_inc, s_dec = np.maximum(best[:, depth].max(axis=1), -1)
+    return int(s_inc), int(s_dec)
+
+
+def _gapped_links(vals: np.ndarray, s: int, direction: str):
+    """``core.longest_chain`` links: the direction-monotone s-gapped pairs."""
+    for lo, hi, window in _window_blocks(vals):
+        ok = (window if direction == INC else ~window) >= s
+        for c in range(hi - lo):
+            if lo + c:
+                yield lo + c, ok[c, : lo + c]
 
 
 # Read by the benchmark's environment record; the DP has no compiled kernel.
@@ -129,10 +191,7 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
     if n == 0:
         return GappedChain(direction, s, (), (), ())
     vals = np.asarray(seq.values, dtype=float)
-    if direction == DEC:
-        vals = -vals
-    links = ((i, under & (window >= s)) for i, under, window in _windows(vals))
-    lengths, pred = longest_chain(n, links)
+    lengths, pred = longest_chain(n, _gapped_links(vals, s, direction))
     chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
     return GappedChain(
         direction=direction,
@@ -214,13 +273,13 @@ def extract_block_monotone(
 def best_gapped_s(seq: Sequence, depth: int) -> tuple[int, str | None]:
     """Largest s admitting an s-gapped monotone chain of depth+1 entries, and
     its direction (INC when both directions reach it); (-1, None) when no
-    monotone chain has depth+1 entries.  One bottleneck pass per direction."""
+    monotone chain has depth+1 entries.  One bottleneck pass serves both
+    directions."""
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
     if len(seq) <= depth:
         return -1, None
-    vals = np.asarray(seq.values, dtype=float)
-    s_inc, s_dec = _bottleneck_s(vals, depth), _bottleneck_s(-vals, depth)
+    s_inc, s_dec = _bottleneck_s(np.asarray(seq.values, dtype=float), depth)
     if max(s_inc, s_dec) < 0:
         return -1, None
     return (s_inc, INC) if s_inc >= s_dec else (s_dec, DEC)

@@ -27,10 +27,11 @@ from blockseq import (
     max_gapped_blocksize,
     validate_block_witness,
 )
-from blockseq.extract import best_gapped_s
+from blockseq import extract
+from blockseq.extract import _window_blocks, best_gapped_s
 from blockseq.oracle import max_blocksize_exact
 from blockseq.partition import PointSet, _best_gapped, _frame_of, validate_point_witness
-from brutes import brute_chain_tables, naive_is_gapped
+from brutes import brute_chain_tables, naive_count_box, naive_is_gapped
 
 
 class TestGappedChainDP:
@@ -107,6 +108,46 @@ class TestGappedChainDP:
             for d in (INC, DEC):
                 lengths = [gapped_chain_dp(seq, s, d).length for s in range(6)]
                 assert lengths == sorted(lengths, reverse=True)
+
+
+class TestWindowBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 65, 100])
+    def test_matches_naive_box_counts(self, n):
+        vals = list(gen_random(n, seed=n).values)
+        columns = []
+        for lo, hi, window in _window_blocks(np.asarray(vals)):
+            assert window.shape == (hi - lo, hi)
+            for i in range(lo, hi):
+                columns.append(i)
+                for j in range(i):
+                    a, b = sorted((vals[j], vals[i]))
+                    count = naive_count_box(vals, j + 1, i + 1, a, b)
+                    want = count if vals[j] < vals[i] else ~count
+                    assert window[i - lo, j] == want
+        assert columns == list(range(n))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("_WIDTH", 1), ("_WIDTH", 7), ("_count_dtype", lambda n: np.int32)],
+    )
+    def test_block_width_and_count_type_leave_results(self, monkeypatch, name, value):
+        rng = random.Random(89)
+        seqs = [gen_random(n, seed=rng.randrange(10**6)) for n in (1, 2, 7, 31, 33, 64, 150, 300)]
+        seqs.append(gen_clustered(3, 5, inner="decreasing", delta=0.2))
+
+        def outputs():
+            out = []
+            for seq in seqs:
+                for d in (INC, DEC):
+                    for s in (0, 1, 3):
+                        ch = gapped_chain_dp(seq, s, d)
+                        out.append((ch.chain, ch.dp_lengths, ch.dp_pred))
+                out.extend(best_gapped_s(seq, depth) for depth in (1, 2, 4))
+            return out
+
+        want = outputs()
+        monkeypatch.setattr(extract, name, value)
+        assert outputs() == want
 
 
 class TestChainToBlocks:
