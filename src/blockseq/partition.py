@@ -6,8 +6,9 @@ rest of the pattern confined to one quadrant of it, around a staircase
 *configuration* whose even-indexed parts are depth-k block-monotone witnesses.
 Each round either finishes (everything left is small), widens the pattern
 (more sides), or deepens the staircase, and bounded-round pull-outs convert
-the absorbed material into witnesses.  A final monotone-subsequence sweep
-reduces the leftover pool below (k-1)^2 points.
+the absorbed material into witnesses.  Repeated best extractions then drain
+the leftover pool while their blocks hold 2 or more points, and a final
+monotone-subsequence sweep reduces what is left below (k-1)^2 points.
 
 All public indices are 1-based ids into the input point set / sequence.
 Directions follow the sequence convention: "inc" means up-right.
@@ -864,8 +865,15 @@ def partition_point_set(p: PointSet, k: int, c: float | None = None) -> LabeledP
     else:
         pool.append(np.arange(n, dtype=np.int64))
 
-    # Erdos-Szekeres cleanup of the pool
+    # drain the pool with positive-fraction pulls (block size >= 2), then an
+    # Erdos-Szekeres cleanup of what is left
     rest = np.sort(_cat(pool))
+    while len(rest) > (k - 1) ** 2:
+        wit = _extract_best(fr, rest, k, probe=True)
+        if wit is None or wit.size < 2:
+            break
+        parts.append(wit)
+        rest = np.setdiff1d(rest, wit.ids(), assume_unique=True)
     cleanup = 0
     while len(rest) > (k - 1) ** 2:
         sx = fr.by_x(rest)

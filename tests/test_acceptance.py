@@ -65,12 +65,12 @@ from brutes import brute_chain_tables
 # Pinned regression values (first oracle-verified run, see module docstring).
 CLUSTERED_S_STAR = {(2, 4): 2, (2, 8): 6, (3, 4): 2, (3, 8): 6}
 PARTITION_PARTS = {
-    (1000, 2): 36,
-    (1000, 3): 45,
-    (1000, 5): 42,
-    (10000, 2): 136,
-    (10000, 3): 136,
-    (10000, 5): 170,
+    (1000, 2): 29,
+    (1000, 3): 40,
+    (1000, 5): 38,
+    (10000, 2): 46,
+    (10000, 3): 72,
+    (10000, 5): 139,
 }
 # Page-count bound constant per pagination depth: the conservative (max
 # over n) pinned partition part count for that k.

@@ -318,8 +318,22 @@ def test_paginate_random_large():
     k = math.ceil(1 / eps)
     cap = math.ceil(12 * k * k * max(1.0, math.log2(k))) + (k - 1) ** 2
     assert len(pp.pages) <= cap * math.ceil(math.log2(len(g.edges)))
-    assert len(pp.pages) == 177
+    assert len(pp.pages) == 159
     assert paginate(g, eps) == pp
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paginate_dense_graph_within_budgets(seed):
+    # the graph `gen --kind graph --n 400 --m 8000 --seed N` writes; its
+    # partition pools once broke partition_multiset's part cap
+    g = random_graph(np.random.default_rng(seed), 400, 8000)
+    eps = 0.5
+    pp = paginate(g, eps)
+    drawn = sorted(e for p in pp.pages for e in p.edges)
+    assert drawn == sorted(g.edges)
+    for page, count in zip(pp.pages, pp.metrics):
+        assert count == count_page_crossings(page)
+        assert count <= eps * page.size**2
 
 
 def test_paginate_page_count_bound_sweep():

@@ -259,15 +259,13 @@ def test_paginate_with_svg(tmp_path):
     assert bad_eps.exit_code == 2
 
 
-def test_paginate_part_cap_failure_is_typed(tmp_path):
-    # this instance exceeds partition_multiset's part cap; the failure must
-    # surface as exit 3 (SearchFailedError), never as a traceback
+def test_paginate_dense_graph_succeeds(tmp_path):
+    # this instance once exceeded partition_multiset's part cap (exit 3);
+    # draining the partition pool before the monotone sweep keeps it inside
     g = gen(tmp_path, "graph", "g.json", n=400, m=8000, seed=1)
     pages = str(tmp_path / "pages.json")
-    result = run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages])
-    assert result.exit_code in (0, 3), result.log
-    if result.exit_code == 0:
-        ok(run(["verify", "--witness", pages, "--in", g]))
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages]))
+    ok(run(["verify", "--witness", pages, "--in", g]))
 
 
 def test_render_single_edge_semicircle(tmp_path):
