@@ -134,8 +134,9 @@ def _bottleneck_s(vals: np.ndarray, depth: int) -> tuple[int, int]:
     for lo, hi, window in _window_blocks(vals):
         links = np.stack((window, ~window))  # negative where not a link
         head = np.full((2, depth, hi - lo), -1, dtype=dt)
-        for L in range(depth if lo else 0):
-            head[:, L] = np.minimum(best[:, L, None, :lo], links[:, :, :lo]).max(axis=2)
+        if lo:
+            for L in range(depth):
+                head[:, L] = np.minimum(best[:, L, None, :lo], links[:, :, :lo]).max(axis=2)
         best[:, 1:, lo] = head[:, :, 0]
         for c in range(1, hi - lo):
             i = lo + c
@@ -149,9 +150,8 @@ def _gapped_links(vals: np.ndarray, s: int, direction: str):
     """``core.longest_chain`` links: the direction-monotone s-gapped pairs."""
     for lo, hi, window in _window_blocks(vals):
         ok = (window if direction == INC else ~window) >= s
-        for c in range(hi - lo):
-            if lo + c:
-                yield lo + c, ok[c, : lo + c]
+        for i in range(max(lo, 1), hi):
+            yield i, ok[i - lo, :i]
 
 
 # Read by the benchmark's environment record; the DP has no compiled kernel.

@@ -126,6 +126,23 @@ class TestWindowBlocks:
                     assert window[i - lo, j] == want
         assert columns == list(range(n))
 
+    def test_narrow_type_wraps_exactly(self, monkeypatch):
+        # at n=120 the partial sums reach 2n and wrap around in int8, while
+        # every window (at most n in size) fits, so the windows stay exact
+        vals = np.asarray(gen_random(120, seed=7).values)
+
+        def windows(dtype):
+            monkeypatch.setattr(extract, "_count_dtype", lambda n: dtype)
+            return [
+                window[c, : lo + c].astype(np.int64)
+                for lo, hi, window in _window_blocks(vals)
+                for c in range(hi - lo)
+            ]
+
+        want, got = windows(np.int64), windows(np.int8)
+        assert len(got) == len(want) == 120
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize(
         "name, value",
         [("_WIDTH", 1), ("_WIDTH", 7), ("_count_dtype", lambda n: np.int32)],
