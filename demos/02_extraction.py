@@ -7,17 +7,16 @@ donates a full block of s entries.
 """
 
 import math
-import os
 
 from blockseq import (
     chain_to_blocks,
-    default_c,
     extract_block_monotone,
     gapped_chain_dp,
     gen_random,
     max_gapped_blocksize,
     validate_block_witness,
 )
+from blockseq.extract import DEFAULT_C
 
 seq = gen_random(2000, seed=3)
 n = len(seq)
@@ -40,7 +39,7 @@ print(f"converted: depth {w.depth}, {w.block_size} entries per block, "
 # The block size scales like n / (ck)^2.  The default constant c is huge on
 # purpose (asymptotic safety margin); desk-sized inputs use c=2 to see the
 # DP branch instead of the classical fallback.
-print(f"\ndefault c = {default_c()}  (override via BLOCKSEQ_C)")
+print(f"\ndefault c = {DEFAULT_C}")
 for c in (None, 2):
     w = extract_block_monotone(seq, k, c)
     label = "default" if c is None else f"c={c}"
@@ -60,8 +59,3 @@ s_star, best = max_gapped_blocksize(small, k)
 print(f"\nn=300, k={k}: largest feasible gap s* = {s_star}")
 print(f"  witness depth {best.depth}, block size {best.block_size}")
 assert validate_block_witness(small, best)
-
-# The environment override applies at call time.
-os.environ["BLOCKSEQ_C"] = "2"
-print(f"after setting BLOCKSEQ_C=2: default_c() = {default_c()}")
-del os.environ["BLOCKSEQ_C"]

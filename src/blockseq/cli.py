@@ -11,8 +11,7 @@ Every producing command re-validates its own output before exiting 0.
 Exit codes: 0 = requested guarantee produced and self-verified;
 2 = precondition failure; 3 = verification mismatch or guarantee not
 produced; 4 = I/O, schema, or usage error.  All randomness flows
-through ``--seed``; the env var BLOCKSEQ_C overrides the extraction
-constant c globally.
+through ``--seed``.
 """
 
 from __future__ import annotations

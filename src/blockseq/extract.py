@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-import os
 
 import numpy as np
 
@@ -43,25 +42,13 @@ __all__ = [
     "extract_block_monotone",
     "max_gapped_blocksize",
     "best_gapped_s",
-    "default_c",
 ]
 
+# The extraction constant c.  extract_block_monotone promises blocks of
+# ceil(n/(ck)^2) entries once n >= (ck)^2, and the partition's staircase
+# threshold uses the same c.  Deliberately conservative; callers of the
+# extractor may pass a smaller c.
 DEFAULT_C = 40
-
-
-def default_c() -> int:
-    """Global extraction constant; BLOCKSEQ_C in the environment overrides."""
-    raw = os.environ.get("BLOCKSEQ_C")
-    if raw is None:
-        return DEFAULT_C
-    try:
-        c = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"BLOCKSEQ_C must be an integer, got {raw!r}") from exc
-    if c < 1:
-        raise InvalidInputError("BLOCKSEQ_C must be >= 1")
-    return c
-
 
 _WIDTH = 32  # columns of window counts per block
 
@@ -249,7 +236,7 @@ def extract_block_monotone(
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
-    c = default_c() if c is None else c
+    c = DEFAULT_C if c is None else c
     if c < 1:
         raise InvalidInputError("c must be >= 1")
     n = len(seq)

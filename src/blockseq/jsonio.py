@@ -7,9 +7,10 @@ newline — so identical data produces byte-identical files.
 
 Schema problems (wrong keys, shapes, or JSON types) raise
 :class:`SchemaError`; values that parse but violate domain rules are
-reported by the domain constructors as :class:`InvalidInputError`, which
-lets callers distinguish a malformed file from a well-formed artifact
-that fails verification.
+reported as :class:`InvalidInputError` (by the domain constructors, or by
+the coloring reader before its int16 matrix stores a color), which lets
+callers distinguish a malformed file from a well-formed artifact that
+fails verification.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 
 from .avoid import AvoidingWitness
 from .biarc import OrderedGraph, Page, PagePartition
-from .core import BlockWitness, Sequence
-from .errors import BlockseqError
+from .core import DEC, INC, BlockWitness, Sequence
+from .errors import BlockseqError, InvalidInputError
 from .partition import LabeledPartition, PointSet
-from .ramsey import BlockPathWitness, PairColoring
+from .ramsey import MAX_COLORS, BlockPathWitness, PairColoring
 
 __all__ = [
     "SchemaError",
@@ -152,11 +153,14 @@ def witness_to_json(w: BlockWitness) -> dict:
 
 def witness_from_json(doc) -> BlockWitness:
     _require(doc, "witness")
+    direction = doc["direction"]
+    if direction not in (INC, DEC):
+        raise SchemaError(f"'direction' must be {INC!r} or {DEC!r}, got {direction!r}")
     blocks = doc["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise SchemaError("'blocks' must be a list of index lists")
     return BlockWitness(
-        doc["direction"],
+        direction,
         tuple(tuple(_int_list(b, "block indices")) for b in blocks),
     )
 
@@ -179,22 +183,26 @@ def coloring_from_json(doc) -> PairColoring:
             raise SchemaError(f"'{name}' must be a positive integer, got {v!r}")
     if not isinstance(colors, list):
         raise SchemaError("'colors' must be a list")
-    matrix = np.zeros((n, n), dtype=np.int16)
     total = n * (n - 1) // 2
+    if len(colors) != total:
+        raise SchemaError(f"need one color per pair ({total}), got {len(colors)}")
+    if q > MAX_COLORS:
+        raise InvalidInputError(f"at most {MAX_COLORS} colors are supported, got q={q}")
+
+    def check(c):
+        if not 1 <= c <= q:
+            raise InvalidInputError(f"colors must lie in 1..{q}, got {c}")
+        return c
+
+    matrix = np.zeros((n, n), dtype=np.int16)
     if all(isinstance(c, int) and not isinstance(c, bool) for c in colors):
         # Dense triangular form: one color per pair (i, j), i < j, in
         # lexicographic order.
-        if len(colors) != total:
-            raise SchemaError(
-                f"dense triangular coloring needs {total} entries, got {len(colors)}"
-            )
-        it = iter(colors)
-        for i in range(n):
-            for j in range(i + 1, n):
-                matrix[i, j] = next(it)
+        if colors:
+            check(min(colors))
+            check(max(colors))
+        matrix[np.triu_indices(n, 1)] = colors
     else:
-        if len(colors) != total:
-            raise SchemaError(f"need one entry per pair ({total}), got {len(colors)}")
         seen = set()
         for entry in colors:
             if not isinstance(entry, list) or len(entry) != 3:
@@ -205,7 +213,7 @@ def coloring_from_json(doc) -> PairColoring:
             if (i, j) in seen:
                 raise SchemaError(f"pair ({i}, {j}) colored twice")
             seen.add((i, j))
-            matrix[i - 1, j - 1] = c
+            matrix[i - 1, j - 1] = check(c)
     matrix = matrix + matrix.T
     return PairColoring(n, q, matrix)
 
@@ -333,7 +341,9 @@ def pages_to_json(pp: PagePartition, n: int) -> dict:
 
 
 def page_from_json(doc) -> Page:
-    if not isinstance(doc, dict) or set(doc) != {"edges", "style", "split_b", "layout"}:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a page must be an object, got {doc!r}")
+    if set(doc) != {"edges", "style", "split_b", "layout"}:
         raise SchemaError(f"malformed page object: {sorted(doc)!r}")
     if not isinstance(doc["edges"], list) or not isinstance(doc["layout"], list):
         raise SchemaError("page 'edges' and 'layout' must be lists")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
 from .errors import InvalidInputError, SearchFailedError
-from .extract import best_gapped_s, chain_to_blocks, default_c, gapped_chain_dp
+from .extract import DEFAULT_C, best_gapped_s, chain_to_blocks, gapped_chain_dp
 
 __all__ = [
     "PointSet",
@@ -33,7 +33,6 @@ __all__ = [
     "seq_to_points",
     "points_to_seq",
     "pullout",
-    "trim_exact",
     "validate_configuration",
     "validate_pattern",
     "validate_point_witness",
@@ -268,21 +267,16 @@ def _extract_best(
 
 
 # ---------------------------------------------------------------------------
-# pull-out rounds and exact trims
+# pull-out rounds
 
 
 def _round_ceiling(depth: int) -> int:
     return math.ceil(2 * depth * math.log2(max(depth, 2))) + 2
 
 
-def _big_depth(k: int, c: float) -> int:
-    """Depth of the coarse first pull-out stage (a no-op for small inputs)."""
-    return max(2, math.ceil(9 * c * c * k))
-
-
 def _pullout_ids(
     fr: _Frame, ids: np.ndarray, depth: int, *, probe: bool = False
-) -> tuple[list[_Wit], np.ndarray, int]:
+) -> tuple[list[_Wit], np.ndarray]:
     """Repeatedly extract depth-``depth`` witnesses until the residue drops
     to max(|ids|/depth, (depth-1)^2) or the round ceiling is hit."""
     target = max(len(ids) / depth, (depth - 1) ** 2)
@@ -296,20 +290,7 @@ def _pullout_ids(
         parts.append(wit)
         cur = np.setdiff1d(cur, wit.ids(), assume_unique=True)
         rounds += 1
-    return parts, cur, rounds
-
-
-def _pullout_chain(
-    fr: _Frame, ids: np.ndarray, depths: list[int]
-) -> tuple[list[_Wit], np.ndarray, int]:
-    parts: list[_Wit] = []
-    cur = ids
-    worst = 0
-    for d in depths:
-        got, cur, rounds = _pullout_ids(fr, cur, d)
-        parts.extend(got)
-        worst = max(worst, rounds)
-    return parts, cur, worst
+    return parts, cur
 
 
 def pullout(p: PointSet, k: int) -> tuple[list[BlockWitness], PointSet]:
@@ -319,39 +300,9 @@ def pullout(p: PointSet, k: int) -> tuple[list[BlockWitness], PointSet]:
     if k < 2:
         raise InvalidInputError("pullout requires k >= 2")
     fr = _frame_of(p)
-    parts, residue, _ = _pullout_ids(
-        fr, np.arange(len(p), dtype=np.int64), k, probe=True
-    )
+    parts, residue = _pullout_ids(fr, np.arange(len(p), dtype=np.int64), k, probe=True)
     rest = PointSet(tuple(p.points[i] for i in sorted(int(i) for i in residue)))
     return [w.public() for w in parts], rest
-
-
-def _trim_wit(
-    fr: _Frame, w: _Wit, m: int
-) -> tuple[_Wit, np.ndarray, np.ndarray]:
-    """Remove ceil(m/k) trailing points (in x) from each block; first m
-    removed points form the exact set, the rest the sub-k leftover."""
-    k, s = len(w.blocks), w.size
-    if m > k * s:
-        raise InvalidInputError(f"cannot trim {m} points out of {k * s}")
-    if m == 0:
-        return w, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    r = math.ceil(m / k)
-    removed = np.concatenate([b[s - r :] for b in w.blocks])
-    core_blocks = [b[: s - r] for b in w.blocks]
-    core = _Wit(w.direction, core_blocks if s - r > 0 else [])
-    return core, removed[:m], removed[m:]
-
-
-def trim_exact(
-    p: PointSet, w: BlockWitness, m: int
-) -> tuple[BlockWitness, tuple[int, ...], tuple[int, ...]]:
-    """Split a depth-k witness into a smaller core witness, a subset of size
-    exactly m, and fewer than k leftover points."""
-    fr = _frame_of(p)
-    core, exact, rest = _trim_wit(fr, _wit_from_public(fr, w), m)
-    to_pub = lambda a: tuple(int(i) + 1 for i in np.sort(a))
-    return core.public(), to_pub(exact), to_pub(rest)
 
 
 def _frame_of(p: PointSet) -> _Frame:
@@ -364,8 +315,8 @@ def _frame_of(p: PointSet) -> _Frame:
 # configuration / pattern validation
 
 
-def _threshold(total: int, k: int, c: float) -> int:
-    bound = total / (3 * c * k) ** 2
+def _threshold(total: int, k: int) -> int:
+    bound = total / (3 * DEFAULT_C * k) ** 2
     return math.ceil(bound) if bound > 1 else 1
 
 
@@ -397,11 +348,10 @@ def _config_groups(fr: _Frame, cfg: Configuration) -> list[np.ndarray]:
     return groups
 
 
-def validate_configuration(p: PointSet, cfg: Configuration, k: int, c: float | None = None) -> bool:
+def validate_configuration(p: PointSet, cfg: Configuration, k: int) -> bool:
     """Check the staircase decomposition: alternating raw/witness parts in
     strict up-right or down-right order, witnesses valid at depth >= k with
-    block-size above the configured fraction of every odd part."""
-    c = default_c() if c is None else c
+    block-size at least |odd|/(3ck)^2 (c = DEFAULT_C) for every odd part."""
     if cfg.orientation not in ("up-right", "down-right"):
         raise InvalidInputError(f"unknown orientation {cfg.orientation!r}")
     if len(cfg.odd_parts) != len(cfg.even_parts) + 1:
@@ -415,7 +365,7 @@ def validate_configuration(p: PointSet, cfg: Configuration, k: int, c: float | N
             return False
         if w.depth < k:
             return False
-        need = max(_threshold(len(odd), k, c) for odd in cfg.odd_parts)
+        need = max(_threshold(len(odd), k) for odd in cfg.odd_parts)
         if w.block_size < need:
             return False
         flat.extend(i for b in w.blocks for i in b)
@@ -438,10 +388,9 @@ def _one_quadrant(fr: _Frame, side_ids: np.ndarray, rest_ids: np.ndarray) -> str
     return None
 
 
-def validate_pattern(p: PointSet, pat: Pattern, k: int, c: float | None = None) -> bool:
+def validate_pattern(p: PointSet, pat: Pattern, k: int) -> bool:
     """Check the side/quadrant decomposition around a valid configuration."""
-    c = default_c() if c is None else c
-    if not validate_configuration(p, pat.config, k, c):
+    if not validate_configuration(p, pat.config, k):
         return False
     fr = _frame_of(p)
     config_ids = np.concatenate(_config_groups(fr, pat.config)) if (
@@ -453,7 +402,7 @@ def validate_pattern(p: PointSet, pat: Pattern, k: int, c: float | None = None) 
     for w, pub in zip(sides, pat.sides):
         if not validate_point_witness(p, pub):
             return False
-        if pub.depth < k or pub.block_size < _threshold(total, k, c):
+        if pub.depth < k or pub.block_size < _threshold(total, k):
             return False
         ids = w.ids().tolist()
         if seen.intersection(ids):
@@ -541,18 +490,17 @@ def _stitch(base: _Wit, extra: np.ndarray, prepend: bool) -> tuple[list[_Wit], n
 
 
 def step_pattern(
-    p: PointSet, pat: Pattern, k: int, c: float | None = None
+    p: PointSet, pat: Pattern, k: int
 ) -> tuple[list[BlockWitness], Pattern | tuple[int, ...], tuple[int, ...], str]:
     """One round of the main loop, on public types.  See _step for the
     internal version the loop itself uses."""
-    c = default_c() if c is None else c
     if not (pat.l < 4 * k and pat.t < k):
         raise InvalidInputError("step requires l < 4k and t < k")
-    if not validate_pattern(p, pat, k, c):
+    if not validate_pattern(p, pat, k):
         raise InvalidInputError("input pattern does not validate")
     fr = _frame_of(p)
     st = _state_from_pattern(fr, pat)
-    parts, nxt, pool, outcome = _step(fr, st, k, c)
+    parts, nxt, pool, outcome = _step(fr, st, k)
     pub_parts = [w.public() for w in parts]
     pool_pub = tuple(int(i) + 1 for i in np.sort(pool)) if len(pool) else ()
     if outcome == "small":
@@ -561,7 +509,7 @@ def step_pattern(
 
 
 def _step(
-    fr: _Frame, st: _State, k: int, c: float
+    fr: _Frame, st: _State, k: int
 ) -> tuple[list[_Wit], _State | np.ndarray, np.ndarray, str]:
     parts: list[_Wit] = []
     pool: list[np.ndarray] = []
@@ -602,11 +550,9 @@ def _step(
         )
         parts.append(x2w)
         for xw, zs, prepend in ((x1w, z1, True), (x3w, z3, False)):
-            z = (
-                np.concatenate(zs) if zs else np.empty(0, dtype=np.int64)
-            )
-            got, residue, _ = _pullout_chain(fr, z, [_big_depth(k, c), k, k])
-            parts.extend(got)
+            got, residue = _pullout_ids(fr, _cat(zs), k)
+            again, residue = _pullout_ids(fr, residue, k)
+            parts.extend(got + again)
             stitched, spill = _stitch(xw, fr.by_x(residue), prepend)
             parts.extend(stitched)
             if len(spill):
@@ -641,7 +587,7 @@ def _step(
         raise SearchFailedError("3x3 grid regions do not cover the gutted part")
 
     for xw, z, prepend in ((x1w, z1, False), (x3w, z3, True)):
-        got, residue, _ = _pullout_chain(fr, z, [_big_depth(k, c), k])
+        got, residue = _pullout_ids(fr, z, k)
         parts.extend(got)
         stitched, spill = _stitch(xw, fr.by_x(residue), prepend)
         parts.extend(stitched)
@@ -662,134 +608,38 @@ def _cat(chunks: list[np.ndarray]) -> np.ndarray:
 # flatten endgames
 
 
-def _quadrant_partition(fr: _Frame, st: _State) -> dict[str, list[int]]:
-    y_ids = _cat([o for o in st.odds] + [w.ids() for w in st.evens])
-    groups: dict[str, list[int]] = {"UL": [], "UR": [], "DL": [], "DR": []}
-    for idx, side in enumerate(st.sides):
-        quad = _one_quadrant(fr, y_ids, side.ids())  # side's position vs Y
-        if quad is None:
-            raise InvalidInputError("side is not confined to one quadrant of Y")
-        groups[quad].append(idx)
-    return groups
+def _flatten_wide(st: _State) -> tuple[list[_Wit], np.ndarray]:
+    return st.evens + st.sides, _cat(st.odds)
 
 
-def _flatten_wide(fr: _Frame, st: _State, k: int, c: float) -> tuple[list[_Wit], np.ndarray]:
-    parts: list[_Wit] = []
-    pool: list[np.ndarray] = []
-    parts.extend(st.evens)
-    groups = _quadrant_partition(fr, st)
-    quad = max(groups, key=lambda q: (len(groups[q]), q))
-    chosen_idx = groups[quad][:k]
-    chosen = [st.sides[i] for i in chosen_idx]
-    for i, side in enumerate(st.sides):
-        if i not in chosen_idx:
-            parts.append(side)
-    odd_ids = _cat(st.odds)
-    got, y_res, _ = _pullout_ids(fr, odd_ids, _big_depth(k, c))
-    parts.extend(got)
-    y_res = fr.by_x(y_res)
-    if len(chosen) < k:
-        # degenerate pigeonhole (few sides); pool the residue
-        for side in chosen:
-            parts.append(side)
-        if len(y_res):
-            pool.append(y_res)
-        return parts, _cat(pool)
-
-    m = len(y_res)
-    cap = min((w.size * len(w.blocks) for w in chosen), default=0)
-    big = m > (_big_depth(k, c) - 1) ** 2 and m <= cap
-    if not big:
-        for side in chosen:
-            parts.append(side)
-        if len(y_res):
-            pool.append(y_res)
-        return parts, _cat(pool)
-
-    # stitch one block from each chosen side around the residue
-    slabs = []
-    for side in chosen:
-        core, exact, spill = _trim_wit(fr, side, m)
-        if core.blocks:
-            parts.append(core)
-        slabs.append(fr.by_x(exact))
-        if len(spill):
-            pool.append(spill)
-    # assembly order and direction by the shared quadrant (side quadrant
-    # relative to Y): UL -> descending with Y last, DL -> ascending with Y
-    # last, UR -> ascending with Y first, DR -> descending with Y first
-    if quad in ("UL", "DL"):
-        blocks = slabs + [y_res]
-    else:
-        blocks = [y_res] + list(reversed(slabs))
-    direction = INC if quad in ("DL", "UR") else DEC
-    parts.append(_Wit(direction, blocks))
-    return parts, _cat(pool)
-
-
-def _flatten_deep(fr: _Frame, st: _State, k: int, c: float) -> tuple[list[_Wit], np.ndarray]:
+def _flatten_deep(fr: _Frame, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]:
     parts: list[_Wit] = list(st.sides)
-    pool: list[np.ndarray] = []
     residues: list[np.ndarray] = []
     for odd in st.odds:
-        got, res, _ = _pullout_chain(fr, odd, [_big_depth(k, c), k + 1])
+        got, res = _pullout_ids(fr, odd, k + 1)
         parts.extend(got)
-        residues.append(fr.by_x(res))
-    big_cut = (_big_depth(k, c) - 1) ** 2
-    m_total = sum(len(r) for r in residues)
-    j1 = [j for j, r in enumerate(residues) if len(r) > big_cut]
-    cap = min((w.size * len(w.blocks) for w in st.evens), default=0)
-    if j1 and m_total <= cap and len(st.evens) == k:
-        sizes = [len(residues[j]) for j in j1]
-        m = sum(sizes)
-        slabs: list[list[np.ndarray]] = []  # per even part: slices per j
-        for w in st.evens:
-            core, exact, spill = _trim_wit(fr, w, m)
-            if core.blocks:
-                parts.append(core)
-            if len(spill):
-                pool.append(spill)
-            exact = fr.by_x(exact)
-            cuts = np.cumsum([0] + sizes)
-            slabs.append([exact[cuts[a] : cuts[a + 1]] for a in range(len(j1))])
-        for a, j in enumerate(j1):
-            blocks = [slabs[i][a] for i in range(j)]
-            blocks.append(residues[j])
-            blocks.extend(slabs[i][a] for i in range(j, k))
-            direction = INC if st.up else DEC
-            parts.append(_Wit(direction, blocks))
-        for j, r in enumerate(residues):
-            if j not in j1 and len(r):
-                pool.append(r)
-    else:
-        parts.extend(st.evens)
-        for r in residues:
-            if len(r):
-                pool.append(r)
-    return parts, _cat(pool)
+        residues.append(res)
+    parts.extend(st.evens)
+    return parts, _cat(residues)
 
 
-def flatten_wide(p: PointSet, pat: Pattern, k: int, c: float | None = None):
-    """Endgame for a pattern with l = 4k sides: pigeonhole the sides by
-    quadrant and stitch one block of each chosen side around the staircase
-    residue."""
-    c = default_c() if c is None else c
+def flatten_wide(p: PointSet, pat: Pattern, k: int):
+    """Endgame for a pattern with l = 4k sides: the sides and even parts are
+    finished witnesses, and the odd parts go to the leftover pool."""
     if pat.l != 4 * k:
         raise InvalidInputError(f"flatten_wide requires exactly {4 * k} sides")
-    fr = _frame_of(p)
-    parts, pool = _flatten_wide(fr, _state_from_pattern(fr, pat), k, c)
+    parts, pool = _flatten_wide(_state_from_pattern(_frame_of(p), pat))
     return [w.public() for w in parts], tuple(int(i) + 1 for i in np.sort(pool))
 
 
-def flatten_deep(p: PointSet, pat: Pattern, k: int, c: float | None = None):
-    """Endgame for a staircase of full depth t = k: double pull-out of every
-    odd part, then stitch surviving residues through slices of the even
-    parts."""
-    c = default_c() if c is None else c
+def flatten_deep(p: PointSet, pat: Pattern, k: int):
+    """Endgame for a staircase of full depth t = k: pull depth-(k+1)
+    witnesses out of every odd part and pool their residues; the sides and
+    even parts are kept as they are."""
     if pat.t != k:
         raise InvalidInputError(f"flatten_deep requires staircase depth {k}")
     fr = _frame_of(p)
-    parts, pool = _flatten_deep(fr, _state_from_pattern(fr, pat), k, c)
+    parts, pool = _flatten_deep(fr, _state_from_pattern(fr, pat), k)
     return [w.public() for w in parts], tuple(int(i) + 1 for i in np.sort(pool))
 
 
@@ -797,12 +647,11 @@ def flatten_deep(p: PointSet, pat: Pattern, k: int, c: float | None = None):
 # the full partition loop
 
 
-def partition_point_set(p: PointSet, k: int, c: float | None = None) -> LabeledPartition:
+def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     """Partition a planar point set into block-monotone parts of depth >= k
     plus at most (k-1)^2 leftover points."""
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
-    c = default_c() if c is None else c
     n = len(p)
     fr = _frame_of(p)
     parts: list[_Wit] = []
@@ -835,16 +684,13 @@ def partition_point_set(p: PointSet, k: int, c: float | None = None) -> LabeledP
                 pool.append(_cat(st.odds))
                 break
             if st.t == k:
-                got, rest = _flatten_deep(fr, st, k, c)
+                got, rest = _flatten_deep(fr, st, k)
                 parts.extend(got)
                 if len(rest):
                     pool.append(rest)
                 break
             if st.l >= 4 * k:
-                extra = st.l - 4 * k
-                parts.extend(st.sides[:extra])
-                st.sides = st.sides[extra:]
-                got, rest = _flatten_wide(fr, st, k, c)
+                got, rest = _flatten_wide(st)
                 parts.extend(got)
                 if len(rest):
                     pool.append(rest)
@@ -853,7 +699,7 @@ def partition_point_set(p: PointSet, k: int, c: float | None = None) -> LabeledP
             iterations += 1
             if iterations > 12 * k:
                 raise SearchFailedError("pattern loop exceeded its round bound")
-            got, nxt, spill, outcome = _step(fr, st, k, c)
+            got, nxt, spill, outcome = _step(fr, st, k)
             parts.extend(got)
             if len(spill):
                 pool.append(spill)
@@ -898,10 +744,10 @@ def partition_point_set(p: PointSet, k: int, c: float | None = None) -> LabeledP
     return LabeledPartition(pub, tuple(int(i) + 1 for i in np.sort(rest)), metrics)
 
 
-def partition_sequence(seq: Sequence, k: int, c: float | None = None) -> LabeledPartition:
+def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
     """Sequence version: indices play the role of x-coordinates, so part ids
     are 1-based positions in the sequence."""
-    return partition_point_set(seq_to_points(seq), k, c)
+    return partition_point_set(seq_to_points(seq), k)
 
 
 def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:

@@ -35,6 +35,8 @@ __all__ = [
 RED = 1
 BLUE = 2
 
+MAX_COLORS = 2**15 - 1  # colors are stored as int16
+
 
 @dataclass(frozen=True)
 class PairColoring:
@@ -89,8 +91,8 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
     """The blown-up recursive coloring on k**q vertices: level-r copies are
     glued with a fresh color, so color(i, j) is one plus the most significant
     base-k digit where i-1 and j-1 differ."""
-    if k < 1 or q < 1:
-        raise InvalidInputError("k and q must be >= 1")
+    if k < 1 or not 1 <= q <= MAX_COLORS:
+        raise InvalidInputError(f"need k >= 1 and q in 1..{MAX_COLORS}")
     n = k**q
     v = np.arange(n)
     matrix = np.zeros((n, n), dtype=np.int16)
@@ -103,8 +105,8 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
 
 def gen_random_coloring(n: int, q: int, seed: int) -> PairColoring:
     """Uniform random coloring; deterministic per seed."""
-    if n < 1 or q < 1:
-        raise InvalidInputError("n and q must be >= 1")
+    if n < 1 or not 1 <= q <= MAX_COLORS:
+        raise InvalidInputError(f"need n >= 1 and q in 1..{MAX_COLORS}")
     rng = np.random.default_rng(seed)
     matrix = rng.integers(1, q + 1, size=(n, n), dtype=np.int16)
     return _coloring(n, q, matrix)

@@ -185,6 +185,62 @@ def test_exit4_usage_and_schema(tmp_path):
     assert run(["verify"]).exit_code == 4
 
 
+# Colors are stored as int16, so more than 32767 colors is a precondition
+# failure (exit 2) for the generators and an invalid artifact (exit 3) for
+# verify; a length mismatch is a schema error (exit 4) found before the n x n
+# matrix is allocated.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "coloring", "--n", "3", "--q", "40000"],
+        ["ramsey", "--mode", "gen-random", "--n", "3", "--q", "40000"],
+    ],
+    ids=["gen", "ramsey"],
+)
+def test_coloring_generators_reject_q_beyond_int16(tmp_path, argv):
+    out = tmp_path / "col.json"
+    result = run(argv + ["--out", str(out)])
+    assert result.exit_code == 2, result.log
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ({"n": 3, "q": 2, "colors": [1, 70000, 1]}, 3),
+        ({"n": 3, "q": 2, "colors": [1, -70000, 1]}, 3),
+        ({"n": 3, "q": 2, "colors": [[1, 2, 1], [1, 3, 70000], [2, 3, 1]]}, 3),
+        ({"n": 3, "q": 2, "colors": [[1, 2, 1], [1, 3, -70000], [2, 3, 1]]}, 3),
+        ({"n": 3, "q": 70000, "colors": [1, 70000, 1]}, 3),
+        ({"n": 10**7, "q": 2, "colors": []}, 4),
+    ],
+    ids=["dense-high", "dense-low", "triple-high", "triple-low", "q-high", "huge-n"],
+)
+def test_verify_coloring_outside_int16(tmp_path, doc, code):
+    path = write(tmp_path / "col.json", doc)
+    result = run(["verify", "--in", path])
+    assert result.exit_code == code, result.log
+
+
+def test_page_entry_not_an_object_exit4(tmp_path):
+    with pytest.raises(jsonio.SchemaError):
+        jsonio.page_from_json(5)
+    doc = {"n": 3, "epsilon": 0.5, "pages": [5], "metrics": [0]}
+    path = write(tmp_path / "pages.json", doc)
+    assert run(["verify", "--in", path]).exit_code == 4
+    assert run(["render", "--in", path, "--out", str(tmp_path / "p.svg")]).exit_code == 4
+
+
+def test_witness_direction_must_be_inc_or_dec(tmp_path):
+    wit = write(tmp_path / "w.json", {"direction": 5, "blocks": [[1]]})
+    assert run(["verify", "--in", wit]).exit_code == 4
+    part = write(
+        tmp_path / "part.json",
+        {"parts": [{"direction": "up", "blocks": [[1]]}], "remainder": [], "metrics": {}},
+    )
+    assert run(["verify", "--in", part]).exit_code == 4
+
+
 def test_partition_modes(tmp_path):
     seq = gen(tmp_path, "sequence", "seq.json", n=80, seed=6)
     for mode in ("full", "greedy"):

@@ -1,6 +1,5 @@
 from itertools import permutations
 import math
-import os
 import random
 import time
 
@@ -16,7 +15,6 @@ from blockseq import (
     Sequence,
     build_counter,
     chain_to_blocks,
-    default_c,
     extract_block_monotone,
     gapped_chain_dp,
     gen_clustered,
@@ -242,26 +240,6 @@ class TestExtractBlockMonotone:
         assert w.depth >= 2
         if w.block_size > 1:
             assert w.block_size >= math.ceil(400 / (3 * 2) ** 2)
-
-    def test_env_var_constant(self):
-        os.environ["BLOCKSEQ_C"] = "3"
-        try:
-            assert default_c() == 3
-            seq = gen_random(400, seed=9)
-            w1 = extract_block_monotone(seq, 2)
-            w2 = extract_block_monotone(seq, 2, c=3)
-            assert w1 == w2
-        finally:
-            del os.environ["BLOCKSEQ_C"]
-        assert default_c() == 40
-
-    def test_env_var_rejects_garbage(self):
-        os.environ["BLOCKSEQ_C"] = "fast"
-        try:
-            with pytest.raises(InvalidInputError):
-                default_c()
-        finally:
-            del os.environ["BLOCKSEQ_C"]
 
     def test_depth_and_size_contract_bulk(self):
         rng = random.Random(53)

@@ -13,6 +13,7 @@ from blockseq.core import (
     validate_block_witness,
 )
 from blockseq.errors import InvalidInputError
+from blockseq.extract import DEFAULT_C
 from blockseq.partition import (
     Configuration,
     Pattern,
@@ -26,7 +27,6 @@ from blockseq.partition import (
     pullout,
     seq_to_points,
     step_pattern,
-    trim_exact,
     validate_configuration,
     validate_pattern,
     validate_point_witness,
@@ -156,50 +156,6 @@ def test_pullout_invalid_k():
 
 
 # ---------------------------------------------------------------------------
-# trim_exact
-
-
-def test_trim_exact_spec_case():
-    p = seq_to_points(Sequence(list(range(1, 16))))
-    w = BlockWitness("inc", ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15)))
-    core, exact, leftover = trim_exact(p, w, 7)
-    assert core.block_size == 2 and core.depth == 3
-    assert len(exact) == 7 and len(leftover) == 2
-    assert validate_point_witness(p, core)
-
-
-def test_trim_exact_zero_and_full():
-    p = seq_to_points(Sequence([3, 1, 4, 2, 6, 5]))
-    w = BlockWitness("inc", ((2, 4), (5, 6)))
-    core, exact, leftover = trim_exact(p, w, 0)
-    assert core == w and exact == () and leftover == ()
-    core, exact, leftover = trim_exact(p, w, 4)
-    assert core.blocks == () and sorted(exact) == [2, 4, 5, 6] and leftover == ()
-
-
-def test_trim_exact_overflow_raises():
-    p = seq_to_points(Sequence([1, 2, 3, 4]))
-    w = BlockWitness("inc", ((1, 2), (3, 4)))
-    with pytest.raises(InvalidInputError):
-        trim_exact(p, w, 5)
-
-
-def test_trim_exact_arithmetic():
-    p = seq_to_points(gen_random(200, seed=77))
-    parts, _ = pullout(p, 3)
-    w = parts[0]
-    assert validate_point_witness(p, w)
-    total = w.depth * w.block_size
-    for m in range(0, min(total, 12)):
-        core, exact, leftover = trim_exact(p, w, m)
-        assert len(exact) == m
-        assert len(leftover) < w.depth
-        assert core.depth * core.block_size + m + len(leftover) == total
-        if core.blocks:
-            assert validate_point_witness(p, core)
-
-
-# ---------------------------------------------------------------------------
 # configuration / pattern validation
 
 
@@ -230,8 +186,13 @@ def test_configuration_rejections():
     assert not validate_configuration(p, Configuration(((1, 2), (5, 6)), (wit,), "down-right"), 2)
     with pytest.raises(InvalidInputError):
         validate_configuration(p, Configuration(((1,), (2,)), (), "sideways"), 2)
-    # block-size threshold bites when c is tiny: ceil(2/(3*0.03*2)^2) = 62 > 1
-    assert not validate_configuration(p, good, 2, c=0.03)
+    # block-size threshold: at k=1 an odd part of more than (3c)^2 = 120^2
+    # points needs blocks of ceil(|odd| / 120^2) = 2, so a singleton fails
+    m = (3 * DEFAULT_C) ** 2
+    big = seq_to_points(Sequence(list(range(1, m + 4))))
+    one = (BlockWitness("inc", ((m + 2,),)),)
+    assert validate_configuration(big, Configuration((tuple(range(2, m + 2)), (m + 3,)), one, "up-right"), 1)
+    assert not validate_configuration(big, Configuration((tuple(range(1, m + 2)), (m + 3,)), one, "up-right"), 1)
 
 
 def test_pattern_validation_and_quadrant_violation():
@@ -261,7 +222,7 @@ def test_step_small_nine_points():
 def test_step_precondition_errors():
     p, pat = build_wide_pattern(0)
     with pytest.raises(InvalidInputError):
-        step_pattern(p, pat, 2, 0.5)  # l = 4k is out of range for a step
+        step_pattern(p, pat, 2)  # l = 4k is out of range for a step
     # overlapping parts never validate
     bad = Pattern(
         (),
@@ -278,7 +239,7 @@ def test_step_t0_is_never_widened():
         pat = Pattern((), Configuration((tuple(range(1, 121)),), (), "up-right"))
         parts, nxt, leftovers, outcome = step_pattern(p, pat, 2)
         assert outcome in ("small", "deepened")
-        k, c = 2, 40.0
+        k, c = 2, DEFAULT_C
         assert len(leftovers) <= 9 * c * c * k * k + 3 * k
 
 
@@ -326,34 +287,27 @@ def test_flatten_wrong_shapes_raise():
 
 def test_flatten_wide_trivial_branch_keeps_existing_witnesses():
     p, pat = build_wide_pattern(3, s=10, ny=30)
-    assert validate_pattern(p, pat, 2, 0.5)
-    parts, leftovers = flatten_wide(p, pat, 2, 0.5)
-    for side in pat.sides:
-        assert side in parts  # small residue: every side survives unchanged
+    assert validate_pattern(p, pat, 2)
+    parts, leftovers = flatten_wide(p, pat, 2)
+    # every side survives unchanged and the odd part is left over
+    assert parts == list(pat.config.even_parts + pat.sides)
+    assert leftovers == pat.config.odd_parts[0]
     cover = sorted([i for w in parts for i in w.indices()] + list(leftovers))
     assert cover == list(range(1, len(p) + 1))
 
 
-def test_flatten_wide_stitches_depth_k_plus_one():
-    p, pat = build_wide_pattern(0)
-    assert validate_pattern(p, pat, 2, 0.5)
-    parts, leftovers = flatten_wide(p, pat, 2, 0.5)
-    stitched = [w for w in parts if w.depth == 3]
-    assert len(stitched) == 1
-    assert stitched[0].block_size >= 17  # above the (big-depth-1)^2 cutoff / k
-    for w in parts:
-        assert validate_point_witness(p, w)
-    cover = sorted([i for w in parts for i in w.indices()] + list(leftovers))
-    assert cover == list(range(1, len(p) + 1))
-
-
-def test_flatten_deep_stitches_residues_through_evens():
+def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
     p, pat = build_deep_pattern(1)
-    assert validate_pattern(p, pat, 2, 0.5)
-    parts, leftovers = flatten_deep(p, pat, 2, 0.5)
-    assert any(w.depth == 3 and w.block_size >= 17 for w in parts)
-    for w in parts:
-        assert validate_point_witness(p, w)
+    assert validate_pattern(p, pat, 2)
+    parts, leftovers = flatten_deep(p, pat, 2)
+    evens = list(pat.config.even_parts)
+    assert parts[-2:] == evens
+    pulled = parts[:-2]
+    assert pulled  # the 300-point odd part yields depth-3 witnesses
+    for w in pulled:
+        assert w.depth == 3 and validate_point_witness(p, w)
+    odd_ids = {i for o in pat.config.odd_parts for i in o}
+    assert set(leftovers) <= odd_ids
     cover = sorted([i for w in parts for i in w.indices()] + list(leftovers))
     assert cover == list(range(1, len(p) + 1))
 
