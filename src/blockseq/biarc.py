@@ -23,8 +23,9 @@ the partition, which is what keeps every page under its crossing budget
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 import math
+
+import numpy as np
 
 from .core import DEC, Sequence
 from .errors import InvalidInputError, SearchFailedError
@@ -308,11 +309,20 @@ def spine_crossing(l: int, r: int, b: int, n: int) -> float:
     return b + 1 - l / n - r / (2 * n * n)
 
 
+_CHUNK = 256  # spans compared against all others per step
+
+
 def _interleavings(spans) -> int:
+    """Span pairs that interleave, counted as the ordered pairs a, b with
+    a1 < b1 < a2 < b2.  Rows go ``_CHUNK`` at a time, so memory stays
+    O(len(spans) * _CHUNK) on large pages."""
+    if len(spans) < 2:
+        return 0
+    b1, b2 = np.asarray(spans, dtype=float).T
     count = 0
-    for (a1, a2), (b1, b2) in combinations(spans, 2):
-        if a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2:
-            count += 1
+    for lo in range(0, len(b1), _CHUNK):
+        a1, a2 = b1[lo : lo + _CHUNK, None], b2[lo : lo + _CHUNK, None]
+        count += int(np.count_nonzero((a1 < b1) & (b1 < a2) & (a2 < b2)))
     return count
 
 

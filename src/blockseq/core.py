@@ -214,20 +214,42 @@ def longest_monotone(seq: Sequence) -> tuple[str, list[int]]:
     return DEC, [i + 1 for i in dec]
 
 
-def longest_chain(n: int, links) -> tuple[np.ndarray, np.ndarray]:
-    """Longest chains over entries 0..n-1.  ``links`` yields ``(i, mask)``
-    for i >= 1, ``mask[j]`` true when j < i may come directly before i.
-    Returns ``lengths[i]``, the most entries on a chain ending at i, and
-    ``pred[i]``, the smallest of its longest predecessors (-1 for none)."""
-    lengths = np.ones(n, dtype=np.int64)
+_WIDTH = 32  # entries per block fed to longest_chain by the package
+
+
+def longest_chain(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Longest chains over entries 0..n-1.  ``blocks`` yields ``(lo, hi, ok)``
+    for consecutive ranges [lo, hi) that cover 0..n-1 in order;
+    ``ok[i - lo, j]`` is true when j < i may come directly before i, and
+    entries with j >= i are ignored.  Returns ``lengths[i]``, the most
+    entries on a chain ending at i, and ``pred[i]``, the smallest of its
+    longest predecessors (-1 for none).
+
+    The predecessors j < lo are final when a block starts, so one masked
+    argmax over them serves the whole block (its first maximum is the
+    smallest predecessor); the triangle inside the block follows in plain
+    Python, where a strict comparison keeps the earlier of equal lengths.
+    """
+    dt = np.int16 if n < 2**15 else np.int64  # lengths never exceed n
+    lengths = np.ones(n, dtype=dt)
     pred = np.full(n, -1, dtype=np.int64)
-    for i, mask in links:
-        prev = mask.nonzero()[0]
-        if prev.size:
-            cand = lengths[prev]
-            top = cand.max()
-            lengths[i] = top + 1
-            pred[i] = prev[np.argmax(cand == top)]
+    for lo, hi, ok in blocks:
+        if lo:
+            cand = ok[:, :lo] * lengths[:lo]  # 0 where j may not precede i
+            at = cand.argmax(axis=1)
+            top = np.take_along_axis(cand, at[:, None], axis=1)[:, 0]
+            tops = top.tolist()
+            preds = np.where(top > 0, at, -1).tolist()
+        else:
+            tops, preds = [0] * (hi - lo), [-1] * (hi - lo)
+        for c, row in enumerate(ok[:, lo:hi].tolist()):
+            top, p = tops[c], preds[c]  # the best predecessor before lo
+            for d in range(c):  # tops[d] is already the length at lo + d
+                if row[d] and tops[d] > top:
+                    top, p = tops[d], lo + d
+            tops[c], preds[c] = top + 1, p
+        lengths[lo:hi] = tops
+        pred[lo:hi] = preds
     return lengths, pred
 
 

@@ -12,10 +12,10 @@ a count carried from block to block prices those below a_j, so a block costs
 a few array operations instead of a few per column.  One signed array serves
 both directions (the count on increasing pairs, its bitwise complement on
 decreasing ones), in narrow integers.  The chain itself comes from
-``core.longest_chain``, the one numpy longest-chain kernel, which the Ramsey
-path searches share; it takes the blocks one column at a time.  The
-independent range-counting module can re-derive every window count, which
-the tests use as a cross-check.
+``core.longest_chain``, the one longest-chain kernel, which takes the same
+blocks and which the Ramsey path searches share.  The independent
+range-counting module can re-derive every window count, which the tests use
+as a cross-check.
 
 The largest feasible s for a target depth comes from one bottleneck pass over
 the same blocks, O(depth * n^2), filling the increasing and the decreasing
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
-from .core import longest_chain, trace_chain
+from .core import _WIDTH, longest_chain, trace_chain
 from .errors import InvalidInputError, PreconditionError
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
 # threshold uses the same c.  Deliberately conservative; callers of the
 # extractor may pass a smaller c.
 DEFAULT_C = 40
-
-_WIDTH = 32  # columns of window counts per block
 
 
 def _count_dtype(n: int):
@@ -110,9 +108,9 @@ def _bottleneck_s(vals: np.ndarray, depth: int) -> tuple[int, int]:
     over direction-d chains of L+1 entries ending at i:
     best[d, L, i] = max_j min(best[d, L-1, j], window(j, i)), where a
     negative value means no chain.  Chain prefixes are chains, so longer
-    chains need no separate row.  Entries j before a block are final, so they
-    are folded in for the whole block at once; the entries inside it follow
-    column by column.
+    chains need no separate row.  Level L of a block reads only level L-1 at
+    earlier columns, so once the block's own pairs with j >= i are masked
+    out, each level of a block is one array operation.
     """
     n = len(vals)
     dt = _count_dtype(n)
@@ -120,25 +118,11 @@ def _bottleneck_s(vals: np.ndarray, depth: int) -> tuple[int, int]:
     best[:, 0] = n  # a lone entry has no window; n exceeds every window count
     for lo, hi, window in _window_blocks(vals):
         links = np.stack((window, ~window))  # negative where not a link
-        head = np.full((2, depth, hi - lo), -1, dtype=dt)
-        if lo:
-            for L in range(depth):
-                head[:, L] = np.minimum(best[:, L, None, :lo], links[:, :, :lo]).max(axis=2)
-        best[:, 1:, lo] = head[:, :, 0]
-        for c in range(1, hi - lo):
-            i = lo + c
-            inside = np.minimum(best[:, :depth, lo:i], links[:, None, c, lo:i]).max(axis=2)
-            best[:, 1:, i] = np.maximum(head[:, :, c], inside)
+        links[:, :, lo:][:, ~np.tri(hi - lo, dtype=bool, k=-1)] = -1
+        for L in range(1, depth + 1):
+            np.minimum(best[:, L - 1, None, :hi], links).max(axis=2, out=best[:, L, lo:hi])
     s_inc, s_dec = np.maximum(best[:, depth].max(axis=1), -1)
     return int(s_inc), int(s_dec)
-
-
-def _gapped_links(vals: np.ndarray, s: int, direction: str):
-    """``core.longest_chain`` links: the direction-monotone s-gapped pairs."""
-    for lo, hi, window in _window_blocks(vals):
-        ok = (window if direction == INC else ~window) >= s
-        for i in range(max(lo, 1), hi):
-            yield i, ok[i - lo, :i]
 
 
 # Read by the benchmark's environment record; the DP has no compiled kernel.
@@ -178,7 +162,11 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
     if n == 0:
         return GappedChain(direction, s, (), (), ())
     vals = np.asarray(seq.values, dtype=float)
-    lengths, pred = longest_chain(n, _gapped_links(vals, s, direction))
+    blocks = (
+        (lo, hi, (window if direction == INC else ~window) >= s)
+        for lo, hi, window in _window_blocks(vals)
+    )
+    lengths, pred = longest_chain(n, blocks)
     chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
     return GappedChain(
         direction=direction,

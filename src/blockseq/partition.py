@@ -232,10 +232,13 @@ def _chain_witness(fr: _Frame, sx: np.ndarray, seq: Sequence, s: int, d: str) ->
     return _Wit(w.direction, blocks)
 
 
-def _best_gapped(fr: _Frame, ids: np.ndarray, depth: int) -> tuple[int, _Wit | None]:
+def _best_gapped(
+    fr: _Frame, ids: np.ndarray, depth: int, floor: int = 0
+) -> tuple[int, _Wit | None]:
     """Largest block-size s whose gapped chain reaches depth+1, in either
     direction (INC first), with its witness; (0, None) if s < 1.  A
-    bottleneck pass finds s exactly, so no probe bracket is needed."""
+    bottleneck pass finds s exactly, so no probe bracket is needed.  When s
+    is at most ``floor`` the witness is not built and (s, None) returns."""
     if (len(ids) - depth - 1) // depth < 1:
         return 0, None
     sx = fr.by_x(ids)
@@ -243,6 +246,8 @@ def _best_gapped(fr: _Frame, ids: np.ndarray, depth: int) -> tuple[int, _Wit | N
     s, d = best_gapped_s(seq, depth)
     if s < 1:
         return 0, None
+    if s <= floor:
+        return s, None
     return s, _chain_witness(fr, sx, seq, s, d)
 
 
@@ -253,15 +258,16 @@ def _extract_best(
 
     Always considers the chunked longest-monotone fallback, and also the
     exact gapped-chain search when the subset is at most _DP_CUTOFF points
-    or ``probe`` is set; the larger block-size wins.
+    or ``probe`` is set; the larger block-size wins, and the search builds
+    no witness the fallback would beat.
     """
     m = len(ids)
     if depth < 1 or m <= (depth - 1) ** 2:
         return None
     best = _lis_witness(fr, ids, depth)
     if probe or m <= _DP_CUTOFF:
-        s, wit = _best_gapped(fr, ids, depth)
-        if wit is not None and s > (best.size if best else 0):
+        _, wit = _best_gapped(fr, ids, depth, best.size if best else 0)
+        if wit is not None:
             best = wit
     return best
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence, longest_chain, trace_chain
+from .core import _WIDTH, DEC, INC, BlockWitness, Sequence, longest_chain, trace_chain
 from .errors import InvalidInputError
 
 __all__ = [
@@ -112,6 +112,15 @@ def gen_random_coloring(n: int, q: int, seed: int) -> PairColoring:
     return _coloring(n, q, matrix)
 
 
+def _upper_blocks(mask: np.ndarray):
+    """``core.longest_chain`` blocks whose links u < v are read from
+    ``mask[u, v]``."""
+    n = len(mask)
+    for lo in range(0, n, _WIDTH):
+        hi = min(lo + _WIDTH, n)
+        yield lo, hi, mask[:hi, lo:hi].T
+
+
 def longest_monochromatic_path(c: PairColoring) -> tuple[int, list[int]]:
     """Exact longest monochromatic monotone path (length counts vertices),
     by a per-color DP over the vertex order.  Deterministic: the smallest
@@ -122,7 +131,7 @@ def longest_monochromatic_path(c: PairColoring) -> tuple[int, list[int]]:
     best_color, best_path = 1, [0]
     for color in range(1, c.q + 1):
         adj = c.matrix == color  # u < v read from the upper triangle, adj[u, v]
-        lengths, pred = longest_chain(n, ((v, adj[:v, v]) for v in range(1, n)))
+        lengths, pred = longest_chain(n, _upper_blocks(adj))
         top = int(lengths.max())
         if top > len(best_path):
             # reconstruct from the smallest endpoint among maxima
@@ -228,7 +237,7 @@ def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
         return None
     for color in range(1, c.q + 1):
         linked = _middle_counts(c, color) >= s
-        lengths, pred = longest_chain(n, ((v, linked[:v, v]) for v in range(1, n)))
+        lengths, pred = longest_chain(n, _upper_blocks(linked))
         if int(lengths.max()) >= k + 1:
             # the first endpoint reaching k+1 has a chain of exactly k+1
             end = int(np.argmax(lengths >= k + 1))

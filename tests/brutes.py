@@ -125,3 +125,27 @@ def all_transversals_monotone(values, blocks, want_inc):
         all((values[b - 1] > values[a - 1]) == want_inc for a, b in zip(tr, tr[1:]))
         for tr in product(*blocks)
     )
+
+
+def brute_longest_chain(n, links):
+    """Column-at-a-time longest chains over 0..n-1: ``links`` yields
+    ``(i, mask)`` for i >= 1, ``mask[j]`` true when j < i may precede i.
+    Returns (lengths, pred) with the smallest longest predecessor, -1 for
+    none."""
+    lengths = [1] * n
+    pred = [-1] * n
+    for i, mask in links:
+        for j in range(i):
+            if mask[j] and lengths[j] + 1 > lengths[i]:
+                lengths[i], pred[i] = lengths[j] + 1, j
+    return lengths, pred
+
+
+def brute_interleavings(spans):
+    """Span pairs (a1, a2), (b1, b2) with a1 < b1 < a2 < b2 or
+    b1 < a1 < b2 < a2."""
+    return sum(
+        1
+        for (a1, a2), (b1, b2) in combinations(spans, 2)
+        if a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
+    )

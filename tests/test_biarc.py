@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from blockseq import biarc
 from blockseq.biarc import (
     BIARCS,
     UPPER_ARCS,
@@ -23,6 +24,7 @@ from blockseq.biarc import (
 from blockseq.core import DEC, INC
 from blockseq.errors import InvalidInputError
 from blockseq.oracle import brute_crossings_geometric
+from brutes import brute_interleavings
 
 PATH5 = OrderedGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
 STAR5 = OrderedGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
@@ -216,6 +218,18 @@ def test_crossing_count_examples():
     assert not interleave(up1, up2) and up1[0] < up2[0] < up2[1] < up1[1]
     assert interleave(lo1, lo2)
     assert count_page_crossings(inverted) == 1
+
+
+@pytest.mark.parametrize("chunk", [5, 256])
+def test_interleavings_match_pair_loop(monkeypatch, chunk):
+    # small integer endpoints, so many spans share an endpoint or repeat
+    monkeypatch.setattr(biarc, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for _ in range(150):
+        m = int(rng.integers(0, 40))
+        ends = np.sort(rng.integers(0, 25, size=(m, 2)), axis=1)
+        spans = [(float(a), float(b)) for a, b in ends if a < b]
+        assert biarc._interleavings(spans) == brute_interleavings(spans)
 
 
 def test_crossings_match_geometric_oracle():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from blockseq import (
@@ -16,7 +17,12 @@ from blockseq import (
     longest_monotone,
     validate_block_witness,
 )
-from brutes import all_transversals_monotone, brute_longest_monotone_indices
+from blockseq.core import longest_chain
+from brutes import (
+    all_transversals_monotone,
+    brute_longest_chain,
+    brute_longest_monotone_indices,
+)
 
 
 class TestSequence:
@@ -155,6 +161,23 @@ class TestLongestMonotone:
             seq = gen_random(40, seed=seed)
             _, idx = longest_monotone(seq)
             assert len(idx) >= math.isqrt(len(seq) - 1) + 1
+
+
+class TestLongestChain:
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_blocks_match_column_reference(self, width):
+        # entries with j >= i hold random junk, which the kernel must ignore
+        rng = np.random.default_rng(width)
+        for n in (1, 2, 31, 32, 33, 100, 257):
+            for density in (0.05, 0.5, 1.0):
+                ok = rng.random((n, n)) < density
+                blocks = (
+                    (lo, min(lo + width, n), ok[lo : lo + width, : lo + width])
+                    for lo in range(0, n, width)
+                )
+                lengths, pred = longest_chain(n, blocks)
+                want = brute_longest_chain(n, ((i, ok[i]) for i in range(1, n)))
+                assert (lengths.tolist(), pred.tolist()) == want
 
 
 class TestInversionStats:
