@@ -13,7 +13,7 @@ All public indices are 1-based, matching the JSON interchange format.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 import math
 import random
@@ -152,48 +152,36 @@ def validate_block_witness(seq: Sequence, w: BlockWitness) -> bool:
     return True
 
 
-def _ending_lengths(vals: list[float]) -> list[int]:
-    """lengths[i] = length of the longest strictly increasing subsequence
-    ending at position i (patience sorting)."""
-    tails: list[float] = []
-    out = []
-    for x in vals:
-        pos = bisect_left(tails, x)
-        if pos == len(tails):
-            tails.append(x)
-        else:
-            tails[pos] = x
-        out.append(pos + 1)
-    return out
-
-
 def _lis_lex_smallest(vals: list[float]) -> list[int]:
     """0-based indices of the longest strictly increasing subsequence,
     breaking ties toward the lexicographically smallest index list."""
     n = len(vals)
     if n == 0:
         return []
-    # start_len[i] = longest increasing subsequence starting at i; obtained by
-    # running patience on the reversed, negated sequence.
-    rev = [-v for v in reversed(vals)]
-    ending = _ending_lengths(rev)
-    start_len = [ending[n - 1 - i] for i in range(n)]
-    best = max(start_len)
-    buckets: dict[int, list[int]] = {}
-    for i, ln in enumerate(start_len):
-        buckets.setdefault(ln, []).append(i)
-    # Within a bucket, values strictly decrease as the index grows, so a
-    # forward scan picking the first feasible index is lexicographically
-    # smallest and always extendable.
+    # starts[i] + 1 = longest increasing subsequence starting at i: patience
+    # sorting run right to left on the negated values.
+    tails: list[float] = []
+    starts = [0] * n
+    for i in range(n - 1, -1, -1):
+        x = -vals[i]
+        pos = bisect_left(tails, x)
+        if pos == len(tails):
+            tails.append(x)
+        else:
+            tails[pos] = x
+        starts[i] = pos
+    buckets: list[list[int]] = [[] for _ in tails]
+    for i, pos in enumerate(starts):
+        buckets[pos].append(i)
+    # Within a bucket, values strictly decrease as the index grows.  The
+    # previous pick continues through some later entry of the next bucket,
+    # so the first entry of that bucket after the pick is at least as large
+    # and also continues it: it is the lexicographically smallest choice.
     out: list[int] = []
-    cur_idx = -1
-    cur_val = -math.inf
-    for need in range(best, 0, -1):
-        for i in buckets[need]:
-            if i > cur_idx and vals[i] > cur_val:
-                out.append(i)
-                cur_idx, cur_val = i, vals[i]
-                break
+    cur = -1
+    for bucket in reversed(buckets):
+        cur = bucket[bisect_right(bucket, cur)]
+        out.append(cur)
     return out
 
 

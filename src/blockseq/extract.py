@@ -20,8 +20,11 @@ as a cross-check.
 The largest feasible s for a target depth comes from one bottleneck pass over
 the same blocks, O(depth * n^2), filling the increasing and the decreasing
 rows together: for every chain length it keeps the largest minimum window
-over chains ending at each entry.  One DP at that s then rebuilds the
-witness with the usual tie-breaks.
+over chains ending at each entry.  Carried one level past the target depth,
+the same table also holds the witness: when no chain at that s is longer than
+the target, the chain the DP would return is traced back from the table one
+column of windows at a time, O(depth * n log n), with the DP's tie-breaks.
+Only when a longer chain exists does one DP at that s rebuild the witness.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
 from .core import _WIDTH, longest_chain, trace_chain
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, SearchFailedError
 
 __all__ = [
     "GappedChain",
@@ -56,7 +59,7 @@ def _count_dtype(n: int):
     return np.int16 if n < 2**15 - 1 else np.int32
 
 
-def _window_blocks(vals: np.ndarray):
+def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None):
     """Window counts of every pair j < i, ``_WIDTH`` columns i at a time.
 
     Yields ``(lo, hi, window)`` for the columns i in [lo, hi).  ``window``
@@ -72,13 +75,15 @@ def _window_blocks(vals: np.ndarray):
     C[j+1] terms are one cumulative sum along each row; the C[i] terms add
     one column of comparisons per i to C[lo], carried from block to block.
     Partial sums may wrap around in the narrow type; the final values fit,
-    and wrapped integer arithmetic is exact modulo the type's range.
+    and wrapped integer arithmetic is exact modulo the type's range.  A
+    caller's ``bb`` (of the count type) receives bb[0..hi) as blocks pass.
     """
     n = len(vals)
     dt = _count_dtype(n)
     r = np.empty(n, dtype=dt)
     r[np.argsort(vals)] = np.arange(n, dtype=dt)
-    bb = np.zeros(n, dtype=dt)
+    if bb is None:
+        bb = np.empty(n, dtype=dt)
     below_lo = np.zeros(n, dtype=dt)  # C[lo][r[j]], set for j < hi
     for lo in range(0, n, _WIDTH):
         hi = min(lo + _WIDTH, n)
@@ -100,9 +105,24 @@ def _window_blocks(vals: np.ndarray):
         yield lo, hi, window
 
 
-def _bottleneck_s(vals: np.ndarray, depth: int) -> tuple[int, int]:
-    """Largest s admitting an s-gapped increasing, and a decreasing, chain of
-    depth+1 entries (-1 where no monotone chain is that long).
+def _window_row(vals: np.ndarray, bb: np.ndarray, e: int) -> np.ndarray:
+    """The signed windows of column e against every j < e, as int64: the
+    values of row e of ``_window_blocks``, in O(n log n).  C[j+1][vals[e]]
+    is one cumulative sum and C[e][vals[j]] the rank of vals[j] among the
+    first e values.  bb[e] + bb[j] reaches 2n, past the count type for
+    large n, so the sum is taken wide."""
+    head = vals[:e]
+    below_e = np.cumsum(head < vals[e])  # C[j+1][vals[e]]
+    before = np.searchsorted(np.sort(head), head)  # C[e][vals[j]]
+    return bb[:e].astype(np.int64) + int(bb[e]) - below_e - before - (head > vals[e])
+
+
+_ROW = {INC: 0, DEC: 1}  # direction -> first index of the bottleneck table
+
+
+def _bottleneck_table(vals: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bottleneck table of both directions at chain lengths 1..levels+1, and
+    bb as ``_window_blocks`` defines it.
 
     One left-to-right pass keeps ``best[d, L, i]``, the largest minimum window
     over direction-d chains of L+1 entries ending at i:
@@ -111,18 +131,61 @@ def _bottleneck_s(vals: np.ndarray, depth: int) -> tuple[int, int]:
     chains need no separate row.  Level L of a block reads only level L-1 at
     earlier columns, so once the block's own pairs with j >= i are masked
     out, each level of a block is one array operation.
+
+    The table answers every s at once: the longest s-gapped direction-d
+    chain ending at i has at least L+1 entries exactly when
+    best[d, L, i] >= s (induction on L: a chain of L+1 entries ending at i
+    extends one of L entries ending at some j linked to i by a window >= s).
     """
     n = len(vals)
     dt = _count_dtype(n)
-    best = np.full((2, depth + 1, n), -1, dtype=dt)  # direction INC, DEC
+    bb = np.empty(n, dtype=dt)
+    best = np.full((2, levels + 1, n), -1, dtype=dt)  # direction INC, DEC
     best[:, 0] = n  # a lone entry has no window; n exceeds every window count
-    for lo, hi, window in _window_blocks(vals):
+    for lo, hi, window in _window_blocks(vals, bb):
         links = np.stack((window, ~window))  # negative where not a link
         links[:, :, lo:][:, ~np.tri(hi - lo, dtype=bool, k=-1)] = -1
-        for L in range(1, depth + 1):
+        for L in range(1, levels + 1):
             np.minimum(best[:, L - 1, None, :hi], links).max(axis=2, out=best[:, L, lo:hi])
-    s_inc, s_dec = np.maximum(best[:, depth].max(axis=1), -1)
-    return int(s_inc), int(s_dec)
+    return best, bb
+
+
+def _largest_s(best: np.ndarray, depth: int) -> tuple[int, str | None]:
+    """Largest s on level ``depth`` of the table and its direction, INC on
+    ties; (-1, None) when no monotone chain has depth+1 entries."""
+    s_inc, s_dec = (int(x) for x in best[:, depth].max(axis=1))
+    if max(s_inc, s_dec) < 0:
+        return -1, None
+    return (s_inc, INC) if s_inc >= s_dec else (s_dec, DEC)
+
+
+def _traced_chain(
+    vals: np.ndarray, best: np.ndarray, bb: np.ndarray, s: int, direction: str
+) -> GappedChain:
+    """The chain ``gapped_chain_dp(seq, s, direction)`` returns, read off a
+    table of levels 0..depth+1 whose direction row reaches s on level depth
+    but not on level depth+1, so that its longest chains have depth+1
+    entries.  By the table's lemma, the chain ends at the first i with
+    best[d, depth, i] >= s, and the smallest longest predecessor of an entry
+    on level L is the first j linked to it with best[d, L-1, j] >= s: the
+    DP's own tie-breaks.  Each step prices one column with ``_window_row``,
+    O(depth * n log n) in all.  The DP tables are left empty; only
+    ``chain_to_blocks`` reads the result."""
+    table = best[_ROW[direction]]
+    depth = len(table) - 2
+    chain: list[int] = []
+    end = len(vals)  # the entry picked last; candidates come before it
+    for L in range(depth, -1, -1):
+        ok = table[L, :end] >= s
+        if chain:
+            row = _window_row(vals, bb, end)
+            ok &= (row if direction == INC else ~row) >= s
+        hits = np.flatnonzero(ok)
+        if len(hits) == 0:
+            raise SearchFailedError(f"no level-{L} entry continues the s={s} chain")
+        end = int(hits[0])
+        chain.append(end)
+    return GappedChain(direction, s, tuple(i + 1 for i in reversed(chain)), (), ())
 
 
 # Read by the benchmark's environment record; the DP has no compiled kernel.
@@ -254,26 +317,29 @@ def best_gapped_s(seq: Sequence, depth: int) -> tuple[int, str | None]:
         raise InvalidInputError("depth must be >= 1")
     if len(seq) <= depth:
         return -1, None
-    s_inc, s_dec = _bottleneck_s(np.asarray(seq.values, dtype=float), depth)
-    if max(s_inc, s_dec) < 0:
-        return -1, None
-    return (s_inc, INC) if s_inc >= s_dec else (s_dec, DEC)
+    best, _ = _bottleneck_table(np.asarray(seq.values, dtype=float), depth)
+    return _largest_s(best, depth)
 
 
 def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | None]:
     """Largest s >= 1 admitting an s-gapped chain of length >= k+1 (either
-    direction), with the corresponding witness.  (0, None) when only the
-    block-size-1 fallback exists.  A bottleneck pass finds s directly; one
-    DP per direction at that s rebuilds the witness from the longer chain."""
+    direction), with the witness of the longer chain ``gapped_chain_dp``
+    finds at that s (INC on ties).  (0, None) when only the block-size-1
+    fallback exists.  One bottleneck pass finds s; when neither direction
+    has a chain of k+2 entries at s, the witness is traced back from the
+    same table, and otherwise one DP per direction rebuilds it."""
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = len(seq)
     if n <= k:
         raise InvalidInputError(f"need n >= k+1, got n={n}, k={k}")
-    s, _ = best_gapped_s(seq, k)
+    vals = np.asarray(seq.values, dtype=float)
+    best, bb = _bottleneck_table(vals, k + 1)
+    s, d = _largest_s(best, k)
     if s < 1:
         return 0, None
-    best = max(
-        (gapped_chain_dp(seq, s, d) for d in (INC, DEC)), key=lambda ch: ch.length
-    )
-    return s, chain_to_blocks(seq, best)
+    if best[:, k + 1].max() >= s:
+        ch = max((gapped_chain_dp(seq, s, x) for x in (INC, DEC)), key=lambda c: c.length)
+    else:
+        ch = _traced_chain(vals, best, bb, s, d)
+    return s, chain_to_blocks(seq, ch)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
 from .errors import InvalidInputError, SearchFailedError
-from .extract import DEFAULT_C, best_gapped_s, chain_to_blocks, gapped_chain_dp
+from .extract import DEFAULT_C, GappedChain, chain_to_blocks, gapped_chain_dp
+from .extract import _ROW, _bottleneck_table, _largest_s, _traced_chain
 
 __all__ = [
     "PointSet",
@@ -223,10 +224,7 @@ def _lis_witness(fr: _Frame, ids: np.ndarray, depth: int) -> _Wit | None:
     return _Wit(d, blocks)
 
 
-def _chain_witness(fr: _Frame, sx: np.ndarray, seq: Sequence, s: int, d: str) -> _Wit | None:
-    ch = gapped_chain_dp(seq, s, d)
-    if ch.length < 2:
-        return None
+def _chain_witness(sx: np.ndarray, seq: Sequence, ch: GappedChain) -> _Wit:
     w = chain_to_blocks(seq, ch)
     blocks = [sx[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks]
     return _Wit(w.direction, blocks)
@@ -236,19 +234,26 @@ def _best_gapped(
     fr: _Frame, ids: np.ndarray, depth: int, floor: int = 0
 ) -> tuple[int, _Wit | None]:
     """Largest block-size s whose gapped chain reaches depth+1, in either
-    direction (INC first), with its witness; (0, None) if s < 1.  A
-    bottleneck pass finds s exactly, so no probe bracket is needed.  When s
-    is at most ``floor`` the witness is not built and (s, None) returns."""
+    direction (INC first), with the witness of the chain ``gapped_chain_dp``
+    finds at s; (0, None) if s < 1.  One bottleneck pass, carried to depth+1,
+    finds s exactly; unless that direction has a chain of depth+2 entries at
+    s, the witness is traced back from the same table, and otherwise one DP
+    at s rebuilds it.  When s is at most ``floor`` the witness is not built
+    and (s, None) returns."""
     if (len(ids) - depth - 1) // depth < 1:
         return 0, None
     sx = fr.by_x(ids)
     seq = fr.subseq(sx)
-    s, d = best_gapped_s(seq, depth)
+    vals = np.asarray(seq.values, dtype=float)
+    best, bb = _bottleneck_table(vals, depth + 1)
+    s, d = _largest_s(best, depth)
     if s < 1:
         return 0, None
     if s <= floor:
         return s, None
-    return s, _chain_witness(fr, sx, seq, s, d)
+    if best[_ROW[d], depth + 1].max() >= s:
+        return s, _chain_witness(sx, seq, gapped_chain_dp(seq, s, d))
+    return s, _chain_witness(sx, seq, _traced_chain(vals, best, bb, s, d))
 
 
 def _extract_best(

@@ -2,7 +2,10 @@
 
 These are written in the most obvious way possible (nested loops, full
 enumeration) and share no code with the package, so disagreement with the
-library always means a genuine bug on one side.
+library always means a genuine bug on one side.  The two ``rebuild_*``
+references are the exception: they replay the package's slower two-pass
+route to a gapped witness (the block-size search, then a fresh chain DP at
+that size) and pin the witness the bottleneck-table trace reads off.
 """
 
 from __future__ import annotations
@@ -149,3 +152,28 @@ def brute_interleavings(spans):
         for (a1, a2), (b1, b2) in combinations(spans, 2)
         if a1 < b1 < a2 < b2 or b1 < a1 < b2 < a2
     )
+
+
+def rebuild_best_gapped(seq, depth):
+    """(s, witness) by the two-pass route: ``best_gapped_s``, then the chain
+    ``gapped_chain_dp`` finds at s in that direction; (0, None) when s < 1."""
+    from blockseq import chain_to_blocks, gapped_chain_dp
+    from blockseq.extract import best_gapped_s
+
+    s, d = best_gapped_s(seq, depth)
+    if s < 1:
+        return 0, None
+    return s, chain_to_blocks(seq, gapped_chain_dp(seq, s, d))
+
+
+def rebuild_max_gapped_blocksize(seq, k):
+    """(s, witness) by the two-pass route: ``best_gapped_s`` at depth k, then
+    the longer of the two directions' chains at s (INC on ties)."""
+    from blockseq import INC, DEC, chain_to_blocks, gapped_chain_dp
+    from blockseq.extract import best_gapped_s
+
+    s, _ = best_gapped_s(seq, k)
+    if s < 1:
+        return 0, None
+    chains = [gapped_chain_dp(seq, s, d) for d in (INC, DEC)]
+    return s, chain_to_blocks(seq, max(chains, key=lambda ch: ch.length))

@@ -26,10 +26,15 @@ from blockseq import (
     validate_block_witness,
 )
 from blockseq import extract
-from blockseq.extract import _window_blocks, best_gapped_s
+from blockseq import partition
+from blockseq.errors import SearchFailedError
+from blockseq.extract import _bottleneck_table, _traced_chain, _window_blocks, _window_row
+from blockseq.extract import best_gapped_s
 from blockseq.oracle import max_blocksize_exact
-from blockseq.partition import PointSet, _best_gapped, _frame_of, validate_point_witness
+from blockseq.partition import PointSet, _best_gapped, _frame_of, seq_to_points
+from blockseq.partition import validate_point_witness
 from brutes import brute_chain_tables, naive_count_box, naive_is_gapped
+from brutes import rebuild_best_gapped, rebuild_max_gapped_blocksize
 
 
 class TestGappedChainDP:
@@ -158,11 +163,45 @@ class TestWindowBlocks:
                         ch = gapped_chain_dp(seq, s, d)
                         out.append((ch.chain, ch.dp_lengths, ch.dp_pred))
                 out.extend(best_gapped_s(seq, depth) for depth in (1, 2, 4))
+                out.extend(max_gapped_blocksize(seq, k) for k in (1, 2, 4) if len(seq) > k)
             return out
 
         want = outputs()
         monkeypatch.setattr(extract, name, value)
         assert outputs() == want
+
+
+class TestWindowRow:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 100])
+    def test_matches_naive_box_counts_and_block_rows(self, n):
+        vals = np.asarray(gen_random(n, seed=n + 3).values)
+        bb = np.empty(n, dtype=extract._count_dtype(n))
+        rows = [
+            window[c, : lo + c].copy()
+            for lo, hi, window in _window_blocks(vals, bb)
+            for c in range(hi - lo)
+        ]
+        for e in range(n):
+            row = _window_row(vals, bb, e)
+            assert row.dtype == np.int64 and np.array_equal(row, rows[e])
+            for j in range(e):
+                a, b = sorted((vals[j], vals[e]))
+                count = naive_count_box(list(vals), j + 1, e + 1, a, b)
+                assert row[j] == (count if vals[j] < vals[e] else ~count)
+
+    def test_wide_sum_under_narrow_counts(self, monkeypatch):
+        # bb[e] + bb[j] reaches 2n, past int8 at n=120, while each bb fits
+        vals = np.asarray(gen_random(120, seed=9).values)
+
+        def rows(dtype):
+            monkeypatch.setattr(extract, "_count_dtype", lambda n: dtype)
+            bb = np.empty(len(vals), dtype=dtype)
+            for _ in _window_blocks(vals, bb):
+                pass
+            return [_window_row(vals, bb, e) for e in range(len(vals))]
+
+        want, got = rows(np.int64), rows(np.int8)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestChainToBlocks:
@@ -364,3 +403,75 @@ class TestMaxGappedBlocksize:
             n = len(seq)
             assert s_star <= math.ceil(n / k**2)
             assert max_blocksize_exact(seq, k) == k * s
+
+
+def _trace_inputs():
+    rng = random.Random(101)
+    seqs = [gen_random(n, seed=rng.randrange(10**6)) for n in range(8, 81, 3)]
+    seqs += [gen_random(300, seed=5), gen_random(1000, seed=6)]
+    for k, s in ((2, 9), (3, 4), (4, 5)):
+        for inner in ("increasing", "decreasing", "seeded-random"):
+            seqs.append(gen_clustered(k, s, inner, seed=k + s))
+    return seqs
+
+
+# inputs whose longest chain at s* is longer than the target depth, so that
+# the witness comes from a chain DP, not from the bottleneck table
+FALLBACKS = [(gen_random(14, seed=133), 3), (gen_clustered(4, 5, "increasing"), 5)]
+
+
+class TestTracedWitness:
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Counts of witnesses traced off the table and rebuilt by a DP."""
+        seen = {"traced": 0, "dp": 0}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                seen[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(partition, "_traced_chain", "traced")
+        counted(partition, "gapped_chain_dp", "dp")
+        counted(extract, "_traced_chain", "traced")
+        counted(extract, "gapped_chain_dp", "dp")
+        return seen
+
+    def test_partition_search_matches_rebuild(self, routes):
+        for seq in _trace_inputs():
+            fr = _frame_of(seq_to_points(seq))
+            ids = np.arange(len(seq), dtype=np.int64)
+            for depth in range(1, 7):
+                s, wit = _best_gapped(fr, ids, depth)
+                got = (s, None if wit is None else wit.public())
+                assert got == rebuild_best_gapped(seq, depth)
+        assert routes["traced"] > 100 and routes["dp"] > 0
+
+    def test_blocksize_matches_rebuild(self, routes):
+        for seq in _trace_inputs():
+            for k in range(1, 7):
+                if len(seq) > k:
+                    assert max_gapped_blocksize(seq, k) == rebuild_max_gapped_blocksize(seq, k)
+        assert routes["traced"] > 100 and routes["dp"] > 0
+
+    @pytest.mark.parametrize("seq, depth", FALLBACKS)
+    def test_longer_chain_falls_back_to_the_dp(self, routes, seq, depth):
+        fr = _frame_of(seq_to_points(seq))
+        s, wit = _best_gapped(fr, np.arange(len(seq), dtype=np.int64), depth)
+        assert routes == {"traced": 0, "dp": 1}
+        assert wit.public().depth > depth
+        assert (s, wit.public()) == rebuild_best_gapped(seq, depth)
+        assert max_gapped_blocksize(seq, depth) == rebuild_max_gapped_blocksize(seq, depth)
+
+    def test_missing_predecessor_is_a_typed_failure(self):
+        vals = np.asarray(gen_random(40, seed=2).values)
+        best, bb = _bottleneck_table(vals, 3)
+        s = int(best[0, 2].max())
+        assert s >= 1
+        best[0, 1] = -1  # no chain of two entries leads to the level-2 end
+        with pytest.raises(SearchFailedError):
+            _traced_chain(vals, best, bb, s, INC)
