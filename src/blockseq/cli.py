@@ -204,6 +204,8 @@ def _monopath_ok(col, color: int, vertices) -> bool:
 
 def cmd_ramsey(args) -> CommandResult:
     if args.mode == "gen-recursive":
+        if args.k is None:
+            return _fail(4, "usage", detail="ramsey --mode gen-recursive needs --k")
         doc = jsonio.coloring_to_json(gen_recursive_coloring(args.k, args.q))
         _self_verify(doc)
         jsonio.write_artifact(doc, args.out)

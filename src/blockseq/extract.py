@@ -44,7 +44,6 @@ __all__ = [
     "chain_to_blocks",
     "extract_block_monotone",
     "max_gapped_blocksize",
-    "best_gapped_s",
 ]
 
 # The extraction constant c.  extract_block_monotone promises blocks of
@@ -306,19 +305,6 @@ def extract_block_monotone(
     if best is None:
         return _fallback_witness(seq)
     return chain_to_blocks(seq, best)
-
-
-def best_gapped_s(seq: Sequence, depth: int) -> tuple[int, str | None]:
-    """Largest s admitting an s-gapped monotone chain of depth+1 entries, and
-    its direction (INC when both directions reach it); (-1, None) when no
-    monotone chain has depth+1 entries.  One bottleneck pass serves both
-    directions."""
-    if depth < 1:
-        raise InvalidInputError("depth must be >= 1")
-    if len(seq) <= depth:
-        return -1, None
-    best, _ = _bottleneck_table(np.asarray(seq.values, dtype=float), depth)
-    return _largest_s(best, depth)
 
 
 def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | None]:

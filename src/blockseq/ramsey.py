@@ -8,6 +8,14 @@ witness color.  The finder below searches, per color, for chains whose
 consecutive pairs have at least ``s`` qualifying middle vertices; this is the
 constructive counterpart of the positive-fraction path results and powers
 the depth-1 counting construction as well.
+
+Both searches rest on one kernel, the middle counts: with U the strictly
+upper-triangular 0/1 matrix of one color, counts = U @ U.  It is computed in
+float32 tiles of ``_TILE`` rows and columns, and only the tiles on or above
+the diagonal, since the rest of the product is zero: about n^3/6
+multiply-adds instead of n^3.  Every partial sum is an integer at most n,
+and n stays far below 2^24 (the generators stop at ``MAX_VERTICES``), so
+float32 holds the counts exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +45,12 @@ BLUE = 2
 
 MAX_COLORS = 2**15 - 1  # colors are stored as int16
 
+# The generators refuse more vertices than this, before allocating the n x n
+# color matrix (2**14 vertices already take 512 MB as int16).
+MAX_VERTICES = 2**14
+
+_TILE = 256  # rows and columns per tile of the middle-count product
+
 
 @dataclass(frozen=True)
 class PairColoring:
@@ -52,9 +66,7 @@ class PairColoring:
             raise InvalidInputError(
                 f"color matrix shape {m.shape} does not match n={self.n}"
             )
-        iu = np.triu_indices(self.n, 1)
-        vals = m[iu]
-        if self.n > 1 and (vals.min(initial=1) < 1 or vals.max(initial=1) > self.q):
+        if np.triu((m < 1) | (m > self.q), 1).any():
             raise InvalidInputError(f"colors must lie in 1..{self.q}")
         object.__setattr__(self, "matrix", m)
 
@@ -93,6 +105,9 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
     base-k digit where i-1 and j-1 differ."""
     if k < 1 or not 1 <= q <= MAX_COLORS:
         raise InvalidInputError(f"need k >= 1 and q in 1..{MAX_COLORS}")
+    # k >= 2 and q >= 15 already give k**q >= 2**15, so k**q stays small here
+    if k > 1 and (q >= MAX_VERTICES.bit_length() or k**q > MAX_VERTICES):
+        raise InvalidInputError(f"k**q must be at most {MAX_VERTICES} vertices")
     n = k**q
     v = np.arange(n)
     matrix = np.zeros((n, n), dtype=np.int16)
@@ -105,8 +120,10 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
 
 def gen_random_coloring(n: int, q: int, seed: int) -> PairColoring:
     """Uniform random coloring; deterministic per seed."""
-    if n < 1 or not 1 <= q <= MAX_COLORS:
-        raise InvalidInputError(f"need n >= 1 and q in 1..{MAX_COLORS}")
+    if not 1 <= n <= MAX_VERTICES or not 1 <= q <= MAX_COLORS:
+        raise InvalidInputError(
+            f"need n in 1..{MAX_VERTICES} and q in 1..{MAX_COLORS}"
+        )
     rng = np.random.default_rng(seed)
     matrix = rng.integers(1, q + 1, size=(n, n), dtype=np.int16)
     return _coloring(n, q, matrix)
@@ -190,12 +207,24 @@ def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
 
 def _middle_counts(c: PairColoring, color: int) -> np.ndarray:
     """counts[u, v] = number of x with u < x < v and both (u,x), (x,v) in
-    ``color`` (0-based matrix indices)."""
-    upper = np.triu(c.matrix == color, 1)
-    if c.n <= 600:
-        return upper.astype(np.int64) @ upper.astype(np.int64)
-    prod = upper.astype(np.float32) @ upper.astype(np.float32)
-    return np.rint(prod).astype(np.int64)
+    ``color`` (0-based matrix indices), as float32; zero on and below the
+    diagonal.
+
+    counts = U @ U for the strictly upper-triangular 0/1 matrix U of the
+    color, one ``_TILE`` x ``_TILE`` tile at a time and only for column
+    blocks at or right of the row block.  Rows lo:hi and columns jlo:jhi
+    need only x in lo:jhi, because U[u, x] = 0 for x <= u and U[x, v] = 0
+    for x >= v.  Exact in float32: every partial sum is an integer at most
+    n, and n < 2**24 for any n x n color matrix that fits in memory."""
+    n = c.n
+    upper = np.triu(c.matrix == color, 1).astype(np.float32)
+    counts = np.zeros((n, n), dtype=np.float32)
+    for lo in range(0, n, _TILE):
+        hi = min(lo + _TILE, n)
+        for jlo in range(lo, n, _TILE):
+            jhi = min(jlo + _TILE, n)
+            counts[lo:hi, jlo:jhi] = upper[lo:hi, lo:jhi] @ upper[lo:jhi, jlo:jhi]
+    return counts
 
 
 def depth1_block_path(c: PairColoring) -> BlockPathWitness | None:

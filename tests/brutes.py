@@ -2,10 +2,11 @@
 
 These are written in the most obvious way possible (nested loops, full
 enumeration) and share no code with the package, so disagreement with the
-library always means a genuine bug on one side.  The two ``rebuild_*``
-references are the exception: they replay the package's slower two-pass
-route to a gapped witness (the block-size search, then a fresh chain DP at
-that size) and pin the witness the bottleneck-table trace reads off.
+library always means a genuine bug on one side.  ``best_gapped_s`` and the
+two ``rebuild_*`` references are the exception: they replay the package's
+slower two-pass route to a gapped witness (the block-size search, then a
+fresh chain DP at that size) and pin the witness the bottleneck-table trace
+reads off.
 """
 
 from __future__ import annotations
@@ -104,6 +105,22 @@ def brute_block_path_color(matrix, q, k, s):
     return None
 
 
+def brute_middle_counts(matrix, color):
+    """counts[u][v] = number of x with u < x < v and both (u, x), (x, v) in
+    ``color``, accumulated one middle x at a time (0-based, int64).  Reads
+    only the upper triangle."""
+    import numpy as np
+
+    m = np.asarray(matrix)
+    n = len(m)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        us = [u for u in range(x) if m[u, x] == color]
+        vs = [v for v in range(x + 1, n) if m[x, v] == color]
+        counts[np.ix_(us, vs)] += 1
+    return counts
+
+
 def brute_longest_monotone_indices(values):
     """All longest monotone index lists (1-based), by full enumeration."""
     n = len(values)
@@ -154,11 +171,24 @@ def brute_interleavings(spans):
     )
 
 
+def best_gapped_s(seq, depth):
+    """Largest s admitting an s-gapped monotone chain of depth+1 entries, and
+    its direction (INC when both directions reach it); (-1, None) when no
+    monotone chain has depth+1 entries.  One bottleneck pass serves both
+    directions."""
+    import numpy as np
+    from blockseq.extract import _bottleneck_table, _largest_s
+
+    if len(seq) <= depth:
+        return -1, None
+    best, _ = _bottleneck_table(np.asarray(seq.values, dtype=float), depth)
+    return _largest_s(best, depth)
+
+
 def rebuild_best_gapped(seq, depth):
     """(s, witness) by the two-pass route: ``best_gapped_s``, then the chain
     ``gapped_chain_dp`` finds at s in that direction; (0, None) when s < 1."""
     from blockseq import chain_to_blocks, gapped_chain_dp
-    from blockseq.extract import best_gapped_s
 
     s, d = best_gapped_s(seq, depth)
     if s < 1:
@@ -170,7 +200,6 @@ def rebuild_max_gapped_blocksize(seq, k):
     """(s, witness) by the two-pass route: ``best_gapped_s`` at depth k, then
     the longer of the two directions' chains at s (INC on ties)."""
     from blockseq import INC, DEC, chain_to_blocks, gapped_chain_dp
-    from blockseq.extract import best_gapped_s
 
     s, _ = best_gapped_s(seq, k)
     if s < 1:

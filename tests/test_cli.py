@@ -204,6 +204,32 @@ def test_coloring_generators_reject_q_beyond_int16(tmp_path, argv):
     assert not out.exists()
 
 
+# More vertices than ramsey.MAX_VERTICES is a precondition failure (exit 2)
+# found before the n x n color matrix is allocated.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "coloring", "--n", "10000000", "--q", "2"],
+        ["ramsey", "--mode", "gen-random", "--n", "10000000", "--q", "2"],
+        ["gen", "--kind", "coloring-recursive", "--k", "2", "--q", "30"],
+        ["ramsey", "--mode", "gen-recursive", "--k", "2", "--q", "30"],
+    ],
+    ids=["gen", "ramsey", "gen-recursive", "ramsey-recursive"],
+)
+def test_coloring_generators_reject_too_many_vertices(tmp_path, argv):
+    out = tmp_path / "col.json"
+    result = run(argv + ["--out", str(out)])
+    assert result.exit_code == 2, result.log
+    assert not out.exists()
+
+
+def test_ramsey_gen_recursive_without_k_is_usage_error(tmp_path):
+    out = tmp_path / "col.json"
+    result = run(["ramsey", "--mode", "gen-recursive", "--q", "2", "--out", str(out)])
+    assert result.exit_code == 4, result.log
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc, code",
     [

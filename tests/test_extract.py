@@ -29,11 +29,10 @@ from blockseq import extract
 from blockseq import partition
 from blockseq.errors import SearchFailedError
 from blockseq.extract import _bottleneck_table, _traced_chain, _window_blocks, _window_row
-from blockseq.extract import best_gapped_s
 from blockseq.oracle import max_blocksize_exact
 from blockseq.partition import PointSet, _best_gapped, _frame_of, seq_to_points
 from blockseq.partition import validate_point_witness
-from brutes import brute_chain_tables, naive_count_box, naive_is_gapped
+from brutes import best_gapped_s, brute_chain_tables, naive_count_box, naive_is_gapped
 from brutes import rebuild_best_gapped, rebuild_max_gapped_blocksize
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockseq import DEC, INC, InvalidInputError, Sequence, gen_clustered, gen_es_extremal
+from blockseq import ramsey
 from blockseq.core import validate_block_witness
 from blockseq.ramsey import (
     BlockPathWitness,
@@ -19,7 +20,7 @@ from blockseq.ramsey import (
     path_witness_to_blocks,
     validate_block_path,
 )
-from brutes import brute_block_path_color, brute_monochromatic_path
+from brutes import brute_block_path_color, brute_middle_counts, brute_monochromatic_path
 
 
 def mono_coloring(n, color=1, q=1):
@@ -90,6 +91,22 @@ class TestGenRecursiveColoring:
                 assert len(path) == k, (k, q)
 
 
+class TestVertexCap:
+    def test_random_rejects_beyond_cap(self):
+        with pytest.raises(InvalidInputError):
+            gen_random_coloring(ramsey.MAX_VERTICES + 1, 2, seed=1)
+
+    @pytest.mark.parametrize(
+        "k, q", [(2, 15), (2, 30), (ramsey.MAX_VERTICES + 1, 1), (129, 2), (10**100, 14)]
+    )
+    def test_recursive_rejects_beyond_cap(self, k, q):
+        with pytest.raises(InvalidInputError):
+            gen_recursive_coloring(k, q)
+
+    def test_recursive_one_vertex_for_any_q(self):
+        assert gen_recursive_coloring(1, ramsey.MAX_COLORS).n == 1
+
+
 class TestLongestMonochromaticPath:
     def test_single_color_full_path(self):
         color, path = longest_monochromatic_path(mono_coloring(6))
@@ -119,6 +136,105 @@ class TestLongestMonochromaticPath:
             assert (len(path), color) == brute_monochromatic_path(c.matrix.tolist(), 2)
             for u, v in zip(path, path[1:]):
                 assert u < v and c.color(u, v) == color
+
+
+class TestMiddleCounts:
+    """The tiled float32 kernel behind both block-path searches."""
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_brute_force(self, n, q):
+        c = gen_random_coloring(n, q, seed=n * 10 + q)
+        for color in range(1, q + 1):
+            counts = ramsey._middle_counts(c, color)
+            assert counts.shape == (n, n)
+            assert np.array_equal(counts, brute_middle_counts(c.matrix, color))
+
+    def test_zero_on_and_below_diagonal(self):
+        for n in (1, 2, 257, 600):
+            counts = ramsey._middle_counts(mono_coloring(n), 1)
+            assert not np.tril(counts).any()
+            # one color everywhere: every x strictly between u and v counts
+            u, v = np.triu_indices(n, 1)
+            assert np.array_equal(counts[u, v], v - u - 1)
+
+    @pytest.mark.parametrize("tile", [1, 7])
+    def test_tile_size_leaves_results(self, monkeypatch, tile):
+        colorings = [gen_random_coloring(n, q, seed=n + q) for n, q in ((9, 2), (40, 2), (57, 3))]
+        colorings.append(coloring_from_sequence(gen_clustered(3, 6, inner="increasing", delta=0.1)))
+        params = ((1, 1), (1, 4), (2, 2), (3, 1), (2, 5))
+
+        def outputs():
+            out = []
+            for c in colorings:
+                out.append(depth1_block_path(c))
+                out.extend(find_block_path(c, k, s) for k, s in params)
+                out.extend(ramsey._middle_counts(c, x).tolist() for x in range(1, c.q + 1))
+            return out
+
+        want = outputs()
+        monkeypatch.setattr(ramsey, "_TILE", tile)
+        assert outputs() == want
+
+    def test_ties_across_tiles_keep_smallest(self, monkeypatch):
+        # with 4-vertex tiles, tied maxima of a 12-vertex coloring often sit
+        # in different tiles, and sometimes in different colors
+        monkeypatch.setattr(ramsey, "_TILE", 4)
+        crossing = 0
+        for seed in range(60):
+            c = gen_random_coloring(12, 2, seed=seed)
+            counts = {x: brute_middle_counts(c.matrix, x) for x in (1, 2)}
+            top = max(int(m.max()) for m in counts.values())
+            ties = sorted(
+                (x, int(u), int(v)) for x in (1, 2) for u, v in zip(*np.nonzero(counts[x] == top))
+            )
+            crossing += len({(u // 4, v // 4) for _, u, v in ties}) > 1
+            w = depth1_block_path(c)
+            color, u, v = ties[0]
+            assert (w.color, w.endpoints, w.block_size) == (color, (u + 1, v + 1), top)
+        assert crossing >= 5
+
+
+class TestMiddleCountsHook:
+    """Both searches reach the kernel through the module attribute, once
+    per color they examine, so a wrapper installed on
+    ``ramsey._middle_counts`` sees every call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        kernel = ramsey._middle_counts
+
+        def counting(c, color):
+            seen.append(color)
+            return kernel(c, color)
+
+        monkeypatch.setattr(ramsey, "_middle_counts", counting)
+        return seen
+
+    def test_depth1_once_per_color(self, calls):
+        for n, q in ((1, 2), (30, 3), (64, 4)):
+            calls.clear()
+            depth1_block_path(gen_random_coloring(n, q, seed=n))
+            assert calls == list(range(1, q + 1))
+
+    def test_find_block_path_once_per_examined_color(self, calls):
+        rng = random.Random(5)
+        stopped = exhausted = 0
+        for trial in range(40):
+            n, q = rng.randint(4, 40), rng.randint(1, 4)
+            k, s = rng.randint(1, 3), rng.randint(1, 4)
+            calls.clear()
+            w = find_block_path(gen_random_coloring(n, q, seed=trial), k, s)
+            last = q if w is None else w.color
+            assert calls == list(range(1, last + 1))
+            stopped += w is not None and w.color < q
+            exhausted += w is None
+        assert stopped >= 5 and exhausted >= 5
+
+    def test_find_block_path_too_few_vertices_no_call(self, calls):
+        assert find_block_path(gen_random_coloring(3, 2, seed=1), 3, 1) is None
+        assert calls == []
 
 
 class TestDepth1BlockPath:
