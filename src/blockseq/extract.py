@@ -25,6 +25,9 @@ the same table also holds the witness: when no chain at that s is longer than
 the target, the chain the DP would return is traced back from the table one
 column of windows at a time, O(depth * n log n), with the DP's tie-breaks.
 Only when a longer chain exists does one DP at that s rebuild the witness.
+
+``_best_gapped`` is the one best-s search: ``max_gapped_blocksize`` and the
+partition's extractions both call it.
 """
 
 from __future__ import annotations
@@ -307,25 +310,39 @@ def extract_block_monotone(
     return chain_to_blocks(seq, best)
 
 
+def _best_gapped(
+    seq: Sequence, depth: int, floor: int = 0
+) -> tuple[int, GappedChain | None]:
+    """Largest block-size s whose s-gapped chain reaches depth+1 entries, in
+    either direction, with the chain ``gapped_chain_dp(seq, s, d)`` finds in
+    the direction d of s (INC on ties); (0, None) when s < 1, and (s, None)
+    when s is at most ``floor``, so no witness is built that a caller's
+    floor beats.  One bottleneck pass, carried to depth+1, finds s; unless
+    row d has a chain of depth+2 entries at s, the chain is traced back from
+    the same table, and otherwise one DP at s rebuilds it."""
+    if (len(seq) - depth - 1) // depth < 1:  # depth+1 entries, depth gaps of s >= 1
+        return 0, None
+    vals = np.asarray(seq.values, dtype=float)
+    best, bb = _bottleneck_table(vals, depth + 1)
+    s, d = _largest_s(best, depth)
+    s = max(s, 0)
+    if s <= floor:
+        return s, None
+    if best[_ROW[d], depth + 1].max() >= s:
+        return s, gapped_chain_dp(seq, s, d)
+    return s, _traced_chain(vals, best, bb, s, d)
+
+
 def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | None]:
     """Largest s >= 1 admitting an s-gapped chain of length >= k+1 (either
-    direction), with the witness of the longer chain ``gapped_chain_dp``
-    finds at that s (INC on ties).  (0, None) when only the block-size-1
-    fallback exists.  One bottleneck pass finds s; when neither direction
-    has a chain of k+2 entries at s, the witness is traced back from the
-    same table, and otherwise one DP per direction rebuilds it."""
+    direction), with the witness of the chain ``gapped_chain_dp`` finds at s
+    in the direction of s: INC when both directions reach s, even if the DEC
+    chain at s is longer.  (0, None) when only the block-size-1 fallback
+    exists.  See ``_best_gapped``."""
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = len(seq)
     if n <= k:
         raise InvalidInputError(f"need n >= k+1, got n={n}, k={k}")
-    vals = np.asarray(seq.values, dtype=float)
-    best, bb = _bottleneck_table(vals, k + 1)
-    s, d = _largest_s(best, k)
-    if s < 1:
-        return 0, None
-    if best[:, k + 1].max() >= s:
-        ch = max((gapped_chain_dp(seq, s, x) for x in (INC, DEC)), key=lambda c: c.length)
-    else:
-        ch = _traced_chain(vals, best, bb, s, d)
-    return s, chain_to_blocks(seq, ch)
+    s, ch = _best_gapped(seq, k)
+    return s, None if ch is None else chain_to_blocks(seq, ch)

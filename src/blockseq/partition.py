@@ -23,8 +23,8 @@ import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
 from .errors import InvalidInputError, SearchFailedError
-from .extract import DEFAULT_C, GappedChain, chain_to_blocks, gapped_chain_dp
-from .extract import _ROW, _bottleneck_table, _largest_s, _traced_chain
+from .extract import DEFAULT_C, _best_gapped, chain_to_blocks
+from .extract import gapped_chain_dp  # unused here; perfbench's tracer patches it
 
 __all__ = [
     "PointSet",
@@ -210,70 +210,32 @@ def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
 # best-effort extraction on subsets
 
 
-def _lis_witness(fr: _Frame, ids: np.ndarray, depth: int) -> _Wit | None:
-    """Chunk a longest monotone subsequence into ``depth`` equal blocks."""
-    if len(ids) == 0:
-        return None
-    sx = fr.by_x(ids)
-    d, pos = longest_monotone(fr.subseq(sx))
-    if len(pos) < depth:
-        return None
-    s = len(pos) // depth
-    chain = sx[np.asarray(pos, dtype=np.int64) - 1][: depth * s]
-    blocks = [chain[i * s : (i + 1) * s] for i in range(depth)]
-    return _Wit(d, blocks)
-
-
-def _chain_witness(sx: np.ndarray, seq: Sequence, ch: GappedChain) -> _Wit:
-    w = chain_to_blocks(seq, ch)
-    blocks = [sx[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks]
-    return _Wit(w.direction, blocks)
-
-
-def _best_gapped(
-    fr: _Frame, ids: np.ndarray, depth: int, floor: int = 0
-) -> tuple[int, _Wit | None]:
-    """Largest block-size s whose gapped chain reaches depth+1, in either
-    direction (INC first), with the witness of the chain ``gapped_chain_dp``
-    finds at s; (0, None) if s < 1.  One bottleneck pass, carried to depth+1,
-    finds s exactly; unless that direction has a chain of depth+2 entries at
-    s, the witness is traced back from the same table, and otherwise one DP
-    at s rebuilds it.  When s is at most ``floor`` the witness is not built
-    and (s, None) returns."""
-    if (len(ids) - depth - 1) // depth < 1:
-        return 0, None
-    sx = fr.by_x(ids)
-    seq = fr.subseq(sx)
-    vals = np.asarray(seq.values, dtype=float)
-    best, bb = _bottleneck_table(vals, depth + 1)
-    s, d = _largest_s(best, depth)
-    if s < 1:
-        return 0, None
-    if s <= floor:
-        return s, None
-    if best[_ROW[d], depth + 1].max() >= s:
-        return s, _chain_witness(sx, seq, gapped_chain_dp(seq, s, d))
-    return s, _chain_witness(sx, seq, _traced_chain(vals, best, bb, s, d))
-
-
 def _extract_best(
     fr: _Frame, ids: np.ndarray, depth: int, *, probe: bool = False
 ) -> _Wit | None:
     """Best block-monotone extraction of exact ``depth`` from a subset.
 
-    Always considers the chunked longest-monotone fallback, and also the
-    exact gapped-chain search when the subset is at most _DP_CUTOFF points
-    or ``probe`` is set; the larger block-size wins, and the search builds
-    no witness the fallback would beat.
+    Always considers a longest monotone subsequence cut into ``depth`` equal
+    blocks, and also the exact gapped-chain search when the subset is at most
+    _DP_CUTOFF points or ``probe`` is set; the larger block-size wins, and the
+    search builds no witness the cut would beat.
     """
     m = len(ids)
     if depth < 1 or m <= (depth - 1) ** 2:
         return None
-    best = _lis_witness(fr, ids, depth)
+    sx = fr.by_x(ids)
+    seq = fr.subseq(sx)
+    # Erdos-Szekeres: m > (depth-1)^2 gives a monotone run of >= depth entries
+    d, pos = longest_monotone(seq)
+    s = len(pos) // depth
+    run = sx[np.asarray(pos, dtype=np.int64) - 1]
+    best = _Wit(d, [run[i * s : (i + 1) * s] for i in range(depth)])
     if probe or m <= _DP_CUTOFF:
-        _, wit = _best_gapped(fr, ids, depth, best.size if best else 0)
-        if wit is not None:
-            best = wit
+        _, ch = _best_gapped(seq, depth, s)
+        if ch is not None:
+            w = chain_to_blocks(seq, ch)
+            blocks = [sx[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks]
+            best = _Wit(w.direction, blocks)
     return best
 
 
@@ -670,57 +632,46 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     lt_history: list[tuple[int, int]] = []
     iterations = 0
     all_ids = np.arange(n, dtype=np.int64)
-    if n > (k - 1) ** 2:
+    if n <= (k - 1) ** 2:
+        pool.append(all_ids)
+    else:
         sx = fr.by_x(all_ids)
         d, posn = longest_monotone(fr.subseq(sx))
         if len(posn) == n:
             # fully monotone input: one witness of singleton blocks covers it
-            wit = _Wit(d, [np.asarray([i]) for i in sx])
-            metrics = {
-                "n": n,
-                "k": k,
-                "parts": 1,
-                "iterations": 0,
-                "lt_history": [],
-                "cleanup_parts": 0,
-                "remainder": 0,
-            }
-            pub = ((tuple(range(1, n + 1)), wit.public()),)
-            return LabeledPartition(pub, (), metrics)
-    if n > (k - 1) ** 2:
-        st = _State([], [np.arange(n, dtype=np.int64)], [], True)
-        while True:
-            total = st.config_points() + sum(len(w.ids()) for w in st.sides)
-            if total <= k * (3 * k - 1) ** 2 and st.t == 0 and st.l == 0:
-                pool.append(_cat(st.odds))
-                break
-            if st.t == k:
-                got, rest = _flatten_deep(fr, st, k)
+            parts.append(_Wit(d, [np.asarray([i]) for i in sx]))
+        else:
+            st = _State([], [all_ids], [], True)
+            while True:
+                total = st.config_points() + sum(len(w.ids()) for w in st.sides)
+                if total <= k * (3 * k - 1) ** 2 and st.t == 0 and st.l == 0:
+                    pool.append(_cat(st.odds))
+                    break
+                if st.t == k:
+                    got, rest = _flatten_deep(fr, st, k)
+                    parts.extend(got)
+                    if len(rest):
+                        pool.append(rest)
+                    break
+                if st.l >= 4 * k:
+                    got, rest = _flatten_wide(st)
+                    parts.extend(got)
+                    if len(rest):
+                        pool.append(rest)
+                    break
+                lt_history.append((st.l, st.t))
+                iterations += 1
+                if iterations > 12 * k:
+                    raise SearchFailedError("pattern loop exceeded its round bound")
+                got, nxt, spill, outcome = _step(fr, st, k)
                 parts.extend(got)
-                if len(rest):
-                    pool.append(rest)
-                break
-            if st.l >= 4 * k:
-                got, rest = _flatten_wide(st)
-                parts.extend(got)
-                if len(rest):
-                    pool.append(rest)
-                break
-            lt_history.append((st.l, st.t))
-            iterations += 1
-            if iterations > 12 * k:
-                raise SearchFailedError("pattern loop exceeded its round bound")
-            got, nxt, spill, outcome = _step(fr, st, k)
-            parts.extend(got)
-            if len(spill):
-                pool.append(spill)
-            if outcome == "small":
-                if len(nxt):
-                    pool.append(nxt)
-                break
-            st = nxt
-    else:
-        pool.append(np.arange(n, dtype=np.int64))
+                if len(spill):
+                    pool.append(spill)
+                if outcome == "small":
+                    if len(nxt):
+                        pool.append(nxt)
+                    break
+                st = nxt
 
     # drain the pool with positive-fraction pulls (block size >= 2), then an
     # Erdos-Szekeres cleanup of what is left

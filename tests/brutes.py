@@ -2,11 +2,11 @@
 
 These are written in the most obvious way possible (nested loops, full
 enumeration) and share no code with the package, so disagreement with the
-library always means a genuine bug on one side.  ``best_gapped_s`` and the
-two ``rebuild_*`` references are the exception: they replay the package's
-slower two-pass route to a gapped witness (the block-size search, then a
-fresh chain DP at that size) and pin the witness the bottleneck-table trace
-reads off.
+library always means a genuine bug on one side.  ``best_gapped_s`` and
+``rebuild_best_gapped`` are the exception: they replay the package's slower
+two-pass route to a gapped witness (the block-size search, then a fresh
+chain DP at that size) and pin the witness the bottleneck-table trace reads
+off.
 """
 
 from __future__ import annotations
@@ -195,14 +195,3 @@ def rebuild_best_gapped(seq, depth):
         return 0, None
     return s, chain_to_blocks(seq, gapped_chain_dp(seq, s, d))
 
-
-def rebuild_max_gapped_blocksize(seq, k):
-    """(s, witness) by the two-pass route: ``best_gapped_s`` at depth k, then
-    the longer of the two directions' chains at s (INC on ties)."""
-    from blockseq import INC, DEC, chain_to_blocks, gapped_chain_dp
-
-    s, _ = best_gapped_s(seq, k)
-    if s < 1:
-        return 0, None
-    chains = [gapped_chain_dp(seq, s, d) for d in (INC, DEC)]
-    return s, chain_to_blocks(seq, max(chains, key=lambda ch: ch.length))

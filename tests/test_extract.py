@@ -26,14 +26,12 @@ from blockseq import (
     validate_block_witness,
 )
 from blockseq import extract
-from blockseq import partition
 from blockseq.errors import SearchFailedError
-from blockseq.extract import _bottleneck_table, _traced_chain, _window_blocks, _window_row
+from blockseq.extract import _best_gapped, _bottleneck_table, _traced_chain
+from blockseq.extract import _window_blocks, _window_row
 from blockseq.oracle import max_blocksize_exact
-from blockseq.partition import PointSet, _best_gapped, _frame_of, seq_to_points
-from blockseq.partition import validate_point_witness
 from brutes import best_gapped_s, brute_chain_tables, naive_count_box, naive_is_gapped
-from brutes import rebuild_best_gapped, rebuild_max_gapped_blocksize
+from brutes import rebuild_best_gapped
 
 
 class TestGappedChainDP:
@@ -329,26 +327,23 @@ class TestBestGappedS:
         rng = random.Random(83)
         for trial in range(12):
             n = rng.randint(20, 400)
-            pts = PointSet(zip(rng.sample(range(10 * n), n), rng.sample(range(10 * n), n)))
-            fr = _frame_of(pts)
-            ids = np.sort(np.asarray(rng.sample(range(n), rng.randint(10, n)), dtype=np.int64))
-            sub = fr.subseq(fr.by_x(ids))
+            seq = Sequence(rng.sample(range(10 * n), rng.randint(10, n)))
             k = rng.randint(2, 4)
             for depth in (k, k + 1, 3 * k):
-                s, wit = _best_gapped(fr, ids, depth)
+                s, ch = _best_gapped(seq, depth)
 
                 def reach(s, d):
-                    return gapped_chain_dp(sub, s, d).length >= depth + 1
+                    return gapped_chain_dp(seq, s, d).length >= depth + 1
 
                 assert not any(reach(s + 1, d) for d in (INC, DEC))
                 if s == 0:
-                    assert wit is None
+                    assert ch is None
                     continue
-                assert reach(s, wit.direction)
-                assert wit.direction == (INC if reach(s, INC) else DEC)
-                w = wit.public()
+                assert reach(s, ch.direction)
+                assert ch.direction == (INC if reach(s, INC) else DEC)
+                w = chain_to_blocks(seq, ch)
                 assert w.depth >= depth and w.block_size == s
-                assert validate_point_witness(pts, w) is True
+                assert validate_block_witness(seq, w) is True
 
 
 class TestMaxGappedBlocksize:
@@ -360,10 +355,33 @@ class TestMaxGappedBlocksize:
         assert w.depth >= 3 and w.block_size == 2
         assert validate_block_witness(seq, w) is True
 
-    def test_no_room_for_gaps(self):
-        seq = Sequence(range(1, 8))
-        s_star, w = max_gapped_blocksize(seq, 6)
-        assert s_star == 0 and w is None
+    def test_no_room_for_gaps(self, monkeypatch):
+        # depth+1 entries and depth gaps of s >= 1 need n > 2k: up to n = 2k
+        # the size guard answers before any table is built
+        tables = []
+        table = extract._bottleneck_table
+
+        def counted(*args):
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(extract, "_bottleneck_table", counted)
+        for k in range(1, 7):
+            for n in range(k + 1, 2 * k + 1):
+                assert max_gapped_blocksize(Sequence(range(1, n + 1)), k) == (0, None)
+        assert tables == []
+        s_star, w = max_gapped_blocksize(Sequence(range(1, 10)), 4)
+        assert (s_star, w.depth) == (1, 4) and len(tables) == 1
+
+    def test_direction_of_s_wins_ties(self):
+        # both directions reach s=1 at depth 5; the DEC chain at s=1 is longer,
+        # but the witness comes from the direction of s, INC on ties
+        seq = gen_random(55, seed=0)
+        assert best_gapped_s(seq, 5) == (1, INC)
+        assert gapped_chain_dp(seq, 1, DEC).length > gapped_chain_dp(seq, 1, INC).length
+        s_star, w = max_gapped_blocksize(seq, 5)
+        assert (s_star, w.direction, w.depth) == (1, INC, 5)
+        assert validate_block_witness(seq, w) is True
 
     def test_too_short_is_error(self):
         with pytest.raises(InvalidInputError):
@@ -434,19 +452,15 @@ class TestTracedWitness:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(partition, "_traced_chain", "traced")
-        counted(partition, "gapped_chain_dp", "dp")
         counted(extract, "_traced_chain", "traced")
         counted(extract, "gapped_chain_dp", "dp")
         return seen
 
     def test_partition_search_matches_rebuild(self, routes):
         for seq in _trace_inputs():
-            fr = _frame_of(seq_to_points(seq))
-            ids = np.arange(len(seq), dtype=np.int64)
             for depth in range(1, 7):
-                s, wit = _best_gapped(fr, ids, depth)
-                got = (s, None if wit is None else wit.public())
+                s, ch = _best_gapped(seq, depth)
+                got = (s, None if ch is None else chain_to_blocks(seq, ch))
                 assert got == rebuild_best_gapped(seq, depth)
         assert routes["traced"] > 100 and routes["dp"] > 0
 
@@ -454,17 +468,17 @@ class TestTracedWitness:
         for seq in _trace_inputs():
             for k in range(1, 7):
                 if len(seq) > k:
-                    assert max_gapped_blocksize(seq, k) == rebuild_max_gapped_blocksize(seq, k)
+                    assert max_gapped_blocksize(seq, k) == rebuild_best_gapped(seq, k)
         assert routes["traced"] > 100 and routes["dp"] > 0
 
     @pytest.mark.parametrize("seq, depth", FALLBACKS)
     def test_longer_chain_falls_back_to_the_dp(self, routes, seq, depth):
-        fr = _frame_of(seq_to_points(seq))
-        s, wit = _best_gapped(fr, np.arange(len(seq), dtype=np.int64), depth)
+        s, ch = _best_gapped(seq, depth)
         assert routes == {"traced": 0, "dp": 1}
-        assert wit.public().depth > depth
-        assert (s, wit.public()) == rebuild_best_gapped(seq, depth)
-        assert max_gapped_blocksize(seq, depth) == rebuild_max_gapped_blocksize(seq, depth)
+        w = chain_to_blocks(seq, ch)
+        assert w.depth > depth
+        assert (s, w) == rebuild_best_gapped(seq, depth)
+        assert max_gapped_blocksize(seq, depth) == (s, w)
 
     def test_missing_predecessor_is_a_typed_failure(self):
         vals = np.asarray(gen_random(40, seed=2).values)

@@ -3,6 +3,8 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as hs
+import numpy as np
 import pytest
 
 from blockseq.core import (
@@ -10,10 +12,12 @@ from blockseq.core import (
     Sequence,
     gen_clustered,
     gen_random,
+    longest_monotone,
     validate_block_witness,
 )
 from blockseq.errors import InvalidInputError
-from blockseq.extract import DEFAULT_C
+from blockseq.extract import DEFAULT_C, _best_gapped
+from blockseq.partition import _DP_CUTOFF, _extract_best, _frame_of
 from blockseq.partition import (
     Configuration,
     Pattern,
@@ -310,6 +314,40 @@ def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
     assert set(leftovers) <= odd_ids
     cover = sorted([i for w in parts for i in w.indices()] + list(leftovers))
     assert cover == list(range(1, len(p) + 1))
+
+
+# ---------------------------------------------------------------------------
+# best extraction on subsets
+
+
+@hs.composite
+def point_subsets(draw):
+    """A point set with distinct coordinates and a subset of its ids."""
+    n = draw(hs.integers(1, 60))
+    ys = draw(hs.permutations(range(n)))
+    xs = draw(hs.permutations(range(n)))
+    ids = draw(hs.sets(hs.integers(0, n - 1), max_size=n))
+    return PointSet(zip(xs, ys)), np.asarray(sorted(ids), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_subsets(), hs.integers(1, 5))
+def test_extract_best_is_the_larger_of_lis_cut_and_gapped_search(subset, depth):
+    pts, ids = subset
+    fr = _frame_of(pts)
+    wit = _extract_best(fr, ids, depth)
+    if len(ids) <= (depth - 1) ** 2:
+        assert wit is None
+        return
+    w = wit.public()
+    assert validate_point_witness(pts, w) is True
+    assert w.depth >= depth
+    assert set(w.indices()) <= {int(i) + 1 for i in ids}
+    seq = fr.subseq(fr.by_x(ids))
+    s, _ = _best_gapped(seq, depth)
+    assert w.block_size == max(len(longest_monotone(seq)[1]) // depth, s)
+    assert len(ids) <= _DP_CUTOFF
+    assert _extract_best(fr, ids, depth, probe=True).public() == w
 
 
 # ---------------------------------------------------------------------------
