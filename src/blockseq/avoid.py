@@ -8,7 +8,8 @@ families inside any large-enough point set in general position:
 
 1. cut the plane with a horizontal median line,
 2. find a second cut with exactly ``m`` points of each half on one side
-   (by exhaustive search over lines spanned by one point of each half),
+   (by seeded random slope probing, falling back to a search over lines
+   spanned by one point of each half),
 3. sweep a parallel third cut until a slab region fills up,
 4. normalize the frame so the cuts become the axes plus a vertical line,
 5. run a block-monotone extraction over the slab in x-order and a second
@@ -43,6 +44,10 @@ __all__ = [
 
 _PAIR_CHUNK = 4096
 _PROBE_CAP = 60_000
+#: slopes priced per batch; a batch's projection arrays stay below
+#: _PROBE_CELLS entries per set
+_PROBE_BATCH = 64
+_PROBE_CELLS = 1 << 18
 _TRIPLE_SAMPLE = 48
 
 
@@ -182,36 +187,52 @@ def _counts_above(H: Line, xs, ys) -> int | None:
     return int(np.count_nonzero(vals > 0.0))
 
 
-def _gap(w: np.ndarray, above: int) -> tuple[float, float]:
-    """Open intercept interval putting exactly ``above`` of the projections
-    w strictly above; its interior contains no projection value."""
-    n = len(w)
-    part = np.partition(w, (n - above - 1, n - above))
-    return float(part[n - above - 1]), float(part[n - above])
+def _gap(w: np.ndarray, above: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of projections w, the open intercept interval putting exactly
+    ``above`` values strictly above; its interior contains no value of the
+    row.  Partitions w in place, around one kth: numpy selects a single kth
+    several times faster than a list of them."""
+    k = w.shape[1] - above - 1
+    w.partition(k, axis=1)
+    return w[:, k].copy(), w[:, k + 1 :].min(axis=1)
 
 
 def _probe_directions(px, py, qx, qy, m: int, n: int):
     """Randomized slope probing: for a sampled slope, exact target counts
     for both sets are achievable iff two consecutive-order-statistic gaps
-    overlap; any intercept inside the overlap avoids all points."""
+    overlap; any intercept inside the overlap avoids all points.
+
+    Slopes are drawn and priced a batch at a time, and the candidates are
+    verified in draw order (upper before lower for each slope), so the
+    result is the first slope that a one-at-a-time loop would accept."""
+    sides = [
+        (a, side) for a, side in ((m, "upper"), (n - m, "lower")) if 1 <= a <= n - 1
+    ]
+    if not sides:
+        return None
+    rows = max(1, min(_PROBE_BATCH, _PROBE_CELLS // n))
     rng = np.random.default_rng(1)
-    for _ in range(min(40 * n, _PROBE_CAP)):
-        t = math.tan(rng.uniform(-1.57, 1.57))
-        wp = py - t * px
-        wq = qy - t * qx
-        for above, side in ((m, "upper"), (n - m, "lower")):
-            if not 1 <= above <= n - 1:
-                continue
+    total = min(40 * n, _PROBE_CAP)
+    for start in range(0, total, rows):
+        draws = rng.uniform(-1.57, 1.57, min(rows, total - start))
+        t = np.array([math.tan(u) for u in draws])
+        wp = py - t[:, None] * px
+        wq = qy - t[:, None] * qx
+        lo = np.empty((len(t), len(sides)))
+        hi = np.empty_like(lo)
+        for c, (above, _) in enumerate(sides):
             lo_p, hi_p = _gap(wp, above)
             lo_q, hi_q = _gap(wq, above)
-            lo, hi = max(lo_p, lo_q), min(hi_p, hi_q)
-            if lo < hi:
-                H = Line(t, (lo + hi) / 2.0)
-                if (
-                    _counts_above(H, px, py) == above
-                    and _counts_above(H, qx, qy) == above
-                ):
-                    return H, side
+            lo[:, c] = np.maximum(lo_p, lo_q)
+            hi[:, c] = np.minimum(hi_p, hi_q)
+        for b, c in np.argwhere(lo < hi):
+            above, side = sides[c]
+            H = Line(t[b], (lo[b, c] + hi[b, c]) / 2.0)
+            if (
+                _counts_above(H, px, py) == above
+                and _counts_above(H, qx, qy) == above
+            ):
+                return H, side
     return None
 
 
@@ -224,10 +245,11 @@ def balanced_line(
     P and Q must have equal size n >= m >= 1 and be strictly separated by
     L.  Random slope probing runs first: for a sampled slope the target
     counts are achievable exactly when two consecutive-order-statistic
-    gaps overlap, which is checked in O(n) per probe.  If probing finds
-    nothing, the search falls back to exhaustive enumeration of lines
-    through one point of each set, resolving each candidate to the four
-    strict sidings of its two spanning points and validating counts.
+    gaps overlap, which is checked in O(n) per probe.  Probes are priced
+    in batches, and their candidates are verified in draw order.  If
+    probing finds nothing, the search falls back to exhaustive enumeration
+    of lines through one point of each set, resolving each candidate to the
+    four strict sidings of its two spanning points and validating counts.
     Both stages draw from fixed-seed generators, so the result is
     deterministic for a given input.
     """
@@ -325,10 +347,10 @@ def _triple_signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Orientation signs over all triples of an evenly spread subsample,
     used to assert that a frame change preserved orientations."""
     idx = np.linspace(0, len(xs) - 1, min(len(xs), _TRIPLE_SAMPLE)).astype(int)
-    trip = np.array(
-        [(a, b, c) for ai, a in enumerate(idx) for b in idx[ai + 1 :] for c in idx]
-    )
-    i, j, l = trip.T
+    a, b = np.triu_indices(len(idx), k=1)
+    i = np.repeat(idx[a], len(idx))
+    j = np.repeat(idx[b], len(idx))
+    l = np.tile(idx, len(a))
     cross = (xs[j] - xs[i]) * (ys[l] - ys[i]) - (ys[j] - ys[i]) * (
         xs[l] - xs[i]
     )
@@ -338,15 +360,19 @@ def _triple_signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     """Construct mutually avoiding families A_1..A_k, B_1..B_k inside P.
 
-    Requires |P| > 24 k^2 and P in general position.  The block size
-    achieved by the two extractions is reported via ``guarantee`` as a
-    fraction of |P|; blocks keep the original input coordinates.
+    Requires P in general position and |P| >= 24 k^2 + 6, so that the slab
+    of |P| // 6 points holds more than the 4 k^2 that its depth 2k+1
+    extraction needs.  The block size achieved by the two extractions is
+    reported via ``guarantee`` as a fraction of |P|; blocks keep the
+    original input coordinates.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidInputError(f"k must be a positive integer, got {k}")
     n = len(P)
-    if n <= 24 * k * k:
-        raise InvalidInputError(f"need more than {24 * k * k} points, got {n}")
+    if n // 6 <= 4 * k * k:
+        raise InvalidInputError(
+            f"need at least {24 * k * k + 6} points for k={k}, got {n}"
+        )
     x0 = np.array([pt[0] for pt in P.points])
     y0 = np.array([pt[1] for pt in P.points])
 

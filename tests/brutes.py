@@ -6,12 +6,17 @@ library always means a genuine bug on one side.  ``best_gapped_s`` and
 ``rebuild_best_gapped`` are the exception: they replay the package's slower
 two-pass route to a gapped witness (the block-size search, then a fresh
 chain DP at that size) and pin the witness the bottleneck-table trace reads
-off.
+off.  ``probe_slopes_loop`` and ``triple_signs_loop`` replay the avoid
+module's seeded slope probing and orientation sampling one draw and one
+triple at a time, to pin the batched versions to the same outputs.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
+
+import numpy as np
 
 
 def naive_count_box(values, i_lo, i_hi, v_lo, v_hi):
@@ -176,7 +181,6 @@ def best_gapped_s(seq, depth):
     its direction (INC when both directions reach it); (-1, None) when no
     monotone chain has depth+1 entries.  One bottleneck pass serves both
     directions."""
-    import numpy as np
     from blockseq.extract import _bottleneck_table, _largest_s
 
     if len(seq) <= depth:
@@ -195,3 +199,52 @@ def rebuild_best_gapped(seq, depth):
         return 0, None
     return s, chain_to_blocks(seq, gapped_chain_dp(seq, s, d))
 
+
+def probe_slopes_loop(px, py, qx, qy, m, n, cap):
+    """Balanced-line slope probing, one slope at a time: the first
+    (slope, intercept, side) whose order-statistic gaps overlap and whose
+    counts check out, or None after min(40 n, cap) slopes."""
+
+    def gap(w, above):
+        ordered = np.sort(w)
+        return ordered[n - above - 1], ordered[n - above]
+
+    def count_above(t, c, xs, ys):
+        vals = ys - (t * xs + c)
+        return None if np.any(vals == 0.0) else int(np.count_nonzero(vals > 0.0))
+
+    rng = np.random.default_rng(1)
+    for _ in range(min(40 * n, cap)):
+        t = math.tan(rng.uniform(-1.57, 1.57))
+        wp = py - t * px
+        wq = qy - t * qx
+        for above, side in ((m, "upper"), (n - m, "lower")):
+            if not 1 <= above <= n - 1:
+                continue
+            lo_p, hi_p = gap(wp, above)
+            lo_q, hi_q = gap(wq, above)
+            lo, hi = max(lo_p, lo_q), min(hi_p, hi_q)
+            if lo < hi:
+                c = float((lo + hi) / 2.0)
+                if (
+                    count_above(t, c, px, py) == above
+                    and count_above(t, c, qx, qy) == above
+                ):
+                    return t, c, side
+    return None
+
+
+def triple_signs_loop(xs, ys, sample):
+    """Orientation sign of every triple (a, b, c) of an evenly spread
+    subsample of ``sample`` indices, a before b in the subsample and c any
+    subsample index, in that loop order."""
+    idx = np.linspace(0, len(xs) - 1, min(len(xs), sample)).astype(int)
+    signs = []
+    for ai, a in enumerate(idx):
+        for b in idx[ai + 1 :]:
+            for c in idx:
+                cross = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (
+                    xs[c] - xs[a]
+                )
+                signs.append(np.sign(cross))
+    return np.array(signs)

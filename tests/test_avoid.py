@@ -1,5 +1,7 @@
 """Tests for balanced-line search and mutually avoiding families."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from blockseq.avoid import (
 from blockseq.errors import InvalidInputError, SearchFailedError
 from blockseq.oracle import brute_avoiding_transversals
 from blockseq.partition import PointSet
+from brutes import probe_slopes_loop, triple_signs_loop
 
 FOUR_P = PointSet([(0, 1), (2, 3)])
 FOUR_Q = PointSet([(0, -1), (2, -3)])
@@ -135,6 +138,63 @@ def test_balanced_line_pair_scan_fallback(monkeypatch):
         assert_balanced(P, Q, m, H, side)
 
 
+def separated_coords(rng, n):
+    """Coordinates of two n-point sets strictly above and below the x-axis."""
+    px, qx = rng.uniform(0, 100, (2, n))
+    py = rng.uniform(1, 50, n)
+    qy = rng.uniform(-50, -1, n)
+    return px, py, qx, qy
+
+
+def test_probe_directions_matches_loop(monkeypatch):
+    rng = np.random.default_rng(8)
+    outcomes = {True: 0, False: 0}
+    full = avoid._PROBE_CELLS
+    # caps: a multiple of the batch, a partial last batch, a single slope,
+    # none at all, and the default; cells: full batches and 3-row batches
+    for cap, cells in ((128, full), (100, full), (1, full), (0, full),
+                       (avoid._PROBE_CAP, 100)):
+        monkeypatch.setattr(avoid, "_PROBE_CAP", cap)
+        monkeypatch.setattr(avoid, "_PROBE_CELLS", cells)
+        for n in (1, 2, 3, 4, 7, 30, 61):
+            for m in sorted({1, max(1, n - 1), max(1, n // 2), n}):
+                px, py, qx, qy = separated_coords(rng, n)
+                got = avoid._probe_directions(px, py, qx, qy, m, n)
+                want = probe_slopes_loop(px, py, qx, qy, m, n, cap)
+                if got is None:
+                    assert want is None
+                else:
+                    H, side = got
+                    assert (H.slope, H.intercept, side) == want
+                outcomes[got is None] += 1
+    assert outcomes[True] > 10 and outcomes[False] > 10
+
+
+def test_probe_slopes_round_like_math_tan():
+    # np.tan and math.tan round the 41st slope draw differently; only that
+    # slope falls in this instance's window of width about 3.4e-4
+    draws = np.random.default_rng(1).uniform(-1.57, 1.57, 41)
+    t0 = math.tan(draws[40])
+    assert np.tan(draws)[40] != t0
+    qx = np.array([0.0, 1.0])
+    qy = np.array([-1.0, -1.0 - t0])
+    px = np.array([1e4, 1e4 + 1.0])
+    py = -1.0 + t0 * 1e4 + np.array([1.0, -1.0])
+    H, side = avoid._probe_directions(px, py, qx, qy, 1, 2)
+    assert H.slope == t0
+    assert (H.slope, H.intercept, side) == probe_slopes_loop(
+        px, py, qx, qy, 1, 2, avoid._PROBE_CAP
+    )
+
+
+def test_triple_signs_matches_loop():
+    rng = np.random.default_rng(4)
+    for n in (3, 47, 48, 2000):
+        xs, ys = rng.uniform(0, 1000, (2, n))
+        want = triple_signs_loop(xs, ys, avoid._TRIPLE_SAMPLE)
+        assert np.array_equal(avoid._triple_signs(xs, ys), want)
+
+
 def test_check_avoiding_examples():
     w = AvoidingWitness(
         (((0, 0),), ((1, 1),)), (((10, 0.4),), ((11, 0.6),)), 0.25
@@ -177,6 +237,19 @@ def test_pipeline_rejects_bad_input():
         mutually_avoiding_sets(gen_point_cloud(200, seed=0), 0)
     with pytest.raises(InvalidInputError):
         mutually_avoiding_sets(gen_point_cloud(96, seed=0), 2)
+
+
+def test_pipeline_size_boundary():
+    # the slab holds n // 6 points and its depth 2k+1 extraction needs more
+    # than 4k^2 of them, so 24k^2 + 6 is the smallest accepted size
+    for k in (1, 2, 3):
+        least = 24 * k * k + 6
+        with pytest.raises(InvalidInputError, match=f"at least {least} points"):
+            mutually_avoiding_sets(gen_point_cloud(least - 1, seed=34), k)
+        for seed in (0, 34):
+            w = mutually_avoiding_sets(gen_point_cloud(least, seed=seed), k)
+            assert w.k == k
+            assert check_avoiding(w)
 
 
 def test_pipeline_k1_vacuous():

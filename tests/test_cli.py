@@ -301,7 +301,24 @@ def test_avoid_pipeline(tmp_path):
     assert result.log[0]["k"] == 2
     ok(run(["verify", "--witness", out, "--in", pts, "--oracle"]))
     small = run(["avoid", "--k", "3", "--in", pts, "--out", out])
-    assert small.exit_code == 2  # 120 <= 24 * 9
+    assert small.exit_code == 2  # 120 < 24 * 9 + 6
+
+
+def test_avoid_below_size_bound_is_precondition_failure(tmp_path):
+    # 100 points give a 16-point slab, too few for a depth-5 extraction
+    pts = gen(tmp_path, "points", "pts.json", n=100, seed=150)
+    out = str(tmp_path / "av.json")
+    result = run(["avoid", "--k", "2", "--in", pts, "--out", out])
+    assert result.exit_code == 2
+    assert result.log[0]["event"] == "precondition-failed"
+    assert "at least 102 points" in result.log[0]["detail"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockseq", "avoid", "--k", "2", "--in", pts,
+         "--out", out],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_all_oracle_over_budget_keeps_per_file_results(tmp_path, monkeypatch):
