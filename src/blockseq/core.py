@@ -202,7 +202,47 @@ def longest_monotone(seq: Sequence) -> tuple[str, list[int]]:
     return DEC, [i + 1 for i in dec]
 
 
+def require_int(name: str, value) -> None:
+    """Reject bools and non-integers with a typed error before any range
+    check compares them."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an int, got {value!r}")
+
+
 _WIDTH = 32  # entries per block fed to longest_chain by the package
+
+
+def chain_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh ``(lengths, pred)`` for ``chain_block`` over entries 0..n-1."""
+    dt = np.int16 if n < 2**15 else np.int64  # lengths never exceed n
+    return np.ones(n, dtype=dt), np.full(n, -1, dtype=np.int64)
+
+
+def chain_block(lengths: np.ndarray, pred: np.ndarray, lo: int, hi: int, ok) -> None:
+    """One block of ``longest_chain``: fills lengths[lo:hi] and pred[lo:hi]
+    from ``ok`` (rows lo..hi-1) and the final entries before lo.
+
+    The predecessors j < lo are final when a block starts, so one masked
+    argmax over them serves the whole block (its first maximum is the
+    smallest predecessor); the triangle inside the block follows in plain
+    Python, where a strict comparison keeps the earlier of equal lengths.
+    """
+    if lo:
+        cand = ok[:, :lo] * lengths[:lo]  # 0 where j may not precede i
+        at = cand.argmax(axis=1)
+        top = np.take_along_axis(cand, at[:, None], axis=1)[:, 0]
+        tops = top.tolist()
+        preds = np.where(top > 0, at, -1).tolist()
+    else:
+        tops, preds = [0] * (hi - lo), [-1] * (hi - lo)
+    for c, row in enumerate(ok[:, lo:hi].tolist()):
+        top, p = tops[c], preds[c]  # the best predecessor before lo
+        for d in range(c):  # tops[d] is already the length at lo + d
+            if row[d] and tops[d] > top:
+                top, p = tops[d], lo + d
+        tops[c], preds[c] = top + 1, p
+    lengths[lo:hi] = tops
+    pred[lo:hi] = preds
 
 
 def longest_chain(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -211,33 +251,11 @@ def longest_chain(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     ``ok[i - lo, j]`` is true when j < i may come directly before i, and
     entries with j >= i are ignored.  Returns ``lengths[i]``, the most
     entries on a chain ending at i, and ``pred[i]``, the smallest of its
-    longest predecessors (-1 for none).
-
-    The predecessors j < lo are final when a block starts, so one masked
-    argmax over them serves the whole block (its first maximum is the
-    smallest predecessor); the triangle inside the block follows in plain
-    Python, where a strict comparison keeps the earlier of equal lengths.
+    longest predecessors (-1 for none).  Each block is one ``chain_block``.
     """
-    dt = np.int16 if n < 2**15 else np.int64  # lengths never exceed n
-    lengths = np.ones(n, dtype=dt)
-    pred = np.full(n, -1, dtype=np.int64)
+    lengths, pred = chain_arrays(n)
     for lo, hi, ok in blocks:
-        if lo:
-            cand = ok[:, :lo] * lengths[:lo]  # 0 where j may not precede i
-            at = cand.argmax(axis=1)
-            top = np.take_along_axis(cand, at[:, None], axis=1)[:, 0]
-            tops = top.tolist()
-            preds = np.where(top > 0, at, -1).tolist()
-        else:
-            tops, preds = [0] * (hi - lo), [-1] * (hi - lo)
-        for c, row in enumerate(ok[:, lo:hi].tolist()):
-            top, p = tops[c], preds[c]  # the best predecessor before lo
-            for d in range(c):  # tops[d] is already the length at lo + d
-                if row[d] and tops[d] > top:
-                    top, p = tops[d], lo + d
-            tops[c], preds[c] = top + 1, p
-        lengths[lo:hi] = tops
-        pred[lo:hi] = preds
+        chain_block(lengths, pred, lo, hi, ok)
     return lengths, pred
 
 

@@ -12,8 +12,12 @@ a count carried from block to block prices those below a_j, so a block costs
 a few array operations instead of a few per column.  One signed array serves
 both directions (the count on increasing pairs, its bitwise complement on
 decreasing ones), in narrow integers.  The chain itself comes from
-``core.longest_chain``, the one longest-chain kernel, which takes the same
-blocks and which the Ramsey path searches share.  The independent
+``core.chain_block``, the one longest-chain step, which takes the same
+blocks and which the Ramsey path searches share through
+``core.longest_chain``.  Because the window array is signed, one pass can
+feed both directions' chains block by block: ``extract_block_monotone``
+asks ``gapped_chain_dp`` for the longer of the two (INC on equal lengths)
+and prices every window once, never storing a block.  The independent
 range-counting module can re-derive every window count, which the tests use
 as a cross-check.
 
@@ -38,7 +42,7 @@ import math
 import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
-from .core import _WIDTH, longest_chain, trace_chain
+from .core import _WIDTH, chain_arrays, chain_block, require_int, trace_chain
 from .errors import InvalidInputError, PreconditionError, SearchFailedError
 
 __all__ = [
@@ -214,27 +218,38 @@ class GappedChain:
         return len(self.chain)
 
 
-def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
+def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain:
     """Longest monotone chain (given direction) whose consecutive pairs are
     s-gapped.  Deterministic: the predecessor is the smallest index among
     those realizing the maximal previous length, and the chain ends at the
-    smallest index achieving the global maximum."""
-    if direction not in (INC, DEC):
+    smallest index achieving the global maximum.
+
+    With ``direction=None`` one window pass feeds both directions' chains,
+    block by block, and the longer chain is returned (INC when the lengths
+    are equal) with that direction's ``dp_lengths`` and ``dp_pred``: the
+    same result as the longer of the two one-direction calls, with the
+    windows priced once instead of twice."""
+    if direction not in (INC, DEC, None):
         raise InvalidInputError(f"unknown direction {direction!r}")
+    require_int("s", s)
     if s < 0:
         raise InvalidInputError("s must be >= 0")
+    directions = (INC, DEC) if direction is None else (direction,)
     n = len(seq)
     if n == 0:
-        return GappedChain(direction, s, (), (), ())
+        return GappedChain(directions[0], s, (), (), ())
     vals = np.asarray(seq.values, dtype=float)
-    blocks = (
-        (lo, hi, (window if direction == INC else ~window) >= s)
-        for lo, hi, window in _window_blocks(vals)
-    )
-    lengths, pred = longest_chain(n, blocks)
+    runs = [chain_arrays(n) for _ in directions]
+    for lo, hi, window in _window_blocks(vals):
+        for d, (lengths, pred) in zip(directions, runs):
+            # ~window >= s on decreasing pairs, without a complemented copy
+            chain_block(lengths, pred, lo, hi, window >= s if d == INC else window <= ~s)
+    tops = [int(lengths.max()) for lengths, _ in runs]
+    pick = tops.index(max(tops))  # the first, INC, on equal lengths
+    lengths, pred = runs[pick]
     chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
     return GappedChain(
-        direction=direction,
+        direction=directions[pick],
         s=s,
         chain=tuple(i + 1 for i in chain),
         dp_lengths=tuple(int(x) for x in lengths),
@@ -283,13 +298,16 @@ def extract_block_monotone(
 
     Small inputs (n < (ck)^2) use the classical fallback: the longest
     monotone subsequence, of length >= ceil(sqrt(n)) >= k, as block-size-1
-    blocks.  Larger inputs run the gapped-chain DP at s = ceil(n/(ck)^2) in
-    both directions and convert the longer qualifying chain; if neither
-    direction qualifies (possible only for lowered c), the fallback is used.
+    blocks.  Larger inputs run one gapped-chain DP at s = ceil(n/(ck)^2)
+    over both directions, whose single window pass prices both, and convert
+    the longer chain (INC on equal lengths) if it has k+1 entries; if it
+    does not (possible only for lowered c), the fallback is used.
     """
+    require_int("k", k)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     c = DEFAULT_C if c is None else c
+    require_int("c", c)
     if c < 1:
         raise InvalidInputError("c must be >= 1")
     n = len(seq)
@@ -299,15 +317,10 @@ def extract_block_monotone(
         )
     if n < (c * k) ** 2:
         return _fallback_witness(seq)
-    s = math.ceil(n / (c * k) ** 2)
-    best: GappedChain | None = None
-    for direction in (INC, DEC):
-        ch = gapped_chain_dp(seq, s, direction)
-        if ch.length >= k + 1 and (best is None or ch.length > best.length):
-            best = ch
-    if best is None:
+    ch = gapped_chain_dp(seq, math.ceil(n / (c * k) ** 2), None)
+    if ch.length < k + 1:
         return _fallback_witness(seq)
-    return chain_to_blocks(seq, best)
+    return chain_to_blocks(seq, ch)
 
 
 def _best_gapped(
@@ -339,6 +352,7 @@ def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | Non
     in the direction of s: INC when both directions reach s, even if the DEC
     chain at s is longer.  (0, None) when only the block-size-1 fallback
     exists.  See ``_best_gapped``."""
+    require_int("k", k)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = len(seq)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
+from .core import DEC, INC, BlockWitness, Sequence, longest_monotone, require_int
 from .errors import InvalidInputError, SearchFailedError
 from .extract import DEFAULT_C, _best_gapped, chain_to_blocks
 from .extract import gapped_chain_dp  # unused here; perfbench's tracer patches it
@@ -270,6 +270,7 @@ def pullout(p: PointSet, k: int) -> tuple[list[BlockWitness], PointSet]:
     """Fraction-reducing pull-out: extract depth-k witnesses until at most
     max(|P|/k, (k-1)^2) points remain (best effort within the round
     ceiling)."""
+    require_int("k", k)
     if k < 2:
         raise InvalidInputError("pullout requires k >= 2")
     fr = _frame_of(p)
@@ -623,6 +624,7 @@ def flatten_deep(p: PointSet, pat: Pattern, k: int):
 def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     """Partition a planar point set into block-monotone parts of depth >= k
     plus at most (k-1)^2 leftover points."""
+    require_int("k", k)
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     n = len(p)
@@ -715,6 +717,7 @@ def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
 def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     """Baseline: repeatedly pull out the best single depth-k witness until
     at most (k-1)^2 entries remain."""
+    require_int("k", k)
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     p = seq_to_points(seq)

@@ -109,6 +109,36 @@ class TestGappedChainDP:
                 lengths = [gapped_chain_dp(seq, s, d).length for s in range(6)]
                 assert lengths == sorted(lengths, reverse=True)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 65, 300])
+    def test_joint_mode_is_the_longer_direction(self, n):
+        seqs = [gen_random(n, seed=n)]
+        if n:
+            seqs += [gen_clustered(3, max(1, n // 9), inner, seed=n)
+                     for inner in ("increasing", "decreasing", "seeded-random")]
+        for seq in seqs:
+            for s in range(8):
+                inc, dec = gapped_chain_dp(seq, s, INC), gapped_chain_dp(seq, s, DEC)
+                got = gapped_chain_dp(seq, s, None)
+                want = inc if inc.length >= dec.length else dec
+                for name in ("direction", "s", "chain", "dp_lengths", "dp_pred"):
+                    assert getattr(got, name) == getattr(want, name), (len(seq), s, name)
+
+    def test_joint_mode_tie_goes_to_inc(self):
+        # 3 2 1 4 5: the DEC chain (3, 2, 1) ends first, the INC chain
+        # (3, 4, 5) has as many entries
+        seq = Sequence([3, 2, 1, 4, 5])
+        assert gapped_chain_dp(seq, 0, DEC).length == gapped_chain_dp(seq, 0, INC).length == 3
+        assert gapped_chain_dp(seq, 0, None) == gapped_chain_dp(seq, 0, INC)
+
+    @pytest.mark.parametrize("s", [True, 1.5, 2.0, "2", None])
+    def test_non_integer_s_rejected(self, s):
+        with pytest.raises(InvalidInputError):
+            gapped_chain_dp(gen_random(20, seed=1), s, INC)
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(InvalidInputError):
+            gapped_chain_dp(gen_random(20, seed=1), 1, "up")
+
 
 class TestWindowBlocks:
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 65, 100])
@@ -267,6 +297,31 @@ class TestExtractBlockMonotone:
         with pytest.raises(InvalidInputError):
             extract_block_monotone(seq, 2, c=0)
 
+    @pytest.mark.parametrize("k, c", [(True, 2), (2.5, 2), ("3", 2), (3, True), (3, 2.0), (3, "2")])
+    def test_non_integer_k_and_c_rejected(self, k, c):
+        # True would otherwise pass as k = 1 (or c = 1) and pick a shallower witness
+        with pytest.raises(InvalidInputError):
+            extract_block_monotone(gen_random(400, seed=9), k, c=c)
+
+    def test_one_window_pass_for_both_directions(self, monkeypatch):
+        seq = gen_random(400, seed=9)  # n >= (ck)^2 = 36: the DP route
+        calls = {"dp": 0, "windows": 0}
+
+        def counted(name, key):
+            original = getattr(extract, name)
+
+            def wrapper(*args):
+                calls[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(extract, name, wrapper)
+
+        counted("gapped_chain_dp", "dp")
+        counted("_window_blocks", "windows")
+        w = extract_block_monotone(seq, 2, c=3)
+        assert calls == {"dp": 1, "windows": 1}
+        assert validate_block_witness(seq, w) is True and w.block_size == 12
+
     def test_real_branch_with_lowered_c(self):
         # lowering c brings the non-fallback branch within desk reach:
         # n=400, k=2, c=3 -> threshold (ck)^2 = 36 <= n, s = ceil(400/36) = 12
@@ -386,6 +441,11 @@ class TestMaxGappedBlocksize:
     def test_too_short_is_error(self):
         with pytest.raises(InvalidInputError):
             max_gapped_blocksize(Sequence([1, 2, 3]), 3)
+
+    @pytest.mark.parametrize("k", [True, 2.5, 3.0, "3"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InvalidInputError):
+            max_gapped_blocksize(gen_random(60, seed=1), k)
 
     def test_matches_descending_scan(self):
         # bottleneck-pass result == largest s whose chain reaches k+1, found

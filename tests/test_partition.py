@@ -159,6 +159,33 @@ def test_pullout_invalid_k():
         pullout(seq_to_points(gen_random(10, seed=1)), 1)
 
 
+NON_INTEGER_K = [True, 2.5, 3.0, "3"]
+
+
+@pytest.mark.parametrize("k", NON_INTEGER_K)
+def test_pullout_rejects_non_integer_k(k):
+    with pytest.raises(InvalidInputError):
+        pullout(seq_to_points(gen_random(40, seed=1)), k)
+
+
+@pytest.mark.parametrize("k", NON_INTEGER_K)
+def test_partition_point_set_rejects_non_integer_k(k):
+    with pytest.raises(InvalidInputError):
+        partition_point_set(seq_to_points(gen_random(40, seed=1)), k)
+
+
+@pytest.mark.parametrize("k", NON_INTEGER_K)
+def test_partition_sequence_rejects_non_integer_k(k):
+    with pytest.raises(InvalidInputError):
+        partition_sequence(gen_random(40, seed=1), k)
+
+
+@pytest.mark.parametrize("k", NON_INTEGER_K)
+def test_greedy_partition_rejects_non_integer_k(k):
+    with pytest.raises(InvalidInputError):
+        greedy_partition(gen_random(40, seed=1), k)
+
+
 # ---------------------------------------------------------------------------
 # configuration / pattern validation
 

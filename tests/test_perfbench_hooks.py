@@ -19,3 +19,24 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     finally:
         tracer.remove()
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+
+
+def test_traced_extract_is_one_dp_and_cross_checks(monkeypatch):
+    """The benchmark's ``extract.dp_*`` counters and its range-counter
+    cross-check only see DP calls made through ``extract.gapped_chain_dp``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import blockseq
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        blockseq.extract_block_monotone(blockseq.gen_random(1000, seed=1), 3, c=2)
+    finally:
+        tracer.remove()
+    assert [span[0] for span in tracer.spans].count("extract.dp") == 1
+    assert tracer.counts["dp_cells"] == 1000**2
+    check = tracer.cross_check()
+    assert check["rangecount.queries"] > 0
+    assert check["rangecount.mismatches"] == 0
