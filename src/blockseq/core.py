@@ -202,11 +202,12 @@ def longest_monotone(seq: Sequence) -> tuple[str, list[int]]:
     return DEC, [i + 1 for i in dec]
 
 
-def require_int(name: str, value) -> None:
-    """Reject bools and non-integers with a typed error before any range
-    check compares them."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an int, got {value!r}")
+def require_int(**values) -> None:
+    """Reject bools and non-integers, named by keyword, with a typed error
+    before any range check compares them."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInputError(f"{name} must be an int, got {value!r}")
 
 
 _WIDTH = 32  # entries per block fed to longest_chain by the package
@@ -302,6 +303,7 @@ def inversion_stats(seq: Sequence) -> InversionStats:
 def gen_es_extremal(k: int) -> Sequence:
     """Length-k^2 sequence of k descending runs whose longest monotone
     subsequence has length exactly k."""
+    require_int(k=k)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     vals: list[float] = []
@@ -324,6 +326,7 @@ def gen_clustered(
     ``delta < 1/2``, so clusters never overlap.  ``inner`` controls the order
     within a cluster: ``increasing``, ``decreasing``, or ``seeded-random``.
     """
+    require_int(k=k, s=s, seed=seed)
     if k < 1 or s < 1:
         raise InvalidInputError("k and s must be >= 1")
     if not 0.0 < delta < 0.5:
@@ -345,6 +348,7 @@ def gen_clustered(
 
 def gen_random(n: int, seed: int = 0) -> Sequence:
     """Seeded pseudorandom permutation of {1, ..., n} as floats."""
+    require_int(n=n, seed=seed)
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     rng = np.random.default_rng(seed)

@@ -231,7 +231,7 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain
     windows priced once instead of twice."""
     if direction not in (INC, DEC, None):
         raise InvalidInputError(f"unknown direction {direction!r}")
-    require_int("s", s)
+    require_int(s=s)
     if s < 0:
         raise InvalidInputError("s must be >= 0")
     directions = (INC, DEC) if direction is None else (direction,)
@@ -303,11 +303,10 @@ def extract_block_monotone(
     the longer chain (INC on equal lengths) if it has k+1 entries; if it
     does not (possible only for lowered c), the fallback is used.
     """
-    require_int("k", k)
+    c = DEFAULT_C if c is None else c
+    require_int(k=k, c=c)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
-    c = DEFAULT_C if c is None else c
-    require_int("c", c)
     if c < 1:
         raise InvalidInputError("c must be >= 1")
     n = len(seq)
@@ -352,7 +351,7 @@ def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | Non
     in the direction of s: INC when both directions reach s, even if the DEC
     chain at s is longer.  (0, None) when only the block-size-1 fallback
     exists.  See ``_best_gapped``."""
-    require_int("k", k)
+    require_int(k=k)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = len(seq)

@@ -8,7 +8,9 @@ Each round either finishes (everything left is small), widens the pattern
 (more sides), or deepens the staircase, and bounded-round pull-outs convert
 the absorbed material into witnesses.  Repeated best extractions then drain
 the leftover pool while their blocks hold 2 or more points, and a final
-monotone-subsequence sweep reduces what is left below (k-1)^2 points.
+monotone-subsequence sweep reduces what is left below (k-1)^2 points.  Every
+extraction, at any subset size, keeps the larger of a cut longest monotone
+subsequence and the exact gapped-chain search.
 
 All public indices are 1-based ids into the input point set / sequence.
 Directions follow the sequence convention: "inc" means up-right.
@@ -44,11 +46,6 @@ __all__ = [
     "partition_sequence",
     "greedy_partition",
 ]
-
-# Size above which a partition round skips the gapped-chain search and only
-# chunks a longest monotone subsequence; pull-outs that ask to ``probe`` (the
-# public ``pullout`` and ``greedy_partition``) run the exact search at any size.
-_DP_CUTOFF = 2500
 
 
 @dataclass(frozen=True)
@@ -210,18 +207,14 @@ def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
 # best-effort extraction on subsets
 
 
-def _extract_best(
-    fr: _Frame, ids: np.ndarray, depth: int, *, probe: bool = False
-) -> _Wit | None:
+def _extract_best(fr: _Frame, ids: np.ndarray, depth: int) -> _Wit | None:
     """Best block-monotone extraction of exact ``depth`` from a subset.
 
-    Always considers a longest monotone subsequence cut into ``depth`` equal
-    blocks, and also the exact gapped-chain search when the subset is at most
-    _DP_CUTOFF points or ``probe`` is set; the larger block-size wins, and the
-    search builds no witness the cut would beat.
+    Compares a longest monotone subsequence cut into ``depth`` equal blocks
+    with the exact gapped-chain search, at every subset size; the larger
+    block-size wins, and the search builds no witness the cut would beat.
     """
-    m = len(ids)
-    if depth < 1 or m <= (depth - 1) ** 2:
+    if depth < 1 or len(ids) <= (depth - 1) ** 2:
         return None
     sx = fr.by_x(ids)
     seq = fr.subseq(sx)
@@ -230,12 +223,11 @@ def _extract_best(
     s = len(pos) // depth
     run = sx[np.asarray(pos, dtype=np.int64) - 1]
     best = _Wit(d, [run[i * s : (i + 1) * s] for i in range(depth)])
-    if probe or m <= _DP_CUTOFF:
-        _, ch = _best_gapped(seq, depth, s)
-        if ch is not None:
-            w = chain_to_blocks(seq, ch)
-            blocks = [sx[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks]
-            best = _Wit(w.direction, blocks)
+    _, ch = _best_gapped(seq, depth, s)
+    if ch is not None:
+        w = chain_to_blocks(seq, ch)
+        blocks = [sx[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks]
+        best = _Wit(w.direction, blocks)
     return best
 
 
@@ -247,9 +239,7 @@ def _round_ceiling(depth: int) -> int:
     return math.ceil(2 * depth * math.log2(max(depth, 2))) + 2
 
 
-def _pullout_ids(
-    fr: _Frame, ids: np.ndarray, depth: int, *, probe: bool = False
-) -> tuple[list[_Wit], np.ndarray]:
+def _pullout_ids(fr: _Frame, ids: np.ndarray, depth: int) -> tuple[list[_Wit], np.ndarray]:
     """Repeatedly extract depth-``depth`` witnesses until the residue drops
     to max(|ids|/depth, (depth-1)^2) or the round ceiling is hit."""
     target = max(len(ids) / depth, (depth - 1) ** 2)
@@ -257,7 +247,7 @@ def _pullout_ids(
     cur = np.sort(ids)
     rounds = 0
     while len(cur) > target and rounds < _round_ceiling(depth):
-        wit = _extract_best(fr, cur, depth, probe=probe)
+        wit = _extract_best(fr, cur, depth)
         if wit is None:
             break
         parts.append(wit)
@@ -267,14 +257,14 @@ def _pullout_ids(
 
 
 def pullout(p: PointSet, k: int) -> tuple[list[BlockWitness], PointSet]:
-    """Fraction-reducing pull-out: extract depth-k witnesses until at most
-    max(|P|/k, (k-1)^2) points remain (best effort within the round
-    ceiling)."""
-    require_int("k", k)
+    """Fraction-reducing pull-out: extract depth-k witnesses, each the larger
+    of a cut longest monotone run and the exact gapped-chain search, until at
+    most max(|P|/k, (k-1)^2) points remain or the round ceiling is hit."""
+    require_int(k=k)
     if k < 2:
         raise InvalidInputError("pullout requires k >= 2")
     fr = _frame_of(p)
-    parts, residue = _pullout_ids(fr, np.arange(len(p), dtype=np.int64), k, probe=True)
+    parts, residue = _pullout_ids(fr, np.arange(len(p), dtype=np.int64), k)
     rest = PointSet(tuple(p.points[i] for i in sorted(int(i) for i in residue)))
     return [w.public() for w in parts], rest
 
@@ -624,7 +614,7 @@ def flatten_deep(p: PointSet, pat: Pattern, k: int):
 def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     """Partition a planar point set into block-monotone parts of depth >= k
     plus at most (k-1)^2 leftover points."""
-    require_int("k", k)
+    require_int(k=k)
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     n = len(p)
@@ -679,7 +669,7 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     # Erdos-Szekeres cleanup of what is left
     rest = np.sort(_cat(pool))
     while len(rest) > (k - 1) ** 2:
-        wit = _extract_best(fr, rest, k, probe=True)
+        wit = _extract_best(fr, rest, k)
         if wit is None or wit.size < 2:
             break
         parts.append(wit)
@@ -717,7 +707,7 @@ def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
 def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     """Baseline: repeatedly pull out the best single depth-k witness until
     at most (k-1)^2 entries remain."""
-    require_int("k", k)
+    require_int(k=k)
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     p = seq_to_points(seq)
@@ -725,7 +715,7 @@ def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     cur = np.arange(len(p), dtype=np.int64)
     parts: list[_Wit] = []
     while len(cur) > (k - 1) ** 2:
-        wit = _extract_best(fr, cur, k, probe=True)
+        wit = _extract_best(fr, cur, k)
         if wit is None:
             break
         parts.append(wit)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _WIDTH, DEC, INC, BlockWitness, Sequence, longest_chain, trace_chain
+from .core import require_int
 from .errors import InvalidInputError
 
 __all__ = [
@@ -103,6 +104,7 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
     """The blown-up recursive coloring on k**q vertices: level-r copies are
     glued with a fresh color, so color(i, j) is one plus the most significant
     base-k digit where i-1 and j-1 differ."""
+    require_int(k=k, q=q)
     if k < 1 or not 1 <= q <= MAX_COLORS:
         raise InvalidInputError(f"need k >= 1 and q in 1..{MAX_COLORS}")
     # k >= 2 and q >= 15 already give k**q >= 2**15, so k**q stays small here
@@ -120,6 +122,7 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
 
 def gen_random_coloring(n: int, q: int, seed: int) -> PairColoring:
     """Uniform random coloring; deterministic per seed."""
+    require_int(n=n, q=q, seed=seed)
     if not 1 <= n <= MAX_VERTICES or not 1 <= q <= MAX_COLORS:
         raise InvalidInputError(
             f"need n in 1..{MAX_VERTICES} and q in 1..{MAX_COLORS}"
@@ -259,6 +262,7 @@ def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
     for k+1 linked vertices.  The direct pair (u, v) itself is free to have
     any color.  Exact for this chain formulation; the smallest qualifying
     color wins."""
+    require_int(k=k, s=s)
     if k < 1 or s < 1:
         raise InvalidInputError("k and s must be >= 1")
     n = c.n

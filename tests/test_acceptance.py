@@ -68,9 +68,9 @@ PARTITION_PARTS = {
     (1000, 2): 29,
     (1000, 3): 40,
     (1000, 5): 38,
-    (10000, 2): 46,
-    (10000, 3): 72,
-    (10000, 5): 139,
+    (10000, 2): 32,
+    (10000, 3): 64,
+    (10000, 5): 119,
 }
 # Page-count bound constant per pagination depth: the conservative (max
 # over n) pinned partition part count for that k.

@@ -21,7 +21,7 @@ from blockseq.biarc import (
     partition_multiset,
     spine_crossing,
 )
-from blockseq.core import DEC, INC
+from blockseq.core import DEC, INC, gen_random
 from blockseq.errors import InvalidInputError
 from blockseq.oracle import brute_crossings_geometric
 from brutes import brute_interleavings
@@ -174,6 +174,19 @@ def test_partition_multiset_bipartite_rights():
         assert_part_valid(rights, w, 4)
         covered.extend(i for blk in w.blocks for i in blk)
     assert sorted(covered) == list(range(1, len(rights) + 1))
+
+
+def test_partition_multiset_large_random_within_part_cap():
+    # a cut longest monotone run alone leaves blocks of about 2*sqrt(m)/k
+    # points, which at this size needs more parts than the cap allows; every
+    # extraction must also run the exact gapped search
+    values = gen_random(8000, seed=3).values
+    parts, deleted = partition_multiset(values, 2)
+    assert biarc._part_cap(2) == 48
+    assert len(parts) <= biarc._part_cap(2)
+    assert len(deleted) <= 1
+    covered = sorted([i for w in parts for blk in w.blocks for i in blk] + list(deleted))
+    assert covered == list(range(1, len(values) + 1))
 
 
 def test_partition_multiset_validation():

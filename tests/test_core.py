@@ -10,9 +10,14 @@ from blockseq import (
     BlockWitness,
     InvalidInputError,
     Sequence,
+    find_block_path,
     gen_clustered,
     gen_es_extremal,
+    gen_grid_clusters,
+    gen_point_cloud,
     gen_random,
+    gen_random_coloring,
+    gen_recursive_coloring,
     inversion_stats,
     longest_monotone,
     validate_block_witness,
@@ -270,3 +275,37 @@ class TestGenerators:
 
     def test_random_empty(self):
         assert gen_random(0, seed=1).n == 0
+
+
+_COLORING = gen_random_coloring(12, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        pytest.param(find_block_path, (_COLORING, 2.5, 1), id="find_block_path-k"),
+        pytest.param(find_block_path, (_COLORING, 2, 1.0), id="find_block_path-s"),
+        pytest.param(find_block_path, (_COLORING, True, True), id="find_block_path-bools"),
+        pytest.param(gen_random, (10.0,), id="gen_random-n"),
+        pytest.param(gen_random, (10, 1.5), id="gen_random-seed"),
+        pytest.param(gen_random, (True,), id="gen_random-bool"),
+        pytest.param(gen_es_extremal, (3.0,), id="gen_es_extremal-k"),
+        pytest.param(gen_clustered, (2.0, 3), id="gen_clustered-k"),
+        pytest.param(gen_clustered, (2, 3.5), id="gen_clustered-s"),
+        pytest.param(gen_clustered, (2, 3, "seeded-random", 0.25, 0.5), id="gen_clustered-seed"),
+        pytest.param(gen_random_coloring, (12.0, 2, 0), id="gen_random_coloring-n"),
+        pytest.param(gen_random_coloring, (12, 2.0, 0), id="gen_random_coloring-q"),
+        pytest.param(gen_random_coloring, (12, 2, 0.5), id="gen_random_coloring-seed"),
+        pytest.param(gen_recursive_coloring, (2.0, 3), id="gen_recursive_coloring-k"),
+        pytest.param(gen_recursive_coloring, (2, 3.0), id="gen_recursive_coloring-q"),
+        pytest.param(gen_recursive_coloring, (2, True), id="gen_recursive_coloring-bool"),
+        pytest.param(gen_point_cloud, (10.0,), id="gen_point_cloud-n"),
+        pytest.param(gen_point_cloud, (10, 2.5), id="gen_point_cloud-seed"),
+        pytest.param(gen_grid_clusters, (2.0, 3), id="gen_grid_clusters-k"),
+        pytest.param(gen_grid_clusters, (2, 3.0), id="gen_grid_clusters-per_cluster"),
+        pytest.param(gen_grid_clusters, (2, 3, 1.5), id="gen_grid_clusters-seed"),
+    ],
+)
+def test_public_integer_arguments_reject_floats_and_bools(func, args):
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        func(*args)

@@ -3,7 +3,7 @@
 import math
 import random
 
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -17,7 +17,7 @@ from blockseq.core import (
 )
 from blockseq.errors import InvalidInputError
 from blockseq.extract import DEFAULT_C, _best_gapped
-from blockseq.partition import _DP_CUTOFF, _extract_best, _frame_of
+from blockseq.partition import _extract_best, _frame_of
 from blockseq.partition import (
     Configuration,
     Pattern,
@@ -359,6 +359,7 @@ def point_subsets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(point_subsets(), hs.integers(1, 5))
+@example((seq_to_points(gen_random(3000, seed=1)), np.arange(3000, dtype=np.int64)), 3)
 def test_extract_best_is_the_larger_of_lis_cut_and_gapped_search(subset, depth):
     pts, ids = subset
     fr = _frame_of(pts)
@@ -373,8 +374,6 @@ def test_extract_best_is_the_larger_of_lis_cut_and_gapped_search(subset, depth):
     seq = fr.subseq(fr.by_x(ids))
     s, _ = _best_gapped(seq, depth)
     assert w.block_size == max(len(longest_monotone(seq)[1]) // depth, s)
-    assert len(ids) <= _DP_CUTOFF
-    assert _extract_best(fr, ids, depth, probe=True).public() == w
 
 
 # ---------------------------------------------------------------------------
