@@ -7,9 +7,10 @@ symmetrically with the roles swapped.  This module constructs such
 families inside any large-enough point set in general position:
 
 1. cut the plane with a horizontal median line,
-2. find a second cut with exactly ``m`` points of each half on one side
-   (by seeded random slope probing, falling back to a search over lines
-   spanned by one point of each half),
+2. find a second cut with exactly ``m`` points of each half on one side,
+   by bisection on its direction: the offset between the two halves'
+   m-level gaps changes sign once on each half-turn of directions, and the
+   cut exists exactly when the gaps overlap around one of those changes,
 3. sweep a parallel third cut until a slab region fills up,
 4. normalize the frame so the cuts become the axes plus a vertical line,
 5. run a block-monotone extraction over the slab in x-order and a second
@@ -42,12 +43,6 @@ __all__ = [
     "mutually_avoiding_sets",
 ]
 
-_PAIR_CHUNK = 4096
-_PROBE_CAP = 60_000
-#: slopes priced per batch; a batch's projection arrays stay below
-#: _PROBE_CELLS entries per set
-_PROBE_BATCH = 64
-_PROBE_CELLS = 1 << 18
 _TRIPLE_SAMPLE = 48
 
 
@@ -155,31 +150,6 @@ def _separation_signs(L: Line, xs: np.ndarray, ys: np.ndarray) -> int:
     return 1 if vals[0] > 0.0 else -1
 
 
-def _perturbed_line(
-    p, q, sign_p: int, sign_q: int, xs, ys, skip
-) -> Line | None:
-    """Line through p and q nudged so p lands on side sign_p and q on
-    sign_q, while every other point keeps its strict side.  None when a
-    third point sits exactly on the spanning line."""
-    px, py = p
-    qx, qy = q
-    slope = (qy - py) / (qx - px)
-    inter = py - slope * px
-    others = np.ones(len(xs), dtype=bool)
-    others[list(skip)] = False
-    vals = ys[others] - (slope * xs[others] + inter)
-    gap = float(np.abs(vals).min())
-    if gap == 0.0:
-        return None
-    if sign_p == sign_q:
-        return Line(slope, inter - sign_p * gap / 2.0)
-    mx = (px + qx) / 2.0
-    reach = float(np.abs(xs[others] - mx).max()) + 1.0
-    mag = gap / (2.0 * reach)
-    da = -sign_p * math.copysign(mag, px - mx)
-    return Line(slope + da, inter - da * mx)
-
-
 def _counts_above(H: Line, xs, ys) -> int | None:
     vals = ys - (H.slope * xs + H.intercept)
     if np.any(vals == 0.0):
@@ -187,53 +157,34 @@ def _counts_above(H: Line, xs, ys) -> int | None:
     return int(np.count_nonzero(vals > 0.0))
 
 
-def _gap(w: np.ndarray, above: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of projections w, the open intercept interval putting exactly
-    ``above`` values strictly above; its interior contains no value of the
-    row.  Partitions w in place, around one kth: numpy selects a single kth
-    several times faster than a list of them."""
-    k = w.shape[1] - above - 1
-    w.partition(k, axis=1)
-    return w[:, k].copy(), w[:, k + 1 :].min(axis=1)
+def _x_split(xs: np.ndarray, j: int) -> float:
+    """Midpoint between the j-th and (j+1)-th smallest of xs."""
+    part = np.partition(xs, (j - 1, j))
+    return (part[j - 1] + part[j]) / 2.0
 
 
-def _probe_directions(px, py, qx, qy, m: int, n: int):
-    """Randomized slope probing: for a sampled slope, exact target counts
-    for both sets are achievable iff two consecutive-order-statistic gaps
-    overlap; any intercept inside the overlap avoids all points.
-
-    Slopes are drawn and priced a batch at a time, and the candidates are
-    verified in draw order (upper before lower for each slope), so the
-    result is the first slope that a one-at-a-time loop would accept."""
-    sides = [
-        (a, side) for a, side in ((m, "upper"), (n - m, "lower")) if 1 <= a <= n - 1
-    ]
-    if not sides:
-        return None
-    rows = max(1, min(_PROBE_BATCH, _PROBE_CELLS // n))
-    rng = np.random.default_rng(1)
-    total = min(40 * n, _PROBE_CAP)
-    for start in range(0, total, rows):
-        draws = rng.uniform(-1.57, 1.57, min(rows, total - start))
-        t = np.array([math.tan(u) for u in draws])
-        wp = py - t[:, None] * px
-        wq = qy - t[:, None] * qx
-        lo = np.empty((len(t), len(sides)))
-        hi = np.empty_like(lo)
-        for c, (above, _) in enumerate(sides):
-            lo_p, hi_p = _gap(wp, above)
-            lo_q, hi_q = _gap(wq, above)
-            lo[:, c] = np.maximum(lo_p, lo_q)
-            hi[:, c] = np.minimum(hi_p, hi_q)
-        for b, c in np.argwhere(lo < hi):
-            above, side = sides[c]
-            H = Line(t[b], (lo[b, c] + hi[b, c]) / 2.0)
-            if (
-                _counts_above(H, px, py) == above
-                and _counts_above(H, qx, qy) == above
-            ):
-                return H, side
-    return None
+def _bisect_direction(px, py, qx, qy, above: int, near: float, far: float, sign):
+    """Bisect the directions between ``near``, where D has sign ``sign``,
+    and ``far``, where it does not, for a line with ``above`` points of each
+    set above it (see ``balanced_line``); None once the midpoint equals an
+    end."""
+    k = len(px) - above - 1  # ascending index of the largest w left below
+    while True:
+        mid = (near + far) / 2.0
+        if mid == near or mid == far:
+            return None
+        cos, sin = math.cos(mid), math.sin(mid)
+        gp = np.partition(py * cos - px * sin, (k, k + 1))[k : k + 2]
+        gq = np.partition(qy * cos - qx * sin, (k, k + 1))[k : k + 2]
+        bottom, top = max(gp[0], gq[0]), min(gp[1], gq[1])
+        if bottom < top:
+            H = Line(math.tan(mid), (bottom + top) / 2.0 / cos)
+            if _counts_above(H, px, py) == above == _counts_above(H, qx, qy):
+                return H
+        if np.sign(gp.sum() - gq.sum()) == sign:
+            near = mid
+        else:
+            far = mid
 
 
 def balanced_line(
@@ -243,20 +194,36 @@ def balanced_line(
     strictly on one side (the reported one), and no point on it.
 
     P and Q must have equal size n >= m >= 1 and be strictly separated by
-    L.  Random slope probing runs first: for a sampled slope the target
-    counts are achievable exactly when two consecutive-order-statistic
-    gaps overlap, which is checked in O(n) per probe.  Probes are priced
-    in batches, and their candidates are verified in draw order.  If
-    probing finds nothing, the search falls back to exhaustive enumeration
-    of lines through one point of each set, resolving each candidate to the
-    four strict sidings of its two spanning points and validating counts.
-    Both stages draw from fixed-seed generators, so the result is
-    deterministic for a given input.
+    L.  For m < n the side is "upper" (a = m points above the line) or
+    "lower" (a = n - m above).  Project both sets as
+    w = y cos(theta) - x sin(theta): a line of slope tan(theta) has a points
+    of a set above it exactly when it cuts that set's open gap between its
+    a-th and (a+1)-th largest w.  D(theta), the midpoint of P's gap minus
+    that of Q's, is continuous, and any theta where the gaps overlap gives
+    the line.
+
+    At theta_L = atan(L.slope) every P projection lies beyond every Q
+    projection, so D has the sign of P's side of L for either side.  At
+    +-pi/2 the projection is -+x, so D there compares x-splits of P and Q.
+    As the direction turns away from L, P's gap moves one way and Q's the
+    other, so over each half-turn of oriented directions from theta_L, D
+    changes sign exactly once, and the directions whose gaps overlap, if
+    any, form an open interval around that change.  One half-turn is upper
+    on [theta_L, pi/2] then lower on [-pi/2, theta_L]; the other is upper on
+    [-pi/2, theta_L] then lower on [theta_L, pi/2].  In each, the piece
+    whose vertical end does not share theta_L's sign holds the change, and
+    is bisected at one partition per set and probe.  The first probe whose
+    gaps overlap and whose counts verify in slope form is returned.
+
+    Raises SearchFailedError when both bisections close (the midpoint
+    equals an end) without such a probe: then no balancing line exists, or
+    its directions lie closer together than float arithmetic resolves.
     """
     n = len(P)
     if len(Q) != n:
         raise InvalidInputError(f"sets must have equal size, got {n} != {len(Q)}")
-    if not isinstance(m, int) or not 1 <= m <= n:
+    require_int(m=m)
+    if not 1 <= m <= n:
         raise InvalidInputError(f"need 1 <= m <= {n}, got {m}")
     px = np.array([pt[0] for pt in P.points])
     py = np.array([pt[1] for pt in P.points])
@@ -266,67 +233,30 @@ def balanced_line(
     sq = _separation_signs(L, qx, qy)
     if sp == sq:
         raise InvalidInputError("sets are not strictly separated by the line")
-    all_x = np.concatenate([px, qx])
-    all_y = np.concatenate([py, qy])
     if m == n:
-        low = Line(0.0, float(all_y.min()) - 1.0)
+        low = Line(0.0, float(min(py.min(), qy.min())) - 1.0)
         if _counts_above(low, px, py) == n and _counts_above(low, qx, qy) == n:
             return low, "upper"
+        raise SearchFailedError("no line found below every point")
 
-    probed = _probe_directions(px, py, qx, qy, m, n)
-    if probed is not None:
-        return probed
-
-    order = np.random.default_rng(0).permutation(n * n)
-    for start in range(0, n * n, _PAIR_CHUNK):
-        pairs = order[start : start + _PAIR_CHUNK]
-        pi, qi = pairs // n, pairs % n
-        ax, ay, bx, by = px[pi], py[pi], qx[qi], qy[qi]
-        flip = bx < ax
-        ax2 = np.where(flip, bx, ax)
-        ay2 = np.where(flip, by, ay)
-        dx = np.where(flip, ax, bx) - ax2
-        dy = np.where(flip, ay, by) - ay2
-        crossP = dx[:, None] * (py[None, :] - ay2[:, None]) - dy[:, None] * (
-            px[None, :] - ax2[:, None]
-        )
-        crossQ = dx[:, None] * (qy[None, :] - ay2[:, None]) - dy[:, None] * (
-            qx[None, :] - ax2[:, None]
-        )
-        up_p = np.count_nonzero(crossP > 0.0, axis=1)
-        dn_p = np.count_nonzero(crossP < 0.0, axis=1)
-        up_q = np.count_nonzero(crossQ > 0.0, axis=1)
-        dn_q = np.count_nonzero(crossQ < 0.0, axis=1)
-        clean = (dx > 0.0) & (up_p + dn_p == n - 1) & (up_q + dn_q == n - 1)
-
-        def fits(cnt):
-            return (cnt == m) | (cnt == m - 1)
-
-        for side, cp, cq in (("upper", up_p, up_q), ("lower", dn_p, dn_q)):
-            hits = np.flatnonzero(clean & fits(cp) & fits(cq))
-            for h in hits:
-                si = 1 if side == "upper" else -1
-                sign_p = si if cp[h] == m - 1 else -si
-                sign_q = si if cq[h] == m - 1 else -si
-                H = _perturbed_line(
-                    (px[pi[h]], py[pi[h]]),
-                    (qx[qi[h]], qy[qi[h]]),
-                    sign_p,
-                    sign_q,
-                    all_x,
-                    all_y,
-                    (pi[h], n + qi[h]),
-                )
-                if H is None:
-                    continue
-                got_p = _counts_above(H, px, py)
-                got_q = _counts_above(H, qx, qy)
-                if side == "lower" and got_p is not None:
-                    got_p, got_q = n - got_p, n - got_q
-                if got_p == m and got_q == m:
-                    return H, side
+    theta_l = math.atan(L.slope)
+    half = math.pi / 2
+    for side, above, end in (
+        ("upper", m, half), ("lower", n - m, -half),  # one half-turn
+        ("upper", m, -half), ("lower", n - m, half),  # the other
+    ):
+        # D(end) is -d_end at +pi/2, where the projection is -x, and d_end
+        # at -pi/2, where it is x; the piece holds the change unless D(end)
+        # shares the sign sp that D has at theta_l
+        j = above if end > 0 else n - above
+        d_end = _x_split(px, j) - _x_split(qx, j)
+        if sp * d_end * end >= 0.0:
+            H = _bisect_direction(px, py, qx, qy, above, theta_l, end, sp)
+            if H is not None:
+                return H, side
     raise SearchFailedError(
-        f"no balancing line found for m={m} over {n * n} candidate pairs"
+        f"no balancing line found for m={m}: both bisections on the "
+        "direction closed without overlapping gaps"
     )
 
 
@@ -366,7 +296,8 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     reported via ``guarantee`` as a fraction of |P|; blocks keep the
     original input coordinates.
     """
-    if not isinstance(k, int) or k < 1:
+    require_int(k=k)
+    if k < 1:
         raise InvalidInputError(f"k must be a positive integer, got {k}")
     n = len(P)
     if n // 6 <= 4 * k * k:
@@ -475,6 +406,8 @@ def gen_point_cloud(n: int, seed: int = 0, box: float = 1000.0) -> PointSet:
     require_int(n=n, seed=seed)
     if n < 1:
         raise InvalidInputError(f"n must be positive, got {n}")
+    if not 0.0 < box < math.inf:
+        raise InvalidInputError(f"box must be positive and finite, got {box}")
     rng = np.random.default_rng(seed)
     return PointSet(rng.uniform(0.0, box, size=(n, 2)))
 

@@ -6,14 +6,14 @@ library always means a genuine bug on one side.  ``best_gapped_s`` and
 ``rebuild_best_gapped`` are the exception: they replay the package's slower
 two-pass route to a gapped witness (the block-size search, then a fresh
 chain DP at that size) and pin the witness the bottleneck-table trace reads
-off.  ``probe_slopes_loop`` and ``triple_signs_loop`` replay the avoid
-module's seeded slope probing and orientation sampling one draw and one
-triple at a time, to pin the batched versions to the same outputs.
+off.  ``triple_signs_loop`` replays the avoid module's orientation
+sampling one triple at a time, to pin the batched version to the same
+output.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -200,40 +200,6 @@ def rebuild_best_gapped(seq, depth):
     return s, chain_to_blocks(seq, gapped_chain_dp(seq, s, d))
 
 
-def probe_slopes_loop(px, py, qx, qy, m, n, cap):
-    """Balanced-line slope probing, one slope at a time: the first
-    (slope, intercept, side) whose order-statistic gaps overlap and whose
-    counts check out, or None after min(40 n, cap) slopes."""
-
-    def gap(w, above):
-        ordered = np.sort(w)
-        return ordered[n - above - 1], ordered[n - above]
-
-    def count_above(t, c, xs, ys):
-        vals = ys - (t * xs + c)
-        return None if np.any(vals == 0.0) else int(np.count_nonzero(vals > 0.0))
-
-    rng = np.random.default_rng(1)
-    for _ in range(min(40 * n, cap)):
-        t = math.tan(rng.uniform(-1.57, 1.57))
-        wp = py - t * px
-        wq = qy - t * qx
-        for above, side in ((m, "upper"), (n - m, "lower")):
-            if not 1 <= above <= n - 1:
-                continue
-            lo_p, hi_p = gap(wp, above)
-            lo_q, hi_q = gap(wq, above)
-            lo, hi = max(lo_p, lo_q), min(hi_p, hi_q)
-            if lo < hi:
-                c = float((lo + hi) / 2.0)
-                if (
-                    count_above(t, c, px, py) == above
-                    and count_above(t, c, qx, qy) == above
-                ):
-                    return t, c, side
-    return None
-
-
 def triple_signs_loop(xs, ys, sample):
     """Orientation sign of every triple (a, b, c) of an evenly spread
     subsample of ``sample`` indices, a before b in the subsample and c any
@@ -248,3 +214,45 @@ def triple_signs_loop(xs, ys, sample):
                 )
                 signs.append(np.sign(cross))
     return np.array(signs)
+
+
+def brute_balanced_line_exists(P, Q, m):
+    """Whether some non-vertical line has exactly m points of P and m of Q
+    strictly on one common side and no point on it, decided in exact
+    rational arithmetic.
+
+    The order of the values y - t x changes only at slopes t through two
+    points, and a line that avoids every point can be tilted a little
+    without crossing one, so one slope inside each open interval between
+    consecutive critical slopes, plus one beyond each end, sees every
+    achievable pair of counts."""
+    P = [(Fraction(x), Fraction(y)) for x, y in P]
+    Q = [(Fraction(x), Fraction(y)) for x, y in Q]
+    n = len(P)
+    pts = P + Q
+    critical = sorted(
+        {(b[1] - a[1]) / (b[0] - a[0]) for a, b in combinations(pts, 2) if a[0] != b[0]}
+    )
+    if not critical:
+        slopes = [Fraction(0)]
+    else:
+        slopes = [critical[0] - 1, critical[-1] + 1]
+        slopes += [(lo + hi) / 2 for lo, hi in zip(critical, critical[1:])]
+
+    def gap(values, above):
+        """Open interval of cuts with exactly ``above`` values over it."""
+        desc = sorted(values, reverse=True)
+        top = desc[above - 1] if above > 0 else None
+        bottom = desc[above] if above < n else None
+        return bottom, top
+
+    for t in slopes:
+        wp = [y - t * x for x, y in P]
+        wq = [y - t * x for x, y in Q]
+        for above in (m, n - m):
+            (bp, tp), (bq, tq) = gap(wp, above), gap(wq, above)
+            bottoms = [b for b in (bp, bq) if b is not None]
+            tops = [v for v in (tp, tq) if v is not None]
+            if not bottoms or not tops or max(bottoms) < min(tops):
+                return True
+    return False

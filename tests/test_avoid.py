@@ -1,7 +1,9 @@
 """Tests for balanced-line search and mutually avoiding families."""
 
+from fractions import Fraction
 import math
 
+from hypothesis import assume, example, given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from blockseq.avoid import (
 from blockseq.errors import InvalidInputError, SearchFailedError
 from blockseq.oracle import brute_avoiding_transversals
 from blockseq.partition import PointSet
-from brutes import probe_slopes_loop, triple_signs_loop
+from brutes import brute_balanced_line_exists, triple_signs_loop
 
 FOUR_P = PointSet([(0, 1), (2, 3)])
 FOUR_Q = PointSet([(0, -1), (2, -3)])
@@ -111,6 +113,22 @@ def test_balanced_line_bad_args():
             balanced_line(FOUR_P, FOUR_Q, X_AXIS, m)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3"])
+def test_balanced_line_rejects_non_int_m(bad):
+    with pytest.raises(InvalidInputError, match="m must be an int"):
+        balanced_line(FOUR_P, FOUR_Q, X_AXIS, bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3"])
+def test_pipeline_rejects_non_int_k_before_the_line_search(monkeypatch, bad):
+    def no_search(*args):
+        raise AssertionError("balanced_line ran before k was checked")
+
+    monkeypatch.setattr(avoid, "balanced_line", no_search)
+    with pytest.raises(InvalidInputError, match="k must be an int"):
+        mutually_avoiding_sets(gen_point_cloud(200, seed=0), bad)
+
+
 def test_balanced_line_random_counts():
     rng = np.random.default_rng(3)
     for trial in range(20):
@@ -126,8 +144,7 @@ def test_balanced_line_random_counts():
         assert_balanced(P, Q, m, H, side)
 
 
-def test_balanced_line_pair_scan_fallback(monkeypatch):
-    monkeypatch.setattr(avoid, "_PROBE_CAP", 0)
+def test_balanced_line_four_and_thirty_points():
     H, side = balanced_line(FOUR_P, FOUR_Q, X_AXIS, 1)
     assert_balanced(FOUR_P, FOUR_Q, 1, H, side)
     rng = np.random.default_rng(11)
@@ -138,53 +155,61 @@ def test_balanced_line_pair_scan_fallback(monkeypatch):
         assert_balanced(P, Q, m, H, side)
 
 
-def separated_coords(rng, n):
-    """Coordinates of two n-point sets strictly above and below the x-axis."""
-    px, qx = rng.uniform(0, 100, (2, n))
-    py = rng.uniform(1, 50, n)
-    qy = rng.uniform(-50, -1, n)
-    return px, py, qx, qy
+@hs.composite
+def grid_halves(draw):
+    """Two n-point integer sets, n <= 8, on either side of a line of random
+    rational slope p/q that no integer point lies on; shared x across the
+    sets and collinear points are common."""
+    n = draw(hs.integers(1, 8))
+    p, q = draw(hs.integers(-4, 4)), draw(hs.integers(1, 3))
+    base = [Fraction(2 * p * x + 1, 2 * q) for x in range(-6, 7)]
+
+    def half(above):
+        xs = draw(hs.lists(hs.integers(-6, 6), min_size=n, max_size=n, unique=True))
+        ds = draw(hs.lists(hs.integers(0, 5), min_size=n, max_size=n))
+        ys = [
+            math.ceil(base[x + 6]) + d if above else math.floor(base[x + 6]) - d
+            for x, d in zip(xs, ds)
+        ]
+        assume(len(set(ys)) == n)
+        return list(zip(xs, ys))
+
+    upper, lower = half(True), half(False)
+    P, Q = (upper, lower) if draw(hs.booleans()) else (lower, upper)
+    return P, Q, Line(p / q, 1 / (2 * q))
 
 
-def test_probe_directions_matches_loop(monkeypatch):
-    rng = np.random.default_rng(8)
-    outcomes = {True: 0, False: 0}
-    full = avoid._PROBE_CELLS
-    # caps: a multiple of the batch, a partial last batch, a single slope,
-    # none at all, and the default; cells: full batches and 3-row batches
-    for cap, cells in ((128, full), (100, full), (1, full), (0, full),
-                       (avoid._PROBE_CAP, 100)):
-        monkeypatch.setattr(avoid, "_PROBE_CAP", cap)
-        monkeypatch.setattr(avoid, "_PROBE_CELLS", cells)
-        for n in (1, 2, 3, 4, 7, 30, 61):
-            for m in sorted({1, max(1, n - 1), max(1, n // 2), n}):
-                px, py, qx, qy = separated_coords(rng, n)
-                got = avoid._probe_directions(px, py, qx, qy, m, n)
-                want = probe_slopes_loop(px, py, qx, qy, m, n, cap)
-                if got is None:
-                    assert want is None
-                else:
-                    H, side = got
-                    assert (H.slope, H.intercept, side) == want
-                outcomes[got is None] += 1
-    assert outcomes[True] > 10 and outcomes[False] > 10
+def exact_side_counts(H, pts):
+    """Points strictly above and below H, in exact rational arithmetic."""
+    t, c = Fraction(H.slope), Fraction(H.intercept)
+    vals = [Fraction(y) - (t * x + c) for x, y in pts]
+    return sum(v > 0 for v in vals), sum(v < 0 for v in vals)
 
 
-def test_probe_slopes_round_like_math_tan():
-    # np.tan and math.tan round the 41st slope draw differently; only that
-    # slope falls in this instance's window of width about 3.4e-4
-    draws = np.random.default_rng(1).uniform(-1.57, 1.57, 41)
-    t0 = math.tan(draws[40])
-    assert np.tan(draws)[40] != t0
-    qx = np.array([0.0, 1.0])
-    qy = np.array([-1.0, -1.0 - t0])
-    px = np.array([1e4, 1e4 + 1.0])
-    py = -1.0 + t0 * 1e4 + np.array([1.0, -1.0])
-    H, side = avoid._probe_directions(px, py, qx, qy, 1, 2)
-    assert H.slope == t0
-    assert (H.slope, H.intercept, side) == probe_slopes_loop(
-        px, py, qx, qy, 1, 2, avoid._PROBE_CAP
-    )
+@settings(max_examples=150, deadline=None)
+@given(grid_halves())
+# at m = 2 every balancing line has its two points above it and a slope
+# below L's: only the half-turn of directions searched second holds one
+@example(([(1, -1), (2, -3), (0, 0)], [(-1, 3), (-2, 5), (0, 1)], Line(-1.0, 0.25)))
+# four collinear points: no line has one point of each on a side
+@example(([(2, 0), (3, 1)], [(0, -2), (1, -1)], Line(-1 / 3, 1 / 6)))
+def test_balanced_line_fails_only_without_a_line(halves):
+    P, Q, L = halves
+    n = len(P)
+    for m in range(1, n + 1):
+        exists = brute_balanced_line_exists(P, Q, m)
+        try:
+            H, side = balanced_line(PointSet(P), PointSet(Q), L, m)
+        except SearchFailedError:
+            assert not exists, m
+            continue
+        assert exists, m
+        (above_p, below_p), (above_q, below_q) = (
+            exact_side_counts(H, P), exact_side_counts(H, Q)
+        )
+        assert above_p + below_p == n and above_q + below_q == n
+        want = (m, m) if side == "upper" else (n - m, n - m)
+        assert (above_p, above_q) == want
 
 
 def test_triple_signs_matches_loop():
@@ -302,3 +327,6 @@ def test_generators():
         gen_point_cloud(0)
     with pytest.raises(InvalidInputError):
         gen_grid_clusters(2, 3, jitter=0.7)
+    for box in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="box"):
+            gen_point_cloud(5, box=box)

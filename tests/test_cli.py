@@ -223,6 +223,14 @@ def test_coloring_generators_reject_too_many_vertices(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", ["inf", "nan", "0", "-5"])
+def test_points_generator_rejects_bad_box(tmp_path, box):
+    out = tmp_path / "pts.json"
+    result = run(["gen", "--kind", "points", "--n", "10", "--box", box, "--out", str(out)])
+    assert result.exit_code == 2, result.log
+    assert not out.exists()
+
+
 def test_ramsey_gen_recursive_without_k_is_usage_error(tmp_path):
     out = tmp_path / "col.json"
     result = run(["ramsey", "--mode", "gen-recursive", "--q", "2", "--out", str(out)])

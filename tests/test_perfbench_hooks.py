@@ -40,3 +40,20 @@ def test_traced_extract_is_one_dp_and_cross_checks(monkeypatch):
     check = tracer.cross_check()
     assert check["rangecount.queries"] > 0
     assert check["rangecount.mismatches"] == 0
+
+
+def test_traced_avoid_records_one_balanced_line_span(monkeypatch):
+    """``avoid.balanced_line_s`` only measures the line search while
+    ``mutually_avoiding_sets`` calls it through the module attribute."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import blockseq
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        blockseq.mutually_avoiding_sets(blockseq.gen_point_cloud(200, 1), 2)
+    finally:
+        tracer.remove()
+    assert [span[0] for span in tracer.spans].count("avoid.balanced_line") == 1
