@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import DEC, Sequence
+from .core import DEC, Sequence, require_int
 from .errors import InvalidInputError, SearchFailedError
 from .partition import partition_sequence
 
@@ -80,8 +80,9 @@ class OrderedGraph:
     edges: tuple[_Edge, ...]
 
     def __init__(self, n, edges):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidInputError(f"vertex count must be a positive int, got {n!r}")
+        require_int(n=n)
+        if n < 1:
+            raise InvalidInputError(f"vertex count must be positive, got {n!r}")
         edges = tuple(edges)
         for edge in edges:
             _check_edge(edge, n)
@@ -116,8 +117,9 @@ class Page:
         )
         if style not in (UPPER_ARCS, BIARCS):
             raise InvalidInputError(f"unknown page style {style!r}")
-        if not isinstance(split_b, int) or isinstance(split_b, bool) or split_b < 1:
-            raise InvalidInputError(f"split vertex must be a positive int, got {split_b!r}")
+        require_int(split_b=split_b)
+        if split_b < 1:
+            raise InvalidInputError(f"split vertex must be positive, got {split_b!r}")
         if not edges:
             raise InvalidInputError("a page must hold at least one edge")
         if len(layout) != len(edges):
@@ -269,8 +271,9 @@ def partition_multiset(values, k: int):
     ``dec`` = nonincreasing) and ``deleted`` lists the dropped
     positions.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise InvalidInputError(f"depth k must be an int >= 2, got {k!r}")
+    require_int(k=k)
+    if k < 2:
+        raise InvalidInputError(f"depth k must be >= 2, got {k!r}")
     values = list(values)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
@@ -299,9 +302,7 @@ def spine_crossing(l: int, r: int, b: int, n: int) -> float:
     distinct edges, which makes biarc crossings on one page depend only
     on span interleaving.
     """
-    for name, v in (("l", l), ("r", r), ("b", b), ("n", n)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidInputError(f"{name} must be an int, got {v!r}")
+    require_int(l=l, r=r, b=b, n=n)
     if not 1 <= l <= b < r <= n:
         raise InvalidInputError(
             f"edge ({l}, {r}) does not span split vertex {b} within 1..{n}"
@@ -415,8 +416,9 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
 
 def layout_page(page: Page, n: int) -> ArcDrawing:
     """Materialise a page as flat span lists over a spine of n vertices."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidInputError(f"spine length must be an int >= 2, got {n!r}")
+    require_int(n=n)
+    if n < 2:
+        raise InvalidInputError(f"spine length must be >= 2, got {n!r}")
     upper = tuple(page.upper_spans())
     lower = tuple(page.lower_spans())
     for a, b in upper + lower:

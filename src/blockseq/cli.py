@@ -508,6 +508,8 @@ def cmd_render(args) -> CommandResult:
                 )
             seq = jsonio.sequence_from_json(jsonio.read_artifact(args.data))
             lp = jsonio.partition_from_json(doc)
+            if not _check_partition(seq, lp, 2, full=False):
+                return _fail(3, "invalid-artifact", detail="partition fails validation")
             values = seq.values
             groups = [
                 [(float(i), float(values[i - 1])) for i in ids]

@@ -47,7 +47,10 @@ class Sequence:
     values: tuple[float, ...]
 
     def __init__(self, values):
-        vals = tuple(float(v) for v in values)
+        try:
+            vals = tuple(float(v) for v in values)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"sequence values must be reals: {exc}") from exc
         for v in vals:
             if not math.isfinite(v):
                 raise InvalidInputError("sequence values must be finite")

@@ -54,9 +54,8 @@ __all__ = [
 ]
 
 # The extraction constant c.  extract_block_monotone promises blocks of
-# ceil(n/(ck)^2) entries once n >= (ck)^2, and the partition's staircase
-# threshold uses the same c.  Deliberately conservative; callers of the
-# extractor may pass a smaller c.
+# ceil(n/(ck)^2) entries once n >= (ck)^2.  Deliberately conservative;
+# callers of the extractor may pass a smaller c.
 DEFAULT_C = 40
 
 

@@ -25,23 +25,14 @@ import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone, require_int
 from .errors import InvalidInputError, SearchFailedError
-from .extract import DEFAULT_C, _best_gapped, chain_to_blocks
+from .extract import _best_gapped, chain_to_blocks
 from .extract import gapped_chain_dp  # unused here; perfbench's tracer patches it
 
 __all__ = [
     "PointSet",
-    "Configuration",
-    "Pattern",
     "LabeledPartition",
     "seq_to_points",
-    "points_to_seq",
-    "pullout",
-    "validate_configuration",
-    "validate_pattern",
     "validate_point_witness",
-    "step_pattern",
-    "flatten_wide",
-    "flatten_deep",
     "partition_point_set",
     "partition_sequence",
     "greedy_partition",
@@ -55,7 +46,10 @@ class PointSet:
     points: tuple[tuple[float, float], ...]
 
     def __init__(self, points):
-        pts = tuple((float(x), float(y)) for x, y in points)
+        try:
+            pts = tuple((float(x), float(y)) for x, y in points)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         for arr, axis in ((xs, "x"), (ys, "y")):
@@ -76,40 +70,6 @@ class PointSet:
 def seq_to_points(seq: Sequence) -> PointSet:
     """Embed entry i as the point (i, a_i)."""
     return PointSet(tuple((float(i), v) for i, v in enumerate(seq.values, start=1)))
-
-
-def points_to_seq(p: PointSet) -> Sequence:
-    """Inverse projection: read y-values in x-order."""
-    return Sequence([y for _, y in sorted(p.points)])
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Staircase decomposition: odd parts are raw point-id sets, even parts
-    carry depth-k witnesses, and consecutive parts march up-right or
-    down-right."""
-
-    odd_parts: tuple[tuple[int, ...], ...]
-    even_parts: tuple[BlockWitness, ...]
-    orientation: str  # "up-right" | "down-right"
-
-    @property
-    def t(self) -> int:
-        return len(self.even_parts)
-
-
-@dataclass(frozen=True)
-class Pattern:
-    sides: tuple[BlockWitness, ...]
-    config: Configuration
-
-    @property
-    def l(self) -> int:
-        return len(self.sides)
-
-    @property
-    def t(self) -> int:
-        return self.config.t
 
 
 @dataclass(frozen=True)
@@ -161,11 +121,6 @@ class _Wit:
             self.direction,
             tuple(tuple(int(i) + 1 for i in np.sort(b)) for b in self.blocks),
         )
-
-
-def _wit_from_public(fr: _Frame, w: BlockWitness) -> _Wit:
-    blocks = [fr.by_x(np.asarray(b, dtype=np.int64) - 1) for b in w.blocks]
-    return _Wit(w.direction, blocks)
 
 
 def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
@@ -256,128 +211,10 @@ def _pullout_ids(fr: _Frame, ids: np.ndarray, depth: int) -> tuple[list[_Wit], n
     return parts, cur
 
 
-def pullout(p: PointSet, k: int) -> tuple[list[BlockWitness], PointSet]:
-    """Fraction-reducing pull-out: extract depth-k witnesses, each the larger
-    of a cut longest monotone run and the exact gapped-chain search, until at
-    most max(|P|/k, (k-1)^2) points remain or the round ceiling is hit."""
-    require_int(k=k)
-    if k < 2:
-        raise InvalidInputError("pullout requires k >= 2")
-    fr = _frame_of(p)
-    parts, residue = _pullout_ids(fr, np.arange(len(p), dtype=np.int64), k)
-    rest = PointSet(tuple(p.points[i] for i in sorted(int(i) for i in residue)))
-    return [w.public() for w in parts], rest
-
-
 def _frame_of(p: PointSet) -> _Frame:
     xs = np.asarray([q[0] for q in p.points])
     ys = np.asarray([q[1] for q in p.points])
     return _Frame(xs, ys)
-
-
-# ---------------------------------------------------------------------------
-# configuration / pattern validation
-
-
-def _threshold(total: int, k: int) -> int:
-    bound = total / (3 * DEFAULT_C * k) ** 2
-    return math.ceil(bound) if bound > 1 else 1
-
-
-def _bbox(fr: _Frame, ids) -> tuple[float, float, float, float]:
-    ids = np.asarray(list(ids), dtype=np.int64)
-    xs, ys = fr.xs[ids], fr.ys[ids]
-    return xs.min(), xs.max(), ys.min(), ys.max()
-
-
-def _staircase_ok(fr: _Frame, groups: list[np.ndarray], up: bool) -> bool:
-    boxes = [_bbox(fr, g) for g in groups if len(g)]
-    for (ax0, ax1, ay0, ay1), (bx0, bx1, by0, by1) in zip(boxes, boxes[1:]):
-        if bx0 <= ax1:
-            return False
-        if up and by0 <= ay1:
-            return False
-        if not up and by1 >= ay0:
-            return False
-    return True
-
-
-def _config_groups(fr: _Frame, cfg: Configuration) -> list[np.ndarray]:
-    groups = []
-    evens = [_wit_from_public(fr, w) for w in cfg.even_parts]
-    for j, odd in enumerate(cfg.odd_parts):
-        groups.append(np.asarray([i - 1 for i in odd], dtype=np.int64))
-        if j < len(evens):
-            groups.append(evens[j].ids())
-    return groups
-
-
-def validate_configuration(p: PointSet, cfg: Configuration, k: int) -> bool:
-    """Check the staircase decomposition: alternating raw/witness parts in
-    strict up-right or down-right order, witnesses valid at depth >= k with
-    block-size at least |odd|/(3ck)^2 (c = DEFAULT_C) for every odd part."""
-    if cfg.orientation not in ("up-right", "down-right"):
-        raise InvalidInputError(f"unknown orientation {cfg.orientation!r}")
-    if len(cfg.odd_parts) != len(cfg.even_parts) + 1:
-        return False
-    fr = _frame_of(p)
-    flat: list[int] = []
-    for odd in cfg.odd_parts:
-        flat.extend(odd)
-    for w in cfg.even_parts:
-        if not validate_point_witness(p, w):
-            return False
-        if w.depth < k:
-            return False
-        need = max(_threshold(len(odd), k) for odd in cfg.odd_parts)
-        if w.block_size < need:
-            return False
-        flat.extend(i for b in w.blocks for i in b)
-    if len(set(flat)) != len(flat):
-        return False
-    groups = _config_groups(fr, cfg)
-    return _staircase_ok(fr, groups, cfg.orientation == "up-right")
-
-
-def _one_quadrant(fr: _Frame, side_ids: np.ndarray, rest_ids: np.ndarray) -> str | None:
-    """Which quadrant of the side contains every rest point, if any."""
-    if len(rest_ids) == 0:
-        return "UR"
-    sx0, sx1, sy0, sy1 = _bbox(fr, side_ids)
-    rx0, rx1, ry0, ry1 = _bbox(fr, rest_ids)
-    horiz = "R" if rx0 > sx1 else ("L" if rx1 < sx0 else None)
-    vert = "U" if ry0 > sy1 else ("D" if ry1 < sy0 else None)
-    if horiz and vert:
-        return vert + horiz
-    return None
-
-
-def validate_pattern(p: PointSet, pat: Pattern, k: int) -> bool:
-    """Check the side/quadrant decomposition around a valid configuration."""
-    if not validate_configuration(p, pat.config, k):
-        return False
-    fr = _frame_of(p)
-    config_ids = np.concatenate(_config_groups(fr, pat.config)) if (
-        pat.config.odd_parts or pat.config.even_parts
-    ) else np.empty(0, dtype=np.int64)
-    total = len(config_ids)
-    sides = [_wit_from_public(fr, w) for w in pat.sides]
-    seen = set(config_ids.tolist())
-    for w, pub in zip(sides, pat.sides):
-        if not validate_point_witness(p, pub):
-            return False
-        if pub.depth < k or pub.block_size < _threshold(total, k):
-            return False
-        ids = w.ids().tolist()
-        if seen.intersection(ids):
-            return False
-        seen.update(ids)
-    for i, w in enumerate(sides):
-        rest = [x.ids() for x in sides[i + 1 :]] + [config_ids]
-        rest_ids = np.concatenate(rest) if rest else np.empty(0, dtype=np.int64)
-        if _one_quadrant(fr, w.ids(), rest_ids) is None:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +223,9 @@ def validate_pattern(p: PointSet, pat: Pattern, k: int) -> bool:
 
 @dataclass
 class _State:
-    """Mutable mirror of a Pattern used by the main loop."""
+    """The main loop's pattern: side witnesses, each with all later material
+    in one quadrant of it, around a staircase of raw odd parts and witnessed
+    even parts that march up-right (``up``) or down-right."""
 
     sides: list[_Wit]
     odds: list[np.ndarray]
@@ -405,24 +244,6 @@ class _State:
         return sum(len(o) for o in self.odds) + sum(
             len(w.ids()) for w in self.evens
         )
-
-    def public(self) -> Pattern:
-        cfg = Configuration(
-            tuple(tuple(int(i) + 1 for i in np.sort(o)) for o in self.odds),
-            tuple(w.public() for w in self.evens),
-            "up-right" if self.up else "down-right",
-        )
-        return Pattern(tuple(w.public() for w in self.sides), cfg)
-
-
-def _state_from_pattern(fr: _Frame, pat: Pattern) -> _State:
-    odds = [
-        fr.by_x(np.asarray([i - 1 for i in o], dtype=np.int64))
-        for o in pat.config.odd_parts
-    ]
-    evens = [_wit_from_public(fr, w) for w in pat.config.even_parts]
-    sides = [_wit_from_public(fr, w) for w in pat.sides]
-    return _State(sides, odds, evens, pat.config.orientation == "up-right")
 
 
 def _fresh_between(values: np.ndarray, lo: float, hi: float) -> float:
@@ -453,28 +274,14 @@ def _stitch(base: _Wit, extra: np.ndarray, prepend: bool) -> tuple[list[_Wit], n
     return out, spill
 
 
-def step_pattern(
-    p: PointSet, pat: Pattern, k: int
-) -> tuple[list[BlockWitness], Pattern | tuple[int, ...], tuple[int, ...], str]:
-    """One round of the main loop, on public types.  See _step for the
-    internal version the loop itself uses."""
-    if not (pat.l < 4 * k and pat.t < k):
-        raise InvalidInputError("step requires l < 4k and t < k")
-    if not validate_pattern(p, pat, k):
-        raise InvalidInputError("input pattern does not validate")
-    fr = _frame_of(p)
-    st = _state_from_pattern(fr, pat)
-    parts, nxt, pool, outcome = _step(fr, st, k)
-    pub_parts = [w.public() for w in parts]
-    pool_pub = tuple(int(i) + 1 for i in np.sort(pool)) if len(pool) else ()
-    if outcome == "small":
-        return pub_parts, tuple(int(i) + 1 for i in np.sort(nxt)), pool_pub, outcome
-    return pub_parts, nxt.public(), pool_pub, outcome
-
-
 def _step(
     fr: _Frame, st: _State, k: int
 ) -> tuple[list[_Wit], _State | np.ndarray, np.ndarray, str]:
+    """One round of the main loop: finish ("small") when every odd part is at
+    most (3k-1)^2 points, else cut a depth-3k witness X from the largest odd
+    part and widen or deepen around it.  Returns the finished witnesses, the
+    successor state (the leftover ids when "small"), the spilled ids and the
+    outcome."""
     parts: list[_Wit] = []
     pool: list[np.ndarray] = []
     sizes = [len(o) for o in st.odds]
@@ -573,10 +380,15 @@ def _cat(chunks: list[np.ndarray]) -> np.ndarray:
 
 
 def _flatten_wide(st: _State) -> tuple[list[_Wit], np.ndarray]:
+    """Endgame for l = 4k sides: the sides and even parts are finished
+    witnesses, and the odd parts go to the leftover pool."""
     return st.evens + st.sides, _cat(st.odds)
 
 
 def _flatten_deep(fr: _Frame, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]:
+    """Endgame for a staircase of full depth t = k: pull depth-(k+1)
+    witnesses out of every odd part and pool their residues; the sides and
+    even parts are kept as they are."""
     parts: list[_Wit] = list(st.sides)
     residues: list[np.ndarray] = []
     for odd in st.odds:
@@ -585,26 +397,6 @@ def _flatten_deep(fr: _Frame, st: _State, k: int) -> tuple[list[_Wit], np.ndarra
         residues.append(res)
     parts.extend(st.evens)
     return parts, _cat(residues)
-
-
-def flatten_wide(p: PointSet, pat: Pattern, k: int):
-    """Endgame for a pattern with l = 4k sides: the sides and even parts are
-    finished witnesses, and the odd parts go to the leftover pool."""
-    if pat.l != 4 * k:
-        raise InvalidInputError(f"flatten_wide requires exactly {4 * k} sides")
-    parts, pool = _flatten_wide(_state_from_pattern(_frame_of(p), pat))
-    return [w.public() for w in parts], tuple(int(i) + 1 for i in np.sort(pool))
-
-
-def flatten_deep(p: PointSet, pat: Pattern, k: int):
-    """Endgame for a staircase of full depth t = k: pull depth-(k+1)
-    witnesses out of every odd part and pool their residues; the sides and
-    even parts are kept as they are."""
-    if pat.t != k:
-        raise InvalidInputError(f"flatten_deep requires staircase depth {k}")
-    fr = _frame_of(p)
-    parts, pool = _flatten_deep(fr, _state_from_pattern(fr, pat), k)
-    return [w.public() for w in parts], tuple(int(i) + 1 for i in np.sort(pool))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Sequence
+from .core import Sequence, require_int
 from .errors import InvalidInputError
 
 __all__ = ["DominanceCounter", "build_counter", "count_open_box", "is_gapped_pair"]
@@ -106,6 +106,7 @@ def is_gapped_pair(c: DominanceCounter, seq: Sequence, i: int, j: int, s: int) -
     and strictly between the pair's values (the gap direction is inferred)."""
     if not 1 <= i < j <= len(seq):
         raise InvalidInputError(f"need 1 <= i < j <= n, got i={i}, j={j}")
+    require_int(s=s)
     if s < 0:
         raise InvalidInputError("s must be >= 0")
     if s == 0:

@@ -10,6 +10,7 @@ coordinates can be read back from the path data exactly.
 
 from __future__ import annotations
 
+from .core import require_int
 from .errors import InvalidInputError
 
 __all__ = [
@@ -75,8 +76,9 @@ def render_pages(n: int, pages, epsilon=None) -> str:
     An empty page list yields a spine-only drawing.  Pages cycle through
     the palette so merged sub-diagrams stay distinguishable.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInputError(f"spine length must be a positive int, got {n!r}")
+    require_int(n=n)
+    if n < 1:
+        raise InvalidInputError(f"spine length must be positive, got {n!r}")
     radius = UNIT * (n - 1) / 2.0
     y0 = MARGIN + radius
     width = 2 * MARGIN + UNIT * (n - 1)

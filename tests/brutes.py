@@ -256,3 +256,69 @@ def brute_balanced_line_exists(P, Q, m):
             if not bottoms or not tops or max(bottoms) < min(tops):
                 return True
     return False
+
+
+def _point_witness_ok(xs, ys, direction, blocks):
+    """Equal non-empty blocks of distinct ids, each strictly right of the
+    one before, with every y strictly above (inc) or below (dec) every y
+    of the block before."""
+    blocks = [[int(i) for i in b] for b in blocks]
+    flat = [i for b in blocks for i in b]
+    if direction not in ("inc", "dec") or not blocks or not blocks[0]:
+        return False
+    if len({len(b) for b in blocks}) != 1 or len(set(flat)) != len(flat):
+        return False
+    for a, b in zip(blocks, blocks[1:]):
+        for i in a:
+            for j in b:
+                if xs[j] <= xs[i]:
+                    return False
+                if (ys[j] > ys[i]) != (direction == "inc"):
+                    return False
+    return True
+
+
+def pattern_ok(xs, ys, state, k):
+    """Check a partition-loop state over the points (xs[i], ys[i]), ids
+    0-based: ``state.sides`` and ``state.evens`` hold witnesses
+    (``direction``, ``blocks``), ``state.odds`` raw id arrays, and
+    ``state.up`` the staircase orientation.
+
+    Every side and even part is a point witness of depth >= k; all parts
+    are disjoint; the staircase odd_0, even_0, odd_1, ..., odd_t moves
+    strictly right and strictly up (or down) from each non-empty group to
+    the next; and every point after a side (later sides, then the
+    staircase) lies in one open quadrant of that side's points."""
+    wits = list(state.sides) + list(state.evens)
+    for w in wits:
+        if len(w.blocks) < k or not _point_witness_ok(xs, ys, w.direction, w.blocks):
+            return False
+    if len(state.odds) != len(state.evens) + 1:
+        return False
+    groups = []
+    for j, odd in enumerate(state.odds):
+        groups.append([int(i) for i in odd])
+        if j < len(state.evens):
+            groups.append([int(i) for b in state.evens[j].blocks for i in b])
+    sides = [[int(i) for b in w.blocks for i in b] for w in state.sides]
+    flat = [i for g in sides + groups for i in g]
+    if len(set(flat)) != len(flat):
+        return False
+    steps = [g for g in groups if g]
+    for a, b in zip(steps, steps[1:]):
+        for i in a:
+            for j in b:
+                if xs[j] <= xs[i] or (ys[j] > ys[i]) != bool(state.up):
+                    return False
+    for n_side, side in enumerate(sides):
+        later = [i for g in sides[n_side + 1 :] + groups for i in g]
+        quadrants = {
+            (
+                all(xs[j] > xs[i] for i in side) - all(xs[j] < xs[i] for i in side),
+                all(ys[j] > ys[i] for i in side) - all(ys[j] < ys[i] for i in side),
+            )
+            for j in later
+        }
+        if len(quadrants) > 1 or any(0 in q for q in quadrants):
+            return False
+    return True

@@ -4,14 +4,17 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
+from hypothesis import example, given, settings, strategies as hs
 import pytest
 
 from blockseq import jsonio, svg
 from blockseq.biarc import BIARCS, Page, spine_crossing
 from blockseq.cli import CommandResult, run
 from blockseq.errors import InvalidInputError
+from brutes import all_transversals_monotone
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -430,6 +433,93 @@ def test_render_invalid_artifact_exit3(tmp_path):
     bad = write(tmp_path / "bad-pages.json", doc)
     result = run(["render", "--in", bad, "--out", str(tmp_path / "bad.svg")])
     assert result.exit_code == 3
+
+
+def part_doc(direction, blocks):
+    return {"direction": direction, "blocks": blocks}
+
+
+@pytest.mark.parametrize(
+    "parts, remainder",
+    [
+        ([part_doc("inc", [[0], [2]])], [1, 3]),  # index 0 reads values[-1]
+        ([part_doc("inc", [[1], [4]])], [2, 3]),  # part index n + 1
+        ([part_doc("inc", [[1], [2]])], [4]),  # remainder index n + 1
+    ],
+    ids=["part-index-0", "part-index-n+1", "remainder-index-n+1"],
+)
+def test_render_partition_with_bad_index_exit3(tmp_path, parts, remainder):
+    seq = write(tmp_path / "seq.json", {"values": [1.0, 2.0, 3.0]})
+    doc = {"parts": parts, "remainder": remainder, "metrics": {}}
+    part = write(tmp_path / "part.json", doc)
+    out = tmp_path / "part.svg"
+    result = run(["render", "--in", part, "--data", seq, "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.log[0]["event"] == "invalid-artifact"
+    assert not out.exists()
+
+
+def brute_witness_ok(values, direction, blocks):
+    """Equal non-empty blocks of in-range indices, positionally separated,
+    with every transversal monotone in ``direction``."""
+    n = len(values)
+    if not blocks or any(not 1 <= i <= n for b in blocks for i in b):
+        return False
+    if not blocks[0] or len({len(b) for b in blocks}) != 1:
+        return False
+    if any(len(set(b)) != len(b) for b in blocks):
+        return False
+    if any(max(a) >= min(b) for a, b in zip(blocks, blocks[1:])):
+        return False
+    return all_transversals_monotone(values, blocks, direction == "inc")
+
+
+@hs.composite
+def artifacts(draw):
+    """A sequence of n <= 6 distinct values, a partition and a witness whose
+    indices lie in [-1, n + 2]; the remainder is often the exact complement
+    of the parts, so valid partitions come up too."""
+    n = draw(hs.integers(0, 6))
+    values = [float(v) for v in draw(hs.permutations(range(n)))]
+    index = hs.integers(-1, n + 2)
+    witness = hs.tuples(
+        hs.sampled_from(["inc", "dec"]),
+        hs.lists(hs.lists(index, max_size=3), max_size=3),
+    )
+    parts = draw(hs.lists(witness, max_size=3))
+    covered = {i for _, blocks in parts for b in blocks for i in b}
+    complement = [i for i in range(1, n + 1) if i not in covered]
+    remainder = draw(hs.just(complement) | hs.lists(index, max_size=7))
+    return values, parts, remainder, draw(witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(artifacts())
+@example(([0.0, 1.0, 2.0], [("inc", [[0], [2]])], [1, 3], ("inc", [[1], [2]])))
+def test_render_and_verify_exit_codes_follow_artifact_validity(case):
+    values, parts, remainder, (direction, blocks) = case
+    part_ok = all(brute_witness_ok(values, d, b) for d, b in parts) and sorted(
+        [i for _, bl in parts for b in bl for i in b] + remainder
+    ) == list(range(1, len(values) + 1))
+    witness_ok = brute_witness_ok(values, direction, blocks)
+    with tempfile.TemporaryDirectory() as tmp:
+        seq = write(f"{tmp}/seq.json", {"values": values})
+        part = write(
+            f"{tmp}/part.json",
+            {"parts": [part_doc(d, b) for d, b in parts], "remainder": remainder,
+             "metrics": {}},
+        )
+        wit = write(f"{tmp}/wit.json", part_doc(direction, blocks))
+        for path, valid in ((part, part_ok), (wit, witness_ok)):
+            verified = run(["verify", "--witness", path, "--in", seq]).exit_code
+            assert verified in (0, 2, 3, 4)
+            assert (verified == 0) == valid
+            rendered = run(
+                ["render", "--in", path, "--data", seq, "--out", f"{tmp}/out.svg"]
+            ).exit_code
+            assert rendered in (0, 2, 3, 4)
+            if not valid:
+                assert rendered != 0
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -1,9 +1,11 @@
+import importlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+import blockseq
 from blockseq import (
     DEC,
     INC,
@@ -22,7 +24,17 @@ from blockseq import (
     longest_monotone,
     validate_block_witness,
 )
+from blockseq.biarc import (
+    UPPER_ARCS,
+    OrderedGraph,
+    Page,
+    layout_page,
+    partition_multiset,
+    spine_crossing,
+)
 from blockseq.core import longest_chain
+from blockseq.rangecount import build_counter, is_gapped_pair
+from blockseq.svg import render_pages
 from brutes import (
     all_transversals_monotone,
     brute_longest_chain,
@@ -47,6 +59,11 @@ class TestSequence:
             Sequence([1.0, float("nan")])
         with pytest.raises(InvalidInputError):
             Sequence([float("inf"), 0.0])
+
+    @pytest.mark.parametrize("values", [["a"], None, [[1.0]], [1.0, None]])
+    def test_rejects_non_reals_with_typed_error(self, values):
+        with pytest.raises(InvalidInputError):
+            Sequence(values)
 
     def test_empty_allowed(self):
         assert Sequence([]).n == 0
@@ -309,3 +326,38 @@ _COLORING = gen_random_coloring(12, 2, seed=0)
 def test_public_integer_arguments_reject_floats_and_bools(func, args):
     with pytest.raises(InvalidInputError, match="must be an int"):
         func(*args)
+
+
+_PAGE = Page(((1, 3),), UPPER_ARCS, 1, (((1.0, 3.0), None),))
+_SEQ4 = Sequence([4.0, 1.0, 2.0, 3.0])
+
+# one call per integer argument, with ``v`` in that argument's place
+INTEGER_GUARDED = {
+    "OrderedGraph-n": lambda v: OrderedGraph(v, ()),
+    "Page-split_b": lambda v: Page(((1, 3),), UPPER_ARCS, v, (((1.0, 3.0), None),)),
+    "partition_multiset-k": lambda v: partition_multiset([1, 2, 3], v),
+    "spine_crossing-l": lambda v: spine_crossing(v, 3, 2, 4),
+    "spine_crossing-r": lambda v: spine_crossing(1, v, 2, 4),
+    "spine_crossing-b": lambda v: spine_crossing(1, 3, v, 4),
+    "spine_crossing-n": lambda v: spine_crossing(1, 3, 2, v),
+    "layout_page-n": lambda v: layout_page(_PAGE, v),
+    "render_pages-n": lambda v: render_pages(v, []),
+    "is_gapped_pair-s": lambda v: is_gapped_pair(build_counter(_SEQ4), _SEQ4, 1, 4, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
+@pytest.mark.parametrize("call", INTEGER_GUARDED.values(), ids=INTEGER_GUARDED.keys())
+def test_graph_render_and_range_integer_arguments_reject_non_ints(call, value):
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "module", ["core", "extract", "partition", "avoid", "biarc", "ramsey", "rangecount", "errors"]
+)
+def test_submodule_exports_are_package_exports(module):
+    sub = importlib.import_module(f"blockseq.{module}")
+    for name in sub.__all__:
+        assert name in blockseq.__all__, name
+        assert getattr(blockseq, name) is getattr(sub, name), name

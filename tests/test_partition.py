@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from blockseq.core import (
-    BlockWitness,
     Sequence,
     gen_clustered,
     gen_random,
@@ -17,28 +16,45 @@ from blockseq.core import (
 )
 from blockseq.errors import InvalidInputError
 from blockseq.extract import DEFAULT_C, _best_gapped
-from blockseq.partition import _extract_best, _frame_of
 from blockseq.partition import (
-    Configuration,
-    Pattern,
+    _State,
+    _Wit,
+    _extract_best,
+    _flatten_deep,
+    _flatten_wide,
+    _frame_of,
+    _pullout_ids,
+    _step,
+)
+from blockseq.partition import (
     PointSet,
-    flatten_deep,
-    flatten_wide,
     greedy_partition,
     partition_point_set,
     partition_sequence,
-    points_to_seq,
-    pullout,
     seq_to_points,
-    step_pattern,
-    validate_configuration,
-    validate_pattern,
     validate_point_witness,
 )
+from brutes import pattern_ok
 
 
 def jitter_box(rng, x0, y0, count, w=8.0, h=8.0):
     return [(x0 + w * rng.random(), y0 + h * rng.random()) for _ in range(count)]
+
+
+def as_state(pts, sides, odds, evens, up=True):
+    """(PointSet, frame, loop state) over ``pts``.  Witnesses are
+    (direction, [block ids, ...]) and odd parts are id lists, all 0-based."""
+    p = PointSet(pts)
+    fr = _frame_of(p)
+    ids = lambda b: fr.by_x(np.asarray(b, dtype=np.int64))
+    wit = lambda d, blocks: _Wit(d, [ids(b) for b in blocks])
+    st = _State([wit(*w) for w in sides], [ids(o) for o in odds], [wit(*w) for w in evens], up)
+    return p, fr, st
+
+
+def seq_state(seq):
+    """(PointSet, frame, start state) of the loop on a sequence: one odd part."""
+    return as_state(seq_to_points(seq).points, [], [range(len(seq))], [])
 
 
 def build_wide_pattern(seed, s=45, ny=200):
@@ -51,43 +67,41 @@ def build_wide_pattern(seed, s=45, ny=200):
         by = 300.0 - 18.0 * i
         b1 = jitter_box(rng, bx, by + 9, s, w=4, h=4)
         b2 = jitter_box(rng, bx + 5, by, s, w=4, h=4)
-        start = len(pts) + 1
+        start = len(pts)
         pts.extend(b1 + b2)
-        sides.append(
-            BlockWitness(
-                "dec",
-                (tuple(range(start, start + s)), tuple(range(start + s, start + 2 * s))),
-            )
-        )
-    ystart = len(pts) + 1
+        sides.append(("dec", (range(start, start + s), range(start + s, start + 2 * s))))
+    ystart = len(pts)
     pts.extend(jitter_box(rng, 200.0, 40.0, ny, w=60, h=60))
-    cfg = Configuration((tuple(range(ystart, ystart + ny)),), (), "up-right")
-    return PointSet(pts), Pattern(tuple(sides), cfg)
+    return as_state(pts, sides, [range(ystart, ystart + ny)], [])
 
 
 def build_deep_pattern(seed, s=34):
     """Full-depth staircase (t=k=2): one big odd part, two witnessed evens."""
     rng = random.Random(seed)
     pts = []
-    ids = lambda a, b: tuple(range(a, b))
     pts.extend(jitter_box(rng, 0.0, 0.0, 300, w=40, h=40))
-    odd0 = ids(1, 301)
-    st = len(pts) + 1
+    odd0 = range(0, 300)
+    st = len(pts)
     pts.extend(jitter_box(rng, 50.0, 50.0, s, w=4, h=4))
     pts.extend(jitter_box(rng, 56.0, 56.0, s, w=4, h=4))
-    e0 = BlockWitness("inc", (ids(st, st + s), ids(st + s, st + 2 * s)))
-    st = len(pts) + 1
+    e0 = ("inc", (range(st, st + s), range(st + s, st + 2 * s)))
+    st = len(pts)
     pts.extend(jitter_box(rng, 64.0, 64.0, 4, w=2, h=2))
-    odd1 = ids(st, st + 4)
-    st = len(pts) + 1
+    odd1 = range(st, st + 4)
+    st = len(pts)
     pts.extend(jitter_box(rng, 70.0, 70.0, s, w=4, h=4))
     pts.extend(jitter_box(rng, 76.0, 76.0, s, w=4, h=4))
-    e1 = BlockWitness("inc", (ids(st, st + s), ids(st + s, st + 2 * s)))
-    st = len(pts) + 1
+    e1 = ("inc", (range(st, st + s), range(st + s, st + 2 * s)))
+    st = len(pts)
     pts.extend(jitter_box(rng, 84.0, 84.0, 4, w=2, h=2))
-    odd2 = ids(st, st + 4)
-    cfg = Configuration((odd0, odd1, odd2), (e0, e1), "up-right")
-    return PointSet(pts), Pattern((), cfg)
+    odd2 = range(st, st + 4)
+    return as_state(pts, [], [odd0, odd1, odd2], [e0, e1])
+
+
+def state_ids(st):
+    """Every 0-based id held by a loop state."""
+    ids = [i for w in st.sides + st.evens for i in w.ids().tolist()]
+    return ids + [i for o in st.odds for i in o.tolist()]
 
 
 def assert_exact_cover(lp, n):
@@ -108,9 +122,10 @@ def test_seq_to_points_examples():
     assert seq_to_points(Sequence([])).points == ()
 
 
-def test_points_round_trip():
-    seq = gen_random(40, seed=9)
-    assert points_to_seq(seq_to_points(seq)).values == seq.values
+@pytest.mark.parametrize("points", [[("a", 1)], [(1, 2, 3)], [1.0], None])
+def test_pointset_rejects_non_pairs_with_typed_error(points):
+    with pytest.raises(InvalidInputError):
+        PointSet(points)
 
 
 def test_pointset_rejects_duplicate_coordinates():
@@ -121,51 +136,41 @@ def test_pointset_rejects_duplicate_coordinates():
 
 
 # ---------------------------------------------------------------------------
-# pullout
+# pull-out rounds
 
 
 def test_pullout_small_input_is_identity():
-    p = seq_to_points(gen_random(4, seed=0))
-    parts, rest = pullout(p, 3)
-    assert parts == [] and rest.points == p.points
+    p, fr, _ = seq_state(gen_random(4, seed=0))
+    parts, rest = _pullout_ids(fr, np.arange(4), 3)
+    assert parts == [] and rest.tolist() == [0, 1, 2, 3]
 
 
 def test_pullout_sorted_single_part():
-    p = seq_to_points(Sequence(list(range(1, 51))))
+    p, fr, _ = seq_state(Sequence(list(range(1, 51))))
     for k in (2, 3, 7):
-        parts, rest = pullout(p, k)
+        parts, rest = _pullout_ids(fr, np.arange(50), k)
         assert len(parts) == 1
-        assert parts[0].block_size == 50 // k
+        assert parts[0].size == 50 // k
         assert len(rest) == 50 % k
-        assert validate_point_witness(p, parts[0])
+        assert validate_point_witness(p, parts[0].public())
 
 
 def test_pullout_random_bound():
-    p = seq_to_points(gen_random(1000, seed=11))
-    parts, rest = pullout(p, 4)
+    p, fr, _ = seq_state(gen_random(1000, seed=11))
+    parts, rest = _pullout_ids(fr, np.arange(1000), 4)
     assert len(rest) <= max(1000 / 4, 9)
     # one part per round, so the round ceiling bounds the part count
     assert len(parts) <= math.ceil(2 * 4 * math.log2(4)) + 2
     seen = []
-    for w in parts:
+    for wit in parts:
+        w = wit.public()
         assert validate_point_witness(p, w)
         assert w.depth >= 4
         seen.extend(w.indices())
     assert len(set(seen)) == len(seen)
 
 
-def test_pullout_invalid_k():
-    with pytest.raises(InvalidInputError):
-        pullout(seq_to_points(gen_random(10, seed=1)), 1)
-
-
 NON_INTEGER_K = [True, 2.5, 3.0, "3"]
-
-
-@pytest.mark.parametrize("k", NON_INTEGER_K)
-def test_pullout_rejects_non_integer_k(k):
-    with pytest.raises(InvalidInputError):
-        pullout(seq_to_points(gen_random(40, seed=1)), k)
 
 
 @pytest.mark.parametrize("k", NON_INTEGER_K)
@@ -187,160 +192,124 @@ def test_greedy_partition_rejects_non_integer_k(k):
 
 
 # ---------------------------------------------------------------------------
-# configuration / pattern validation
+# the loop-state check (brutes.pattern_ok) on hand-built states
 
 
 def test_configuration_vacuous_t0():
-    p = seq_to_points(gen_random(12, seed=3))
-    cfg = Configuration((tuple(range(1, 13)),), (), "up-right")
-    assert validate_configuration(p, cfg, 3)
+    _, fr, st = seq_state(gen_random(12, seed=3))
+    assert pattern_ok(fr.xs, fr.ys, st, 3)
 
 
 def test_configuration_three_part_staircase():
-    p = PointSet(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
-    cfg = Configuration(((1,), (3,)), (BlockWitness("inc", ((2,),)),), "up-right")
-    assert validate_configuration(p, cfg, 1) is True
-    bad = PointSet(((0.0, 0.0), (1.0, 1.0), (2.0, -2.0)))
-    assert validate_configuration(bad, cfg, 1) is False
+    staircase = ([[0], [2]], [("inc", [[1]])])
+    _, fr, st = as_state(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), [], *staircase)
+    assert pattern_ok(fr.xs, fr.ys, st, 1) is True
+    _, fr, st = as_state(((0.0, 0.0), (1.0, 1.0), (2.0, -2.0)), [], *staircase)
+    assert pattern_ok(fr.xs, fr.ys, st, 1) is False
 
 
 def test_configuration_rejections():
-    p = seq_to_points(Sequence([1, 2, 3, 4, 5, 6]))
-    wit = BlockWitness("inc", ((3,), (4,)))
-    good = Configuration(((1, 2), (5, 6)), (wit,), "up-right")
-    assert validate_configuration(p, good, 2)
+    pts = seq_to_points(Sequence([1, 2, 3, 4, 5, 6])).points
+
+    def ok(odds, evens, up=True):
+        _, fr, st = as_state(pts, [], odds, evens, up)
+        return pattern_ok(fr.xs, fr.ys, st, 2)
+
+    wit = ("inc", [[2], [3]])
+    assert ok([[0, 1], [4, 5]], [wit])
     # depth below k
-    assert not validate_configuration(p, Configuration(((1, 2), (5, 6)), (BlockWitness("inc", ((3, 4),)),), "up-right"), 2)
+    assert not ok([[0, 1], [4, 5]], [("inc", [[2, 3]])])
     # overlapping odd/even parts
-    assert not validate_configuration(p, Configuration(((1, 2, 3), (5, 6)), (wit,), "up-right"), 2)
+    assert not ok([[0, 1, 2], [4, 5]], [wit])
     # wrong orientation for increasing data
-    assert not validate_configuration(p, Configuration(((1, 2), (5, 6)), (wit,), "down-right"), 2)
-    with pytest.raises(InvalidInputError):
-        validate_configuration(p, Configuration(((1,), (2,)), (), "sideways"), 2)
-    # block-size threshold: at k=1 an odd part of more than (3c)^2 = 120^2
-    # points needs blocks of ceil(|odd| / 120^2) = 2, so a singleton fails
-    m = (3 * DEFAULT_C) ** 2
-    big = seq_to_points(Sequence(list(range(1, m + 4))))
-    one = (BlockWitness("inc", ((m + 2,),)),)
-    assert validate_configuration(big, Configuration((tuple(range(2, m + 2)), (m + 3,)), one, "up-right"), 1)
-    assert not validate_configuration(big, Configuration((tuple(range(1, m + 2)), (m + 3,)), one, "up-right"), 1)
+    assert not ok([[0, 1], [4, 5]], [wit], up=False)
+    # one odd part more than even parts
+    assert not ok([[0, 1]], [wit])
 
 
 def test_pattern_validation_and_quadrant_violation():
-    p9 = seq_to_points(gen_random(9, seed=2))
-    pat = Pattern((), Configuration((tuple(range(1, 10)),), (), "up-right"))
-    assert validate_pattern(p9, pat, 2)
+    _, fr, st = seq_state(gen_random(9, seed=2))
+    assert pattern_ok(fr.xs, fr.ys, st, 2)
     # a side overlapping the configuration region breaks the quadrant rule
-    p = seq_to_points(Sequence([1, 10, 2, 9, 3, 8, 4, 7]))
-    side = BlockWitness("dec", ((2,), (4,)))
-    cfg = Configuration(((1, 3, 5, 6, 7, 8),), (), "up-right")
-    assert not validate_pattern(p, Pattern((side,), cfg), 1)
+    pts = seq_to_points(Sequence([1, 10, 2, 9, 3, 8, 4, 7])).points
+    _, fr, st = as_state(pts, [("dec", [[1], [3]])], [[0, 2, 4, 5, 6, 7]], [])
+    assert not pattern_ok(fr.xs, fr.ys, st, 1)
 
 
 # ---------------------------------------------------------------------------
-# step_pattern
+# one round of the loop (_step)
 
 
 def test_step_small_nine_points():
-    p9 = seq_to_points(gen_random(9, seed=2))
-    pat = Pattern((), Configuration((tuple(range(1, 10)),), (), "up-right"))
-    parts, residue, leftovers, outcome = step_pattern(p9, pat, 2)
+    _, fr, st = seq_state(gen_random(9, seed=2))
+    parts, residue, leftovers, outcome = _step(fr, st, 2)
     assert outcome == "small"
-    assert residue == tuple(range(1, 10))
-    assert parts == [] and leftovers == ()
-
-
-def test_step_precondition_errors():
-    p, pat = build_wide_pattern(0)
-    with pytest.raises(InvalidInputError):
-        step_pattern(p, pat, 2)  # l = 4k is out of range for a step
-    # overlapping parts never validate
-    bad = Pattern(
-        (),
-        Configuration(((1, 2, 3), (3, 4)), (BlockWitness("inc", ((5,), (6,))),), "up-right"),
-    )
-    with pytest.raises(InvalidInputError):
-        step_pattern(seq_to_points(Sequence([1, 2, 3, 4, 5, 6, 7])), bad, 1)
+    assert residue.tolist() == list(range(9))
+    assert parts == [] and len(leftovers) == 0
 
 
 def test_step_t0_is_never_widened():
     for seed in range(6):
-        seq = gen_random(120, seed=seed)
-        p = seq_to_points(seq)
-        pat = Pattern((), Configuration((tuple(range(1, 121)),), (), "up-right"))
-        parts, nxt, leftovers, outcome = step_pattern(p, pat, 2)
+        _, fr, st = seq_state(gen_random(120, seed=seed))
+        parts, nxt, leftovers, outcome = _step(fr, st, 2)
         assert outcome in ("small", "deepened")
         k, c = 2, DEFAULT_C
         assert len(leftovers) <= 9 * c * c * k * k + 3 * k
 
 
 def test_step_conserves_points_and_validates_successor():
-    seq = gen_random(300, seed=42)
-    p = seq_to_points(seq)
-    pat = Pattern((), Configuration((tuple(range(1, 301)),), (), "up-right"))
+    p, fr, st = seq_state(gen_random(300, seed=42))
     seen_outcomes = []
     covered = []
     for _ in range(24):
-        parts, nxt, leftovers, outcome = step_pattern(p, pat, 2)
+        parts, nxt, leftovers, outcome = _step(fr, st, 2)
         seen_outcomes.append(outcome)
         for w in parts:
-            assert validate_point_witness(p, w)
-            covered.extend(w.indices())
-        covered.extend(leftovers)
+            assert validate_point_witness(p, w.public())
+            covered.extend(w.ids().tolist())
+        covered.extend(leftovers.tolist())
         if outcome == "small":
-            covered.extend(nxt)
+            covered.extend(nxt.tolist())
             break
-        assert validate_pattern(p, nxt, 2)
-        pat = nxt
-        if pat.l >= 8 or pat.t >= 2:
-            covered.extend(i for w in pat.sides for i in w.indices())
-            for o in pat.config.odd_parts:
-                covered.extend(o)
-            covered.extend(i for w in pat.config.even_parts for i in w.indices())
+        assert pattern_ok(fr.xs, fr.ys, nxt, 2)
+        st = nxt
+        if st.l >= 8 or st.t >= 2:
+            covered.extend(state_ids(st))
             break
     assert "deepened" in seen_outcomes
     assert "widened" in seen_outcomes
-    assert sorted(covered) == list(range(1, 301))
+    assert sorted(covered) == list(range(300))
 
 
 # ---------------------------------------------------------------------------
 # flatten endgames
 
 
-def test_flatten_wrong_shapes_raise():
-    p9 = seq_to_points(gen_random(9, seed=2))
-    pat = Pattern((), Configuration((tuple(range(1, 10)),), (), "up-right"))
-    with pytest.raises(InvalidInputError):
-        flatten_wide(p9, pat, 2)
-    with pytest.raises(InvalidInputError):
-        flatten_deep(p9, pat, 2)
-
-
 def test_flatten_wide_trivial_branch_keeps_existing_witnesses():
-    p, pat = build_wide_pattern(3, s=10, ny=30)
-    assert validate_pattern(p, pat, 2)
-    parts, leftovers = flatten_wide(p, pat, 2)
+    p, fr, st = build_wide_pattern(3, s=10, ny=30)
+    assert pattern_ok(fr.xs, fr.ys, st, 2)
+    parts, leftovers = _flatten_wide(st)
     # every side survives unchanged and the odd part is left over
-    assert parts == list(pat.config.even_parts + pat.sides)
-    assert leftovers == pat.config.odd_parts[0]
-    cover = sorted([i for w in parts for i in w.indices()] + list(leftovers))
-    assert cover == list(range(1, len(p) + 1))
+    assert [w.public() for w in parts] == [w.public() for w in st.evens + st.sides]
+    assert leftovers.tolist() == st.odds[0].tolist()
+    cover = sorted([i for w in parts for i in w.ids().tolist()] + leftovers.tolist())
+    assert cover == list(range(len(p)))
 
 
 def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
-    p, pat = build_deep_pattern(1)
-    assert validate_pattern(p, pat, 2)
-    parts, leftovers = flatten_deep(p, pat, 2)
-    evens = list(pat.config.even_parts)
-    assert parts[-2:] == evens
+    p, fr, st = build_deep_pattern(1)
+    assert pattern_ok(fr.xs, fr.ys, st, 2)
+    parts, leftovers = _flatten_deep(fr, st, 2)
+    assert [w.public() for w in parts[-2:]] == [w.public() for w in st.evens]
     pulled = parts[:-2]
     assert pulled  # the 300-point odd part yields depth-3 witnesses
-    for w in pulled:
+    for wit in pulled:
+        w = wit.public()
         assert w.depth == 3 and validate_point_witness(p, w)
-    odd_ids = {i for o in pat.config.odd_parts for i in o}
-    assert set(leftovers) <= odd_ids
-    cover = sorted([i for w in parts for i in w.indices()] + list(leftovers))
-    assert cover == list(range(1, len(p) + 1))
+    odd_ids = {i for o in st.odds for i in o.tolist()}
+    assert set(leftovers.tolist()) <= odd_ids
+    cover = sorted([i for w in parts for i in w.ids().tolist()] + leftovers.tolist())
+    assert cover == list(range(len(p)))
 
 
 # ---------------------------------------------------------------------------
