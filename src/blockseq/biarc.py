@@ -37,13 +37,11 @@ __all__ = [
     "OrderedGraph",
     "Page",
     "PagePartition",
-    "ArcDrawing",
     "half_split",
     "partition_multiset",
     "spine_crossing",
     "count_page_crossings",
     "paginate",
-    "layout_page",
 ]
 
 UPPER_ARCS = "upper-arcs"
@@ -57,6 +55,7 @@ _PART_CONSTANT = 12
 _Edge = tuple[int, int]
 _Span = tuple[float, float]
 _Entry = tuple[_Span, _Span | None]
+_Draft = tuple[list[_Edge], list[_Entry], int]  # edges, layout, split vertex
 
 
 def _check_edge(edge, n: int) -> _Edge:
@@ -221,15 +220,6 @@ class PagePartition:
         return sum(self.metrics)
 
 
-@dataclass(frozen=True)
-class ArcDrawing:
-    """Flat render-ready geometry of one page: spans per half-plane."""
-
-    n: int
-    upper: tuple[_Span, ...]
-    lower: tuple[_Span, ...]
-
-
 def half_split(graph: OrderedGraph) -> int:
     """Largest split vertex b whose left side (edges with r <= b) keeps
     at most half the edges; the right side (edges with l > b) then keeps
@@ -336,56 +326,46 @@ def count_page_crossings(page: Page) -> int:
     return _interleavings(page.upper_spans()) + _interleavings(page.lower_spans())
 
 
-def _arc_page(edges, b: int) -> Page:
-    layout = tuple(((float(l), float(r)), None) for l, r in edges)
-    return Page(tuple(edges), UPPER_ARCS, b, layout)
-
-
-def _biarc_page(edges, b: int, n: int) -> Page:
-    layout = []
-    crossings = []
-    for l, r in edges:
-        c = spine_crossing(l, r, b, n)
-        layout.append(((float(l), c), (c, float(r))))
-        crossings.append(c)
+def _layout(edges, b: int, n: int, biarc: bool) -> list[_Entry]:
+    """Spans of one part's edges: plain upper semicircles, or biarcs that
+    cross the spine inside (b, b + 1)."""
+    if not biarc:
+        return [((float(l), float(r)), None) for l, r in edges]
+    crossings = [spine_crossing(l, r, b, n) for l, r in edges]
     # Construction-time geometry check: lex-later edges must cross the
     # spine strictly earlier, otherwise crossing counting breaks down.
     if any(x <= y for x, y in zip(crossings, crossings[1:])):
         raise SearchFailedError(
             "biarc spine crossings are not strictly decreasing in lex order"
         )
-    return Page(tuple(edges), BIARCS, b, tuple(layout))
+    return [((float(l), c), (c, float(r))) for (l, r), c in zip(edges, crossings)]
 
 
-def _combine(left: Page, right: Page, b: int) -> Page:
-    edges = left.edges + right.edges
-    layout = left.layout + right.layout
-    style = BIARCS if any(entry[1] is not None for entry in layout) else UPPER_ARCS
-    return Page(edges, style, b, layout)
-
-
-def _build_pages(edges, k: int, n: int) -> list[Page]:
+def _build_pages(edges, k: int, n: int) -> list[_Draft]:
+    """Page drafts (edges, layout, split vertex) for the lex-sorted
+    ``edges``: this split's own pages, then the two halves' pages merged
+    pairwise."""
     if not edges:
         return []
     b = half_split(OrderedGraph(n, tuple(edges)))
     crossing = [e for e in edges if e[0] <= b < e[1]]
     left = [e for e in edges if e[1] <= b]
     right = [e for e in edges if e[0] > b]
-    own: list[Page] = []
+    own: list[_Draft] = []
     if crossing:
         parts, deleted = partition_multiset([r for _, r in crossing], k)
-        for witness in parts:
-            ids = sorted(i for block in witness.blocks for i in block)
-            part_edges = tuple(crossing[i - 1] for i in ids)
-            if witness.direction == DEC:
-                own.append(_arc_page(part_edges, b))
-            else:
-                own.append(_biarc_page(part_edges, b, n))
-        for i in deleted:
-            own.append(_arc_page((crossing[i - 1],), b))
+        groups = [
+            (sorted(i for block in w.blocks for i in block), w.direction != DEC)
+            for w in parts
+        ]
+        for ids, biarc in groups + [([i], False) for i in deleted]:
+            part_edges = [crossing[i - 1] for i in ids]
+            own.append((part_edges, _layout(part_edges, b, n, biarc), b))
     left_pages = _build_pages(left, k, n)
     right_pages = _build_pages(right, k, n)
-    merged = [_combine(lp, rp, b) for lp, rp in zip(left_pages, right_pages)]
+    merged = [
+        (e1 + e2, s1 + s2, b) for (e1, s1, _), (e2, s2, _) in zip(left_pages, right_pages)
+    ]
     longer = left_pages if len(left_pages) > len(right_pages) else right_pages
     merged.extend(longer[min(len(left_pages), len(right_pages)):])
     return own + merged
@@ -406,24 +386,13 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
     if not graph.edges:
         raise InvalidInputError("cannot paginate a graph with no edges")
     k = max(2, math.ceil(1.0 / epsilon))
-    pages = _build_pages(sorted(graph.edges), k, graph.n)
+    pages = []
+    for edges, layout, b in _build_pages(sorted(graph.edges), k, graph.n):
+        style = BIARCS if any(lo is not None for _, lo in layout) else UPPER_ARCS
+        pages.append(Page(edges, style, b, layout))
     drawn = sorted(edge for page in pages for edge in page.edges)
     if drawn != sorted(graph.edges):
         raise SearchFailedError("pages do not partition the edge set")
     metrics = tuple(count_page_crossings(page) for page in pages)
     return PagePartition(tuple(pages), epsilon, metrics)
 
-
-def layout_page(page: Page, n: int) -> ArcDrawing:
-    """Materialise a page as flat span lists over a spine of n vertices."""
-    require_int(n=n)
-    if n < 2:
-        raise InvalidInputError(f"spine length must be >= 2, got {n!r}")
-    upper = tuple(page.upper_spans())
-    lower = tuple(page.lower_spans())
-    for a, b in upper + lower:
-        if not (1 <= a < b <= n):
-            raise InvalidInputError(
-                f"span ({a!r}, {b!r}) does not fit a spine of {n} vertices"
-            )
-    return ArcDrawing(n, upper, lower)

@@ -385,9 +385,9 @@ def _verify_pair(witness_doc, data_doc, oracle: bool) -> tuple[bool, dict]:
         return ok, {"checked": "avoid-vs-points", "oracle": oracle}
     if wkind == "pages" and dkind == "graph":
         graph = jsonio.graph_from_json(data_doc)
-        _, pp = jsonio.pages_from_json(witness_doc)
+        n, pp = jsonio.pages_from_json(witness_doc)
         drawn = sorted(e for page in pp.pages for e in page.edges)
-        ok = drawn == sorted(graph.edges)
+        ok = n == graph.n and drawn == sorted(graph.edges)
         ok = ok and tuple(count_page_crossings(p) for p in pp.pages) == pp.metrics
         if ok and oracle:
             ok = _oracle_failure(wkind, witness_doc) is None
@@ -477,11 +477,7 @@ def cmd_render(args) -> CommandResult:
     try:
         kind = jsonio.infer_kind(doc)
         if kind == "pages":
-            if not isinstance(doc.get("pages"), list):
-                raise SchemaError("'pages' must be a list")
-            n = doc["n"]
-            pages = [jsonio.page_from_json(p) for p in doc["pages"]]
-            content = svg.render_pages(n, pages)
+            content = svg.render_pages(*jsonio._spine_pages(doc))
         elif kind == "points":
             points = jsonio.points_from_json(doc)
             content = svg.render_scatter([], rest=points.points)

@@ -362,17 +362,33 @@ def page_from_json(doc) -> Page:
     return Page(edges, doc["style"], doc["split_b"], tuple(layout))
 
 
-def pages_from_json(doc) -> tuple[int, PagePartition]:
-    """Returns (n, partition).  Rejects empty page lists: renderers that
-    tolerate an empty drawing parse the document themselves."""
+def _spine_pages(doc) -> tuple[int, tuple[Page, ...]]:
+    """(n, pages) of a pages artifact, an empty page list included.  The
+    spine length n must be an int, at least 1, and reach every page edge's
+    right end."""
     _require(doc, "pages")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise SchemaError(f"'n' must be an integer, got {n!r}")
-    if not isinstance(doc["pages"], list) or not isinstance(doc["metrics"], list):
-        raise SchemaError("'pages' and 'metrics' must be lists")
+    if not isinstance(doc["pages"], list):
+        raise SchemaError("'pages' must be a list")
     pages = tuple(page_from_json(p) for p in doc["pages"])
+    if n < 1:
+        raise InvalidInputError(f"'n' must be positive, got {n}")
+    top = max((r for page in pages for _, r in page.edges), default=1)
+    if top > n:
+        raise InvalidInputError(f"edge vertex {top} lies past the spine end n = {n}")
+    return n, pages
+
+
+def pages_from_json(doc) -> tuple[int, PagePartition]:
+    """Returns (n, partition).  Rejects empty page lists, which no page
+    partition holds; renderers that draw them read ``_spine_pages``."""
+    _require(doc, "pages")
+    if not isinstance(doc["metrics"], list):
+        raise SchemaError("'metrics' must be a list")
     metrics = tuple(_int_list(doc["metrics"], "metrics"))
+    n, pages = _spine_pages(doc)
     return n, PagePartition(pages, _real(doc["epsilon"], "epsilon"), metrics)
 
 

@@ -1,9 +1,12 @@
 """Partition sequences and planar point sets into block-monotone pieces.
 
-A sequence is viewed as the planar point set {(i, a_i)}; the partitioner
-maintains a *pattern*: a list of already-structured side sets, each with the
-rest of the pattern confined to one quadrant of it, around a staircase
-*configuration* whose even-indexed parts are depth-k block-monotone witnesses.
+The construction runs on a sequence, with 0-based positions as ids and value
+ranks as y: it only ever compares coordinates, so positions and ranks carry
+everything it needs, and a point set reduces to the sequence of its y-values
+in x order.  The partitioner maintains a *pattern*: a list of
+already-structured side sets, each with the rest of the pattern confined to
+one quadrant of it, around a staircase *configuration* whose even-indexed
+parts are depth-k block-monotone witnesses.
 Each round either finishes (everything left is small), widens the pattern
 (more sides), or deepens the staircase, and bounded-round pull-outs convert
 the absorbed material into witnesses.  Repeated best extractions then drain
@@ -12,8 +15,9 @@ monotone-subsequence sweep reduces what is left below (k-1)^2 points.  Every
 extraction, at any subset size, keeps the larger of a cut longest monotone
 subsequence and the exact gapped-chain search.
 
-All public indices are 1-based ids into the input point set / sequence.
-Directions follow the sequence convention: "inc" means up-right.
+All public indices are 1-based positions in the sequence, or 1-based ids into
+the input point set.  Directions follow the sequence convention: "inc" means
+up-right.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .extract import gapped_chain_dp  # unused here; perfbench's tracer patches 
 __all__ = [
     "PointSet",
     "LabeledPartition",
-    "seq_to_points",
     "validate_point_witness",
     "partition_point_set",
     "partition_sequence",
@@ -67,11 +70,6 @@ class PointSet:
         return len(self.points)
 
 
-def seq_to_points(seq: Sequence) -> PointSet:
-    """Embed entry i as the point (i, a_i)."""
-    return PointSet(tuple((float(i), v) for i, v in enumerate(seq.values, start=1)))
-
-
 @dataclass(frozen=True)
 class LabeledPartition:
     """Exact cover of the input: structured parts, a small remainder, and
@@ -83,26 +81,12 @@ class LabeledPartition:
 
 
 # ---------------------------------------------------------------------------
-# internal geometry helpers (0-based ids into master coordinate arrays)
-
-
-class _Frame:
-    """Master coordinates plus cheap subset utilities."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = xs
-        self.ys = ys
-
-    def by_x(self, ids: np.ndarray) -> np.ndarray:
-        return ids[np.argsort(self.xs[ids])]
-
-    def subseq(self, ids_x_sorted: np.ndarray) -> Sequence:
-        return Sequence(self.ys[ids_x_sorted].tolist())
+# internal witnesses (0-based positions; ``ys`` maps a position to its rank)
 
 
 @dataclass
 class _Wit:
-    """Internal witness: x-sorted id arrays, one per block."""
+    """Internal witness: one sorted array of 0-based positions per block."""
 
     direction: str
     blocks: list[np.ndarray]
@@ -112,15 +96,15 @@ class _Wit:
         return len(self.blocks[0]) if self.blocks else 0
 
     def ids(self) -> np.ndarray:
-        if not self.blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(self.blocks)
+        return _cat(self.blocks)
 
     def public(self) -> BlockWitness:
-        return BlockWitness(
-            self.direction,
-            tuple(tuple(int(i) + 1 for i in np.sort(b)) for b in self.blocks),
-        )
+        return BlockWitness(self.direction, [b + 1 for b in self.blocks])
+
+
+def _ranks(seq: Sequence) -> np.ndarray:
+    """0-based value rank of every entry."""
+    return np.argsort(np.argsort(seq.values))
 
 
 def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
@@ -162,8 +146,9 @@ def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
 # best-effort extraction on subsets
 
 
-def _extract_best(fr: _Frame, ids: np.ndarray, depth: int) -> _Wit | None:
-    """Best block-monotone extraction of exact ``depth`` from a subset.
+def _extract_best(ys: np.ndarray, ids: np.ndarray, depth: int) -> _Wit | None:
+    """Best block-monotone extraction of exact ``depth`` from the sorted
+    positions ``ids``.
 
     Compares a longest monotone subsequence cut into ``depth`` equal blocks
     with the exact gapped-chain search, at every subset size; the larger
@@ -171,18 +156,16 @@ def _extract_best(fr: _Frame, ids: np.ndarray, depth: int) -> _Wit | None:
     """
     if depth < 1 or len(ids) <= (depth - 1) ** 2:
         return None
-    sx = fr.by_x(ids)
-    seq = fr.subseq(sx)
+    seq = Sequence(ys[ids].tolist())
     # Erdos-Szekeres: m > (depth-1)^2 gives a monotone run of >= depth entries
     d, pos = longest_monotone(seq)
     s = len(pos) // depth
-    run = sx[np.asarray(pos, dtype=np.int64) - 1]
+    run = ids[np.asarray(pos, dtype=np.int64) - 1]
     best = _Wit(d, [run[i * s : (i + 1) * s] for i in range(depth)])
     _, ch = _best_gapped(seq, depth, s)
     if ch is not None:
         w = chain_to_blocks(seq, ch)
-        blocks = [sx[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks]
-        best = _Wit(w.direction, blocks)
+        best = _Wit(w.direction, [ids[np.asarray(b, dtype=np.int64) - 1] for b in w.blocks])
     return best
 
 
@@ -194,27 +177,24 @@ def _round_ceiling(depth: int) -> int:
     return math.ceil(2 * depth * math.log2(max(depth, 2))) + 2
 
 
-def _pullout_ids(fr: _Frame, ids: np.ndarray, depth: int) -> tuple[list[_Wit], np.ndarray]:
-    """Repeatedly extract depth-``depth`` witnesses until the residue drops
-    to max(|ids|/depth, (depth-1)^2) or the round ceiling is hit."""
+def _pullout_ids(
+    ys: np.ndarray, ids: np.ndarray, depth: int
+) -> tuple[list[_Wit], np.ndarray]:
+    """Repeatedly extract depth-``depth`` witnesses from the sorted positions
+    ``ids`` until the residue drops to max(|ids|/depth, (depth-1)^2) or the
+    round ceiling is hit; the residue stays sorted."""
     target = max(len(ids) / depth, (depth - 1) ** 2)
     parts: list[_Wit] = []
-    cur = np.sort(ids)
+    cur = ids
     rounds = 0
     while len(cur) > target and rounds < _round_ceiling(depth):
-        wit = _extract_best(fr, cur, depth)
+        wit = _extract_best(ys, cur, depth)
         if wit is None:
             break
         parts.append(wit)
         cur = np.setdiff1d(cur, wit.ids(), assume_unique=True)
         rounds += 1
     return parts, cur
-
-
-def _frame_of(p: PointSet) -> _Frame:
-    xs = np.asarray([q[0] for q in p.points])
-    ys = np.asarray([q[1] for q in p.points])
-    return _Frame(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +226,6 @@ class _State:
         )
 
 
-def _fresh_between(values: np.ndarray, lo: float, hi: float) -> float:
-    """A coordinate strictly inside (lo, hi) differing from every value:
-    the midpoint of the two smallest present values of [lo, hi] endpoints
-    and interior points."""
-    inside = values[(values > lo) & (values < hi)]
-    nxt = inside.min() if len(inside) else hi
-    return (lo + nxt) / 2.0
-
-
 def _stitch(base: _Wit, extra: np.ndarray, prepend: bool) -> tuple[list[_Wit], np.ndarray]:
     """Attach a detached point set as one extra block (trimming to a common
     size); returns the new witnesses and pooled remainder."""
@@ -275,7 +246,7 @@ def _stitch(base: _Wit, extra: np.ndarray, prepend: bool) -> tuple[list[_Wit], n
 
 
 def _step(
-    fr: _Frame, st: _State, k: int
+    ys: np.ndarray, st: _State, k: int
 ) -> tuple[list[_Wit], _State | np.ndarray, np.ndarray, str]:
     """One round of the main loop: finish ("small") when every odd part is at
     most (3k-1)^2 points, else cut a depth-3k witness X from the largest odd
@@ -289,13 +260,10 @@ def _step(
     if sizes[i0] <= (3 * k - 1) ** 2:
         parts.extend(st.sides)
         parts.extend(st.evens)
-        rest = (
-            np.concatenate(st.odds) if st.odds else np.empty(0, dtype=np.int64)
-        )
-        return parts, rest, np.empty(0, dtype=np.int64), "small"
+        return parts, _cat(st.odds), np.empty(0, dtype=np.int64), "small"
 
     y0 = st.odds[i0]
-    x_wit = _extract_best(fr, y0, 3 * k)
+    x_wit = _extract_best(ys, y0, 3 * k)
     if x_wit is None:  # cannot happen: |Y| > (3k-1)^2 guarantees a chunked LIS
         raise SearchFailedError("depth-3k extraction failed unexpectedly")
     remaining = np.setdiff1d(y0, x_wit.ids(), assume_unique=False)
@@ -321,35 +289,29 @@ def _step(
         )
         parts.append(x2w)
         for xw, zs, prepend in ((x1w, z1, True), (x3w, z3, False)):
-            got, residue = _pullout_ids(fr, _cat(zs), k)
-            again, residue = _pullout_ids(fr, residue, k)
+            got, residue = _pullout_ids(ys, _cat(zs), k)
+            again, residue = _pullout_ids(ys, residue, k)
             parts.extend(got + again)
-            stitched, spill = _stitch(xw, fr.by_x(residue), prepend)
+            stitched, spill = _stitch(xw, residue, prepend)
             parts.extend(stitched)
             if len(spill):
                 pool.append(spill)
-        st2 = _State(new_sides, [fr.by_x(remaining)], [], True)
+        st2 = _State(new_sides, [remaining], [], True)
         return parts, st2, _cat(pool), "widened"
 
     # deepen: draw the 3x3 grid around the middle third of X and fold the
-    # corner material into the staircase
-    sgn = 1.0 if st.up else -1.0
-    bk, bk1 = bchunks[k - 1], bchunks[k]
-    b2k, b2k1 = bchunks[2 * k - 1], bchunks[2 * k]
+    # corner material into the staircase.  Positions and ranks are integers,
+    # so a cut half a step past the left block (in position) or past the
+    # lower block's top rank separates the same points as any cut in the gap.
+    sgn = 1 if st.up else -1
 
-    def gap_coords(left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
-        gx = _fresh_between(fr.xs, float(fr.xs[left].max()), float(fr.xs[right].min()))
-        if fr.ys[left].min() > fr.ys[right].max():  # left block sits above
-            y_lo, y_hi = fr.ys[right].max(), fr.ys[left].min()
-        else:
-            y_lo, y_hi = fr.ys[left].max(), fr.ys[right].min()
-        gy = _fresh_between(fr.ys, float(y_lo), float(y_hi))
-        return gx, gy
+    def gap_cuts(left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
+        return left.max() + 0.5, min(ys[left].max(), ys[right].max()) + 0.5
 
-    gx1, gy1 = gap_coords(bk, bk1)
-    gx2, gy2 = gap_coords(b2k, b2k1)
+    gx1, gy1 = gap_cuts(bchunks[k - 1], bchunks[k])
+    gx2, gy2 = gap_cuts(bchunks[2 * k - 1], bchunks[2 * k])
     u1, u2 = sgn * gy1, sgn * gy2  # u1 > u2 in the normalized frame
-    px, pu = fr.xs[remaining], sgn * fr.ys[remaining]
+    px, pu = remaining, sgn * ys[remaining]
     r7 = remaining[(px < gx1) & (pu < u2)]
     r3 = remaining[(px > gx2) & (pu > u1)]
     z1 = remaining[(px > gx1) & (pu < u1)]
@@ -358,14 +320,14 @@ def _step(
         raise SearchFailedError("3x3 grid regions do not cover the gutted part")
 
     for xw, z, prepend in ((x1w, z1, False), (x3w, z3, True)):
-        got, residue = _pullout_ids(fr, z, k)
+        got, residue = _pullout_ids(ys, z, k)
         parts.extend(got)
-        stitched, spill = _stitch(xw, fr.by_x(residue), prepend)
+        stitched, spill = _stitch(xw, residue, prepend)
         parts.extend(stitched)
         if len(spill):
             pool.append(spill)
 
-    new_odds = st.odds[:i0] + [fr.by_x(r7), fr.by_x(r3)] + st.odds[i0 + 1 :]
+    new_odds = st.odds[:i0] + [r7, r3] + st.odds[i0 + 1 :]
     new_evens = st.evens[:i0] + [x2w] + st.evens[i0:]
     st2 = _State(list(st.sides), new_odds, new_evens, st.up)
     return parts, st2, _cat(pool), "deepened"
@@ -385,14 +347,14 @@ def _flatten_wide(st: _State) -> tuple[list[_Wit], np.ndarray]:
     return st.evens + st.sides, _cat(st.odds)
 
 
-def _flatten_deep(fr: _Frame, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]:
+def _flatten_deep(ys: np.ndarray, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]:
     """Endgame for a staircase of full depth t = k: pull depth-(k+1)
     witnesses out of every odd part and pool their residues; the sides and
     even parts are kept as they are."""
     parts: list[_Wit] = list(st.sides)
     residues: list[np.ndarray] = []
     for odd in st.odds:
-        got, res = _pullout_ids(fr, odd, k + 1)
+        got, res = _pullout_ids(ys, odd, k + 1)
         parts.extend(got)
         residues.append(res)
     parts.extend(st.evens)
@@ -403,14 +365,21 @@ def _flatten_deep(fr: _Frame, st: _State, k: int) -> tuple[list[_Wit], np.ndarra
 # the full partition loop
 
 
-def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
-    """Partition a planar point set into block-monotone parts of depth >= k
-    plus at most (k-1)^2 leftover points."""
+def _labeled(parts: list[_Wit], rest: np.ndarray, metrics: dict) -> LabeledPartition:
+    """The public partition over the sorted remainder ``rest``: each part's
+    1-based ids (its blocks run left to right) with its witness."""
+    pub = tuple((tuple(int(i) + 1 for i in w.ids()), w.public()) for w in parts)
+    return LabeledPartition(pub, tuple(int(i) + 1 for i in rest), metrics)
+
+
+def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
+    """Partition a sequence into block-monotone parts of depth >= k plus at
+    most (k-1)^2 leftover entries; part ids are 1-based positions."""
     require_int(k=k)
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
-    n = len(p)
-    fr = _frame_of(p)
+    ys = _ranks(seq)
+    n = len(ys)
     parts: list[_Wit] = []
     pool: list[np.ndarray] = []
     lt_history: list[tuple[int, int]] = []
@@ -419,11 +388,10 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     if n <= (k - 1) ** 2:
         pool.append(all_ids)
     else:
-        sx = fr.by_x(all_ids)
-        d, posn = longest_monotone(fr.subseq(sx))
+        d, posn = longest_monotone(seq)
         if len(posn) == n:
             # fully monotone input: one witness of singleton blocks covers it
-            parts.append(_Wit(d, [np.asarray([i]) for i in sx]))
+            parts.append(_Wit(d, [np.asarray([i]) for i in all_ids]))
         else:
             st = _State([], [all_ids], [], True)
             while True:
@@ -432,7 +400,7 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
                     pool.append(_cat(st.odds))
                     break
                 if st.t == k:
-                    got, rest = _flatten_deep(fr, st, k)
+                    got, rest = _flatten_deep(ys, st, k)
                     parts.extend(got)
                     if len(rest):
                         pool.append(rest)
@@ -447,7 +415,7 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
                 iterations += 1
                 if iterations > 12 * k:
                     raise SearchFailedError("pattern loop exceeded its round bound")
-                got, nxt, spill, outcome = _step(fr, st, k)
+                got, nxt, spill, outcome = _step(ys, st, k)
                 parts.extend(got)
                 if len(spill):
                     pool.append(spill)
@@ -461,23 +429,19 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     # Erdos-Szekeres cleanup of what is left
     rest = np.sort(_cat(pool))
     while len(rest) > (k - 1) ** 2:
-        wit = _extract_best(fr, rest, k)
+        wit = _extract_best(ys, rest, k)
         if wit is None or wit.size < 2:
             break
         parts.append(wit)
         rest = np.setdiff1d(rest, wit.ids(), assume_unique=True)
     cleanup = 0
     while len(rest) > (k - 1) ** 2:
-        sx = fr.by_x(rest)
-        d, posn = longest_monotone(fr.subseq(sx))
-        chain = sx[np.asarray(posn, dtype=np.int64) - 1]
+        d, posn = longest_monotone(Sequence(ys[rest].tolist()))
+        chain = rest[np.asarray(posn, dtype=np.int64) - 1]
         parts.append(_Wit(d, [np.asarray([i]) for i in chain]))
         rest = np.setdiff1d(rest, chain, assume_unique=False)
         cleanup += 1
 
-    pub = tuple(
-        (tuple(int(i) + 1 for i in np.sort(w.ids())), w.public()) for w in parts
-    )
     metrics = {
         "n": n,
         "k": k,
@@ -487,13 +451,24 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
         "cleanup_parts": cleanup,
         "remainder": int(len(rest)),
     }
-    return LabeledPartition(pub, tuple(int(i) + 1 for i in np.sort(rest)), metrics)
+    return _labeled(parts, rest, metrics)
 
 
-def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
-    """Sequence version: indices play the role of x-coordinates, so part ids
-    are 1-based positions in the sequence."""
-    return partition_point_set(seq_to_points(seq), k)
+def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
+    """Partition a planar point set into block-monotone parts of depth >= k
+    plus at most (k-1)^2 leftover points: the partition of its y-values in
+    x order, with every position mapped back to its 1-based point id."""
+    order = sorted(range(len(p)), key=lambda i: p.points[i][0])
+    lp = partition_sequence(Sequence(p.points[i][1] for i in order), k)
+
+    def point_ids(positions) -> tuple[int, ...]:
+        return tuple(sorted(order[i - 1] + 1 for i in positions))
+
+    parts = tuple(
+        (point_ids(ids), BlockWitness(w.direction, [point_ids(b) for b in w.blocks]))
+        for ids, w in lp.parts
+    )
+    return LabeledPartition(parts, point_ids(lp.remainder), lp.metrics)
 
 
 def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
@@ -502,24 +477,20 @@ def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     require_int(k=k)
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
-    p = seq_to_points(seq)
-    fr = _frame_of(p)
-    cur = np.arange(len(p), dtype=np.int64)
+    ys = _ranks(seq)
+    cur = np.arange(len(ys), dtype=np.int64)
     parts: list[_Wit] = []
     while len(cur) > (k - 1) ** 2:
-        wit = _extract_best(fr, cur, k)
+        wit = _extract_best(ys, cur, k)
         if wit is None:
             break
         parts.append(wit)
         cur = np.setdiff1d(cur, wit.ids(), assume_unique=False)
-    pub = tuple(
-        (tuple(int(i) + 1 for i in np.sort(w.ids())), w.public()) for w in parts
-    )
     metrics = {
-        "n": len(p),
+        "n": len(ys),
         "k": k,
         "parts": len(parts),
         "iterations": len(parts),
         "remainder": int(len(cur)),
     }
-    return LabeledPartition(pub, tuple(int(i) + 1 for i in np.sort(cur)), metrics)
+    return _labeled(parts, cur, metrics)

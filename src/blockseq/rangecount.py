@@ -104,9 +104,9 @@ def count_open_box(c: DominanceCounter, i_lo, i_hi, v_lo, v_hi) -> int:
 def is_gapped_pair(c: DominanceCounter, seq: Sequence, i: int, j: int, s: int) -> bool:
     """True iff at least ``s`` entries sit strictly between positions i and j
     and strictly between the pair's values (the gap direction is inferred)."""
+    require_int(i=i, j=j, s=s)
     if not 1 <= i < j <= len(seq):
         raise InvalidInputError(f"need 1 <= i < j <= n, got i={i}, j={j}")
-    require_int(s=s)
     if s < 0:
         raise InvalidInputError("s must be >= 0")
     if s == 0:

@@ -112,13 +112,14 @@ def render_scatter(groups, rest=(), side: float = 520.0) -> str:
     """Scatter plot of 2D points: one fill color per group, gray rest.
 
     ``groups`` is an iterable of point lists.  All coordinates are
-    fitted into a square canvas with the y axis pointing up.
+    fitted into a square canvas with the y axis pointing up; no points
+    give an empty canvas.
     """
     groups = [list(g) for g in groups]
     rest = list(rest)
     everything = [p for g in groups for p in g] + rest
     if not everything:
-        raise InvalidInputError("nothing to draw")
+        return _document(side, side, [])
     xs = [float(x) for x, _ in everything]
     ys = [float(y) for _, y in everything]
     span_x = max(xs) - min(xs) or 1.0

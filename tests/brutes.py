@@ -8,7 +8,8 @@ two-pass route to a gapped witness (the block-size search, then a fresh
 chain DP at that size) and pin the witness the bottleneck-table trace reads
 off.  ``triple_signs_loop`` replays the avoid module's orientation
 sampling one triple at a time, to pin the batched version to the same
-output.
+output.  ``rank_state`` builds the partition loop's own state from planar
+points, ranked the way the loop sees them, for the partition tests.
 """
 
 from __future__ import annotations
@@ -258,10 +259,36 @@ def brute_balanced_line_exists(P, Q, m):
     return False
 
 
-def _point_witness_ok(xs, ys, direction, blocks):
+def rank_state(pts, sides=(), odds=(), evens=(), up=True):
+    """(ys, state): the partition loop's state over the planar points
+    ``pts`` in rank space, as the loop runs.  The point at position p in
+    x order gets id p and y rank ys[p].  Witnesses are (direction, [block
+    ids, ...]) and odd parts id lists, given as 0-based indices into
+    ``pts``."""
+    from blockseq.partition import _State, _Wit
+
+    n = len(pts)
+    order = sorted(range(n), key=lambda i: pts[i][0])
+    pos = {i: p for p, i in enumerate(order)}
+    ys = np.empty(n, dtype=np.int64)
+    ys[sorted(range(n), key=lambda p: pts[order[p]][1])] = np.arange(n)
+
+    def ids(b):
+        return np.asarray(sorted(pos[i] for i in b), dtype=np.int64)
+
+    def wit(direction, blocks):
+        return _Wit(direction, [ids(b) for b in blocks])
+
+    state = _State(
+        [wit(*w) for w in sides], [ids(o) for o in odds], [wit(*w) for w in evens], up
+    )
+    return ys, state
+
+
+def _rank_witness_ok(ys, direction, blocks):
     """Equal non-empty blocks of distinct ids, each strictly right of the
-    one before, with every y strictly above (inc) or below (dec) every y
-    of the block before."""
+    one before, with every rank strictly above (inc) or below (dec) every
+    rank of the block before."""
     blocks = [[int(i) for i in b] for b in blocks]
     flat = [i for b in blocks for i in b]
     if direction not in ("inc", "dec") or not blocks or not blocks[0]:
@@ -271,27 +298,26 @@ def _point_witness_ok(xs, ys, direction, blocks):
     for a, b in zip(blocks, blocks[1:]):
         for i in a:
             for j in b:
-                if xs[j] <= xs[i]:
-                    return False
-                if (ys[j] > ys[i]) != (direction == "inc"):
+                if j <= i or (ys[j] > ys[i]) != (direction == "inc"):
                     return False
     return True
 
 
-def pattern_ok(xs, ys, state, k):
-    """Check a partition-loop state over the points (xs[i], ys[i]), ids
-    0-based: ``state.sides`` and ``state.evens`` hold witnesses
-    (``direction``, ``blocks``), ``state.odds`` raw id arrays, and
-    ``state.up`` the staircase orientation.
+def pattern_ok(ys, state, k):
+    """Check a partition-loop state in rank space, the id of a point being
+    its x position and ``ys[i]`` its y rank: ``state.sides`` and
+    ``state.evens`` hold witnesses (``direction``, ``blocks``),
+    ``state.odds`` raw id arrays, and ``state.up`` the staircase
+    orientation.
 
-    Every side and even part is a point witness of depth >= k; all parts
-    are disjoint; the staircase odd_0, even_0, odd_1, ..., odd_t moves
+    Every side and even part is a witness of depth >= k; all parts are
+    disjoint; the staircase odd_0, even_0, odd_1, ..., odd_t moves
     strictly right and strictly up (or down) from each non-empty group to
     the next; and every point after a side (later sides, then the
     staircase) lies in one open quadrant of that side's points."""
     wits = list(state.sides) + list(state.evens)
     for w in wits:
-        if len(w.blocks) < k or not _point_witness_ok(xs, ys, w.direction, w.blocks):
+        if len(w.blocks) < k or not _rank_witness_ok(ys, w.direction, w.blocks):
             return False
     if len(state.odds) != len(state.evens) + 1:
         return False
@@ -308,13 +334,13 @@ def pattern_ok(xs, ys, state, k):
     for a, b in zip(steps, steps[1:]):
         for i in a:
             for j in b:
-                if xs[j] <= xs[i] or (ys[j] > ys[i]) != bool(state.up):
+                if j <= i or (ys[j] > ys[i]) != bool(state.up):
                     return False
     for n_side, side in enumerate(sides):
         later = [i for g in sides[n_side + 1 :] + groups for i in g]
         quadrants = {
             (
-                all(xs[j] > xs[i] for i in side) - all(xs[j] < xs[i] for i in side),
+                all(j > i for i in side) - all(j < i for i in side),
                 all(ys[j] > ys[i] for i in side) - all(ys[j] < ys[i] for i in side),
             )
             for j in later

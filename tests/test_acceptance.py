@@ -290,12 +290,11 @@ def _random_graph(rng, n, m):
 
 def test_criterion_08_pagination_budgets_and_geometry():
     rng = random.Random(20260823)
-    # pair every partition part with the page built from it (FIFO: the
-    # builder constructs all of a split's pages before recursing)
+    # pair every partition part with the layout built from it (FIFO: the
+    # builder lays out all of a split's parts before recursing)
     queue = deque()
     orig_pm = biarc.partition_multiset
-    orig_arc = biarc._arc_page
-    orig_biarc = biarc._biarc_page
+    orig_layout = biarc._layout
 
     def pm_recording(values, k):
         parts, deleted = orig_pm(values, k)
@@ -303,14 +302,15 @@ def test_criterion_08_pagination_budgets_and_geometry():
         queue.extend((1, 1) for _ in deleted)
         return parts, deleted
 
-    def checked(page):
+    def checked_layout(edges, b, n, is_biarc):
+        layout = orig_layout(edges, b, n, is_biarc)
+        page = Page(edges, BIARCS if is_biarc else UPPER_ARCS, b, layout)
         depth, size = queue.popleft()
         assert count_page_crossings(page) <= depth * math.comb(size, 2)
-        return page
+        return layout
 
     biarc.partition_multiset = pm_recording
-    biarc._arc_page = lambda edges, b: checked(orig_arc(edges, b))
-    biarc._biarc_page = lambda edges, b, n: checked(orig_biarc(edges, b, n))
+    biarc._layout = checked_layout
     try:
         for m, n in ((200, 60), (2000, 120)):
             g = _random_graph(rng, n, m)
@@ -347,8 +347,7 @@ def test_criterion_08_pagination_budgets_and_geometry():
                     )
     finally:
         biarc.partition_multiset = orig_pm
-        biarc._arc_page = orig_arc
-        biarc._biarc_page = orig_biarc
+        biarc._layout = orig_layout
 
 
 def test_criterion_09_range_counter_exactness_and_build_trend():

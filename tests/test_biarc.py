@@ -10,13 +10,11 @@ from blockseq import biarc
 from blockseq.biarc import (
     BIARCS,
     UPPER_ARCS,
-    ArcDrawing,
     OrderedGraph,
     Page,
     PagePartition,
     count_page_crossings,
     half_split,
-    layout_page,
     paginate,
     partition_multiset,
     spine_crossing,
@@ -435,17 +433,20 @@ def test_page_partition_validation():
         PagePartition((), 0.5, ())
 
 
-def test_layout_page():
-    pp = paginate(NESTED4, 0.5)
-    page = pp.pages[0]
-    drawing = layout_page(page, 8)
-    assert isinstance(drawing, ArcDrawing)
-    assert drawing.n == 8
-    assert len(drawing.upper) == page.size
-    assert len(drawing.lower) == len(page.lower_spans())
-    for a, b in drawing.upper + drawing.lower:
-        assert 1 <= a < b <= 8
-    with pytest.raises(InvalidInputError):
-        layout_page(page, 5)
-    with pytest.raises(InvalidInputError):
-        layout_page(page, 1)
+
+
+def test_paginate_builds_one_page_per_returned_page(monkeypatch):
+    built = []
+    page_init = Page.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        page_init(self, *args)
+
+    monkeypatch.setattr(Page, "__init__", counting_init)
+    rng = np.random.default_rng(5)
+    pairs = [(l, r) for l in range(1, 41) for r in range(l + 1, 41)]
+    picked = rng.choice(len(pairs), size=300, replace=False)
+    pp = paginate(OrderedGraph(40, sorted(pairs[i] for i in picked)), 0.5)
+    assert len(pp.pages) > 1
+    assert len(built) == len(pp.pages)

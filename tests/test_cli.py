@@ -116,8 +116,8 @@ def test_svg_scatter_counts_and_validation():
     content = svg.render_scatter([[(0, 0), (1, 1)], [(2, 0)]], rest=[(3, 3)])
     tree = ET.fromstring(content)
     assert len(paths(tree, "circle")) == 4
-    with pytest.raises(InvalidInputError):
-        svg.render_scatter([])
+    empty = ET.fromstring(svg.render_scatter([]))
+    assert empty.get("width") == "520" and paths(empty, "circle") == []
     with pytest.raises(InvalidInputError):
         svg.render_pages(0, [])
 
@@ -496,6 +496,7 @@ def artifacts(draw):
 @settings(max_examples=150, deadline=None)
 @given(artifacts())
 @example(([0.0, 1.0, 2.0], [("inc", [[0], [2]])], [1, 3], ("inc", [[1], [2]])))
+@example(([], [], [], ("inc", [])))
 def test_render_and_verify_exit_codes_follow_artifact_validity(case):
     values, parts, remainder, (direction, blocks) = case
     part_ok = all(brute_witness_ok(values, d, b) for d, b in parts) and sorted(
@@ -518,8 +519,7 @@ def test_render_and_verify_exit_codes_follow_artifact_validity(case):
                 ["render", "--in", path, "--data", seq, "--out", f"{tmp}/out.svg"]
             ).exit_code
             assert rendered in (0, 2, 3, 4)
-            if not valid:
-                assert rendered != 0
+            assert (rendered == 0) == valid
 
 
 def test_cli_determinism_byte_identical(tmp_path):
@@ -568,3 +568,46 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert bad.returncode == 4
+
+
+@pytest.mark.parametrize(
+    "n, code",
+    [(True, 4), ("12", 4), (2.5, 4), (None, 4), (0, 3), (-1, 3), (3, 3)],
+)
+def test_pages_n_gets_one_exit_code_from_verify_and_render(tmp_path, n, code):
+    g = gen(tmp_path, "graph", "g.json", n=12, m=30, seed=2)
+    assert max(r for _, r in read(g)["edges"]) > 3
+    pages = str(tmp_path / "pages.json")
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages]))
+    doc = read(pages)
+    doc["n"] = n
+    bad = write(tmp_path / "bad.json", doc)
+    assert run(["verify", "--in", bad]).exit_code == code
+    assert run(["verify", "--witness", bad, "--in", g]).exit_code == code
+    assert run(["render", "--in", bad, "--out", str(tmp_path / "p.svg")]).exit_code == code
+
+
+def test_pages_n_must_match_the_graph(tmp_path):
+    g = gen(tmp_path, "graph", "g.json", n=12, m=30, seed=2)
+    pages = str(tmp_path / "pages.json")
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages]))
+    doc = read(pages)
+    doc["n"] = 13
+    wider = write(tmp_path / "wider.json", doc)
+    ok(run(["verify", "--in", wider]))
+    ok(run(["render", "--in", wider, "--out", str(tmp_path / "p.svg")]))
+    assert run(["verify", "--witness", wider, "--in", g]).exit_code == 3
+    empty = write(tmp_path / "empty.json", {**doc, "n": 0, "pages": [], "metrics": []})
+    assert run(["render", "--in", empty, "--out", str(tmp_path / "e.svg")]).exit_code == 3
+
+
+def test_empty_artifacts_render_an_empty_canvas(tmp_path):
+    seq = write(tmp_path / "seq.json", {"values": []})
+    part = write(tmp_path / "part.json", {"parts": [], "remainder": [], "metrics": {}})
+    pts = write(tmp_path / "pts.json", {"points": []})
+    ok(run(["verify", "--witness", part, "--in", seq]))
+    for path, data in ((part, ["--data", seq]), (seq, []), (pts, [])):
+        ok(run(["verify", "--in", path]))
+        out = str(tmp_path / "out.svg")
+        ok(run(["render", "--in", path, *data, "--out", out]))
+        assert paths(ET.fromstring(open(out).read()), "circle") == []

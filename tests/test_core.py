@@ -28,7 +28,6 @@ from blockseq.biarc import (
     UPPER_ARCS,
     OrderedGraph,
     Page,
-    layout_page,
     partition_multiset,
     spine_crossing,
 )
@@ -328,7 +327,6 @@ def test_public_integer_arguments_reject_floats_and_bools(func, args):
         func(*args)
 
 
-_PAGE = Page(((1, 3),), UPPER_ARCS, 1, (((1.0, 3.0), None),))
 _SEQ4 = Sequence([4.0, 1.0, 2.0, 3.0])
 
 # one call per integer argument, with ``v`` in that argument's place
@@ -340,8 +338,9 @@ INTEGER_GUARDED = {
     "spine_crossing-r": lambda v: spine_crossing(1, v, 2, 4),
     "spine_crossing-b": lambda v: spine_crossing(1, 3, v, 4),
     "spine_crossing-n": lambda v: spine_crossing(1, 3, 2, v),
-    "layout_page-n": lambda v: layout_page(_PAGE, v),
     "render_pages-n": lambda v: render_pages(v, []),
+    "is_gapped_pair-i": lambda v: is_gapped_pair(build_counter(_SEQ4), _SEQ4, v, 4, 1),
+    "is_gapped_pair-j": lambda v: is_gapped_pair(build_counter(_SEQ4), _SEQ4, 1, v, 1),
     "is_gapped_pair-s": lambda v: is_gapped_pair(build_counter(_SEQ4), _SEQ4, 1, 4, v),
 }
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as hs
 import numpy as np
 import pytest
 
+from blockseq.avoid import gen_point_cloud
 from blockseq.core import (
     Sequence,
     gen_clustered,
@@ -17,13 +18,11 @@ from blockseq.core import (
 from blockseq.errors import InvalidInputError
 from blockseq.extract import DEFAULT_C, _best_gapped
 from blockseq.partition import (
-    _State,
-    _Wit,
     _extract_best,
     _flatten_deep,
     _flatten_wide,
-    _frame_of,
     _pullout_ids,
+    _ranks,
     _step,
 )
 from blockseq.partition import (
@@ -31,30 +30,23 @@ from blockseq.partition import (
     greedy_partition,
     partition_point_set,
     partition_sequence,
-    seq_to_points,
     validate_point_witness,
 )
-from brutes import pattern_ok
+from brutes import pattern_ok, rank_state
 
 
 def jitter_box(rng, x0, y0, count, w=8.0, h=8.0):
     return [(x0 + w * rng.random(), y0 + h * rng.random()) for _ in range(count)]
 
 
-def as_state(pts, sides, odds, evens, up=True):
-    """(PointSet, frame, loop state) over ``pts``.  Witnesses are
-    (direction, [block ids, ...]) and odd parts are id lists, all 0-based."""
-    p = PointSet(pts)
-    fr = _frame_of(p)
-    ids = lambda b: fr.by_x(np.asarray(b, dtype=np.int64))
-    wit = lambda d, blocks: _Wit(d, [ids(b) for b in blocks])
-    st = _State([wit(*w) for w in sides], [ids(o) for o in odds], [wit(*w) for w in evens], up)
-    return p, fr, st
-
-
 def seq_state(seq):
-    """(PointSet, frame, start state) of the loop on a sequence: one odd part."""
-    return as_state(seq_to_points(seq).points, [], [range(len(seq))], [])
+    """(ranks, start state) of the loop on a sequence: one odd part."""
+    return rank_state(list(enumerate(seq.values)), odds=[range(len(seq))])
+
+
+def rank_ok(ys, wit):
+    """The internal witness ``wit`` is valid on the rank sequence ``ys``."""
+    return validate_block_witness(Sequence(ys.tolist()), wit.public())
 
 
 def build_wide_pattern(seed, s=45, ny=200):
@@ -72,7 +64,7 @@ def build_wide_pattern(seed, s=45, ny=200):
         sides.append(("dec", (range(start, start + s), range(start + s, start + 2 * s))))
     ystart = len(pts)
     pts.extend(jitter_box(rng, 200.0, 40.0, ny, w=60, h=60))
-    return as_state(pts, sides, [range(ystart, ystart + ny)], [])
+    return rank_state(pts, sides, [range(ystart, ystart + ny)], [])
 
 
 def build_deep_pattern(seed, s=34):
@@ -95,7 +87,7 @@ def build_deep_pattern(seed, s=34):
     st = len(pts)
     pts.extend(jitter_box(rng, 84.0, 84.0, 4, w=2, h=2))
     odd2 = range(st, st + 4)
-    return as_state(pts, [], [odd0, odd1, odd2], [e0, e1])
+    return rank_state(pts, [], [odd0, odd1, odd2], [e0, e1])
 
 
 def state_ids(st):
@@ -113,13 +105,7 @@ def assert_exact_cover(lp, n):
 
 
 # ---------------------------------------------------------------------------
-# embeddings
-
-
-def test_seq_to_points_examples():
-    p = seq_to_points(Sequence([5, 1]))
-    assert p.points == ((1.0, 5.0), (2.0, 1.0))
-    assert seq_to_points(Sequence([])).points == ()
+# point sets
 
 
 @pytest.mark.parametrize("points", [[("a", 1)], [(1, 2, 3)], [1.0], None])
@@ -140,31 +126,31 @@ def test_pointset_rejects_duplicate_coordinates():
 
 
 def test_pullout_small_input_is_identity():
-    p, fr, _ = seq_state(gen_random(4, seed=0))
-    parts, rest = _pullout_ids(fr, np.arange(4), 3)
+    ys, _ = seq_state(gen_random(4, seed=0))
+    parts, rest = _pullout_ids(ys, np.arange(4), 3)
     assert parts == [] and rest.tolist() == [0, 1, 2, 3]
 
 
 def test_pullout_sorted_single_part():
-    p, fr, _ = seq_state(Sequence(list(range(1, 51))))
+    ys, _ = seq_state(Sequence(list(range(1, 51))))
     for k in (2, 3, 7):
-        parts, rest = _pullout_ids(fr, np.arange(50), k)
+        parts, rest = _pullout_ids(ys, np.arange(50), k)
         assert len(parts) == 1
         assert parts[0].size == 50 // k
         assert len(rest) == 50 % k
-        assert validate_point_witness(p, parts[0].public())
+        assert rank_ok(ys, parts[0])
 
 
 def test_pullout_random_bound():
-    p, fr, _ = seq_state(gen_random(1000, seed=11))
-    parts, rest = _pullout_ids(fr, np.arange(1000), 4)
+    ys, _ = seq_state(gen_random(1000, seed=11))
+    parts, rest = _pullout_ids(ys, np.arange(1000), 4)
     assert len(rest) <= max(1000 / 4, 9)
     # one part per round, so the round ceiling bounds the part count
     assert len(parts) <= math.ceil(2 * 4 * math.log2(4)) + 2
     seen = []
     for wit in parts:
         w = wit.public()
-        assert validate_point_witness(p, w)
+        assert rank_ok(ys, wit)
         assert w.depth >= 4
         seen.extend(w.indices())
     assert len(set(seen)) == len(seen)
@@ -176,7 +162,7 @@ NON_INTEGER_K = [True, 2.5, 3.0, "3"]
 @pytest.mark.parametrize("k", NON_INTEGER_K)
 def test_partition_point_set_rejects_non_integer_k(k):
     with pytest.raises(InvalidInputError):
-        partition_point_set(seq_to_points(gen_random(40, seed=1)), k)
+        partition_point_set(gen_point_cloud(40, 1), k)
 
 
 @pytest.mark.parametrize("k", NON_INTEGER_K)
@@ -196,24 +182,24 @@ def test_greedy_partition_rejects_non_integer_k(k):
 
 
 def test_configuration_vacuous_t0():
-    _, fr, st = seq_state(gen_random(12, seed=3))
-    assert pattern_ok(fr.xs, fr.ys, st, 3)
+    ys, st = seq_state(gen_random(12, seed=3))
+    assert pattern_ok(ys, st, 3)
 
 
 def test_configuration_three_part_staircase():
     staircase = ([[0], [2]], [("inc", [[1]])])
-    _, fr, st = as_state(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), [], *staircase)
-    assert pattern_ok(fr.xs, fr.ys, st, 1) is True
-    _, fr, st = as_state(((0.0, 0.0), (1.0, 1.0), (2.0, -2.0)), [], *staircase)
-    assert pattern_ok(fr.xs, fr.ys, st, 1) is False
+    ys, st = rank_state(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), [], *staircase)
+    assert pattern_ok(ys, st, 1) is True
+    ys, st = rank_state(((0.0, 0.0), (1.0, 1.0), (2.0, -2.0)), [], *staircase)
+    assert pattern_ok(ys, st, 1) is False
 
 
 def test_configuration_rejections():
-    pts = seq_to_points(Sequence([1, 2, 3, 4, 5, 6])).points
+    pts = list(enumerate([1, 2, 3, 4, 5, 6]))
 
     def ok(odds, evens, up=True):
-        _, fr, st = as_state(pts, [], odds, evens, up)
-        return pattern_ok(fr.xs, fr.ys, st, 2)
+        ys, st = rank_state(pts, [], odds, evens, up)
+        return pattern_ok(ys, st, 2)
 
     wit = ("inc", [[2], [3]])
     assert ok([[0, 1], [4, 5]], [wit])
@@ -228,12 +214,12 @@ def test_configuration_rejections():
 
 
 def test_pattern_validation_and_quadrant_violation():
-    _, fr, st = seq_state(gen_random(9, seed=2))
-    assert pattern_ok(fr.xs, fr.ys, st, 2)
+    ys, st = seq_state(gen_random(9, seed=2))
+    assert pattern_ok(ys, st, 2)
     # a side overlapping the configuration region breaks the quadrant rule
-    pts = seq_to_points(Sequence([1, 10, 2, 9, 3, 8, 4, 7])).points
-    _, fr, st = as_state(pts, [("dec", [[1], [3]])], [[0, 2, 4, 5, 6, 7]], [])
-    assert not pattern_ok(fr.xs, fr.ys, st, 1)
+    pts = list(enumerate([1, 10, 2, 9, 3, 8, 4, 7]))
+    ys, st = rank_state(pts, [("dec", [[1], [3]])], [[0, 2, 4, 5, 6, 7]], [])
+    assert not pattern_ok(ys, st, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +227,8 @@ def test_pattern_validation_and_quadrant_violation():
 
 
 def test_step_small_nine_points():
-    _, fr, st = seq_state(gen_random(9, seed=2))
-    parts, residue, leftovers, outcome = _step(fr, st, 2)
+    ys, st = seq_state(gen_random(9, seed=2))
+    parts, residue, leftovers, outcome = _step(ys, st, 2)
     assert outcome == "small"
     assert residue.tolist() == list(range(9))
     assert parts == [] and len(leftovers) == 0
@@ -250,28 +236,28 @@ def test_step_small_nine_points():
 
 def test_step_t0_is_never_widened():
     for seed in range(6):
-        _, fr, st = seq_state(gen_random(120, seed=seed))
-        parts, nxt, leftovers, outcome = _step(fr, st, 2)
+        ys, st = seq_state(gen_random(120, seed=seed))
+        parts, nxt, leftovers, outcome = _step(ys, st, 2)
         assert outcome in ("small", "deepened")
         k, c = 2, DEFAULT_C
         assert len(leftovers) <= 9 * c * c * k * k + 3 * k
 
 
 def test_step_conserves_points_and_validates_successor():
-    p, fr, st = seq_state(gen_random(300, seed=42))
+    ys, st = seq_state(gen_random(300, seed=42))
     seen_outcomes = []
     covered = []
     for _ in range(24):
-        parts, nxt, leftovers, outcome = _step(fr, st, 2)
+        parts, nxt, leftovers, outcome = _step(ys, st, 2)
         seen_outcomes.append(outcome)
         for w in parts:
-            assert validate_point_witness(p, w.public())
+            assert rank_ok(ys, w)
             covered.extend(w.ids().tolist())
         covered.extend(leftovers.tolist())
         if outcome == "small":
             covered.extend(nxt.tolist())
             break
-        assert pattern_ok(fr.xs, fr.ys, nxt, 2)
+        assert pattern_ok(ys, nxt, 2)
         st = nxt
         if st.l >= 8 or st.t >= 2:
             covered.extend(state_ids(st))
@@ -286,30 +272,30 @@ def test_step_conserves_points_and_validates_successor():
 
 
 def test_flatten_wide_trivial_branch_keeps_existing_witnesses():
-    p, fr, st = build_wide_pattern(3, s=10, ny=30)
-    assert pattern_ok(fr.xs, fr.ys, st, 2)
+    ys, st = build_wide_pattern(3, s=10, ny=30)
+    assert pattern_ok(ys, st, 2)
     parts, leftovers = _flatten_wide(st)
     # every side survives unchanged and the odd part is left over
     assert [w.public() for w in parts] == [w.public() for w in st.evens + st.sides]
     assert leftovers.tolist() == st.odds[0].tolist()
     cover = sorted([i for w in parts for i in w.ids().tolist()] + leftovers.tolist())
-    assert cover == list(range(len(p)))
+    assert cover == list(range(len(ys)))
 
 
 def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
-    p, fr, st = build_deep_pattern(1)
-    assert pattern_ok(fr.xs, fr.ys, st, 2)
-    parts, leftovers = _flatten_deep(fr, st, 2)
+    ys, st = build_deep_pattern(1)
+    assert pattern_ok(ys, st, 2)
+    parts, leftovers = _flatten_deep(ys, st, 2)
     assert [w.public() for w in parts[-2:]] == [w.public() for w in st.evens]
     pulled = parts[:-2]
     assert pulled  # the 300-point odd part yields depth-3 witnesses
     for wit in pulled:
         w = wit.public()
-        assert w.depth == 3 and validate_point_witness(p, w)
+        assert w.depth == 3 and rank_ok(ys, wit)
     odd_ids = {i for o in st.odds for i in o.tolist()}
     assert set(leftovers.tolist()) <= odd_ids
     cover = sorted([i for w in parts for i in w.ids().tolist()] + leftovers.tolist())
-    assert cover == list(range(len(p)))
+    assert cover == list(range(len(ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,32 +303,31 @@ def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
 
 
 @hs.composite
-def point_subsets(draw):
-    """A point set with distinct coordinates and a subset of its ids."""
-    n = draw(hs.integers(1, 60))
-    ys = draw(hs.permutations(range(n)))
-    xs = draw(hs.permutations(range(n)))
-    ids = draw(hs.sets(hs.integers(0, n - 1), max_size=n))
-    return PointSet(zip(xs, ys)), np.asarray(sorted(ids), dtype=np.int64)
+def sequence_subsets(draw):
+    """A sequence of distinct reals and a sorted subset of its positions."""
+    values = draw(
+        hs.lists(hs.floats(-1e6, 1e6), min_size=1, max_size=60, unique=True)
+    )
+    ids = draw(hs.sets(hs.integers(0, len(values) - 1), max_size=len(values)))
+    return Sequence(values), np.asarray(sorted(ids), dtype=np.int64)
 
 
 @settings(max_examples=150, deadline=None)
-@given(point_subsets(), hs.integers(1, 5))
-@example((seq_to_points(gen_random(3000, seed=1)), np.arange(3000, dtype=np.int64)), 3)
+@given(sequence_subsets(), hs.integers(1, 5))
+@example((gen_random(3000, seed=1), np.arange(3000, dtype=np.int64)), 3)
 def test_extract_best_is_the_larger_of_lis_cut_and_gapped_search(subset, depth):
-    pts, ids = subset
-    fr = _frame_of(pts)
-    wit = _extract_best(fr, ids, depth)
+    seq, ids = subset
+    wit = _extract_best(_ranks(seq), ids, depth)
     if len(ids) <= (depth - 1) ** 2:
         assert wit is None
         return
     w = wit.public()
-    assert validate_point_witness(pts, w) is True
+    assert validate_block_witness(seq, w) is True
     assert w.depth >= depth
     assert set(w.indices()) <= {int(i) + 1 for i in ids}
-    seq = fr.subseq(fr.by_x(ids))
-    s, _ = _best_gapped(seq, depth)
-    assert w.block_size == max(len(longest_monotone(seq)[1]) // depth, s)
+    sub = Sequence(seq.values[i] for i in ids)
+    s, _ = _best_gapped(sub, depth)
+    assert w.block_size == max(len(longest_monotone(sub)[1]) // depth, s)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +356,7 @@ def test_partition_invalid_k():
         with pytest.raises(InvalidInputError):
             fn(seq, 1)
     with pytest.raises(InvalidInputError):
-        partition_point_set(seq_to_points(seq), 0)
+        partition_point_set(gen_point_cloud(10, 0), 0)
 
 
 def test_partition_random_bulk_invariants():
@@ -431,3 +416,15 @@ def test_greedy_partition_bound_and_cover():
             assert validate_block_witness(seq, w) and w.depth >= k
         assert len(lp.remainder) <= (k - 1) ** 2
         assert lp.metrics["parts"] <= 2 * k * math.log2(n) + k
+
+
+@pytest.mark.parametrize("n, seed, k", [(60, 0, 2), (300, 1, 3), (700, 2, 2), (700, 3, 4)])
+def test_partition_point_set_on_clouds_with_unsorted_real_x(n, seed, k):
+    p = gen_point_cloud(n, seed)
+    xs = [x for x, _ in p.points]
+    assert xs != sorted(xs) and not all(x.is_integer() for x in xs)
+    lp = partition_point_set(p, k)
+    assert_exact_cover(lp, n)
+    for _, w in lp.parts:
+        assert validate_point_witness(p, w) and w.depth >= k
+    assert len(lp.remainder) <= (k - 1) ** 2
