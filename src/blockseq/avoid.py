@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence, require_int
+from .core import DEC, INC, BlockWitness, Sequence, require_int, require_seed
 from .errors import InvalidInputError, SearchFailedError
 from .extract import extract_block_monotone
 from .partition import PointSet
@@ -403,7 +403,8 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 def gen_point_cloud(n: int, seed: int = 0, box: float = 1000.0) -> PointSet:
     """n uniform random points in a square; real coordinates put them in
     general position with probability one."""
-    require_int(n=n, seed=seed)
+    require_int(n=n)
+    require_seed(seed)
     if n < 1:
         raise InvalidInputError(f"n must be positive, got {n}")
     if not 0.0 < box < math.inf:
@@ -417,7 +418,8 @@ def gen_grid_clusters(
 ) -> PointSet:
     """k x k grid of tight clusters with per_cluster jittered points each,
     the classical near-extremal input for avoiding-family sizes."""
-    require_int(k=k, per_cluster=per_cluster, seed=seed)
+    require_int(k=k, per_cluster=per_cluster)
+    require_seed(seed)
     if k < 1 or per_cluster < 1:
         raise InvalidInputError("k and per_cluster must be positive")
     if not 0.0 < jitter < 0.5:

@@ -100,7 +100,9 @@ class Page:
     meet the spine at ``c``.  Crossing points of distinct biarcs are
     required to be distinct, which keeps the geometric picture
     unambiguous.  ``split_b`` records the split vertex the page was
-    built (or merged) at.
+    built (or merged) at: on a spine of n vertices, 1 <= split_b <= n - 1,
+    since a split lies between the ends of some edge.  ``paginate`` never
+    writes more, and the pages artifact reader rejects more.
     """
 
     edges: tuple[_Edge, ...]

@@ -12,6 +12,10 @@ Exit codes: 0 = requested guarantee produced and self-verified;
 2 = precondition failure; 3 = verification mismatch or guarantee not
 produced; 4 = I/O, schema, or usage error.  All randomness flows
 through ``--seed``.
+
+Each subcommand imports only the modules it runs, when it runs: ``gen
+--kind sequence`` loads no algorithm module, and ``verify`` of sequences and
+witnesses loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,21 +25,14 @@ from dataclasses import dataclass, field
 import json
 from pathlib import Path
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import jsonio, svg
-from .avoid import (
-    check_avoiding,
-    gen_grid_clusters,
-    gen_point_cloud,
-    mutually_avoiding_sets,
-)
-from .biarc import OrderedGraph, count_page_crossings, paginate
+from . import jsonio
 from .core import (
     gen_clustered,
     gen_es_extremal,
     gen_random,
+    require_seed,
     validate_block_witness,
 )
 from .errors import (
@@ -45,20 +42,25 @@ from .errors import (
     PreconditionError,
     SearchFailedError,
 )
-from .extract import extract_block_monotone
 from .jsonio import SchemaError
-from .oracle import brute_avoiding_transversals, brute_crossings_geometric
-from .partition import greedy_partition, partition_sequence
-from .ramsey import (
-    depth1_block_path,
-    find_block_path,
-    gen_random_coloring,
-    gen_recursive_coloring,
-    longest_monochromatic_path,
-    validate_block_path,
-)
+
+if TYPE_CHECKING:
+    from .biarc import OrderedGraph
 
 __all__ = ["CommandResult", "run", "main"]
+
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    # ``cmd_extract`` calls the extractor through this module's attribute, so
+    # a wrapper set on ``cli.extract_block_monotone`` is the one that runs.
+    if name == "extract_block_monotone":
+        from .extract import extract_block_monotone
+
+        globals()[name] = extract_block_monotone
+        return extract_block_monotone
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -90,6 +92,11 @@ def _fail(code: int, event: str, **fields) -> CommandResult:
 # -- generators --------------------------------------------------------------
 
 def _random_graph(n: int, m: int, seed: int) -> OrderedGraph:
+    import numpy as np
+
+    from .biarc import OrderedGraph
+
+    require_seed(seed)
     if n < 2:
         raise InvalidInputError("graph generator needs n >= 2")
     total = n * (n - 1) // 2
@@ -114,12 +121,20 @@ def cmd_gen(args) -> CommandResult:
     elif kind == "es-extremal":
         doc = jsonio.sequence_to_json(gen_es_extremal(args.k))
     elif kind == "coloring":
+        from .ramsey import gen_random_coloring
+
         doc = jsonio.coloring_to_json(gen_random_coloring(args.n, args.q, args.seed))
     elif kind == "coloring-recursive":
+        from .ramsey import gen_recursive_coloring
+
         doc = jsonio.coloring_to_json(gen_recursive_coloring(args.k, args.q))
     elif kind == "points":
+        from .avoid import gen_point_cloud
+
         doc = jsonio.points_to_json(gen_point_cloud(args.n, args.seed, args.box))
     elif kind == "points-grid":
+        from .avoid import gen_grid_clusters
+
         doc = jsonio.points_to_json(
             gen_grid_clusters(args.k, args.per_cluster, args.seed, args.jitter)
         )
@@ -136,7 +151,7 @@ def cmd_gen(args) -> CommandResult:
 
 def cmd_extract(args) -> CommandResult:
     seq = jsonio.sequence_from_json(jsonio.read_artifact(args.infile))
-    witness = extract_block_monotone(seq, args.k, args.c)
+    witness = _module.extract_block_monotone(seq, args.k, args.c)
     if not validate_block_witness(seq, witness) or len(witness.blocks) < args.k:
         return _fail(3, "self-verification-failed", what="witness")
     jsonio.write_artifact(jsonio.witness_to_json(witness), args.out)
@@ -169,6 +184,8 @@ def _check_partition(seq, lp, k: int, full: bool) -> bool:
 
 
 def cmd_partition(args) -> CommandResult:
+    from .partition import greedy_partition, partition_sequence
+
     seq = jsonio.sequence_from_json(jsonio.read_artifact(args.infile))
     if args.mode == "greedy":
         lp = greedy_partition(seq, args.k)
@@ -203,6 +220,15 @@ def _monopath_ok(col, color: int, vertices) -> bool:
 
 
 def cmd_ramsey(args) -> CommandResult:
+    from .ramsey import (
+        depth1_block_path,
+        find_block_path,
+        gen_random_coloring,
+        gen_recursive_coloring,
+        longest_monochromatic_path,
+        validate_block_path,
+    )
+
     if args.mode == "gen-recursive":
         if args.k is None:
             return _fail(4, "usage", detail="ramsey --mode gen-recursive needs --k")
@@ -256,6 +282,8 @@ def cmd_ramsey(args) -> CommandResult:
 
 
 def cmd_avoid(args) -> CommandResult:
+    from .avoid import check_avoiding, mutually_avoiding_sets
+
     points = jsonio.points_from_json(jsonio.read_artifact(args.infile))
     witness = mutually_avoiding_sets(points, args.k)
     if not check_avoiding(witness):
@@ -277,6 +305,8 @@ def cmd_avoid(args) -> CommandResult:
 
 
 def cmd_paginate(args) -> CommandResult:
+    from .biarc import count_page_crossings, paginate
+
     graph = jsonio.graph_from_json(jsonio.read_artifact(args.infile))
     pp = paginate(graph, args.epsilon)
     drawn = sorted(e for page in pp.pages for e in page.edges)
@@ -295,6 +325,8 @@ def cmd_paginate(args) -> CommandResult:
         )
     ]
     if args.svg:
+        from . import svg
+
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg.render_pages(graph.n, pp.pages, pp.epsilon))
         artifacts.append(args.svg)
@@ -327,10 +359,14 @@ def _self_verify(doc) -> str:
         if len(set(ids)) != len(ids):
             raise InvalidInputError("partition parts and remainder overlap")
     elif kind == "avoid":
+        from .avoid import check_avoiding
+
         witness = jsonio.avoid_from_json(doc)
         if not check_avoiding(witness):
             raise InvalidInputError("families are not mutually avoiding")
     elif kind == "pages":
+        from .biarc import count_page_crossings
+
         _, pp = jsonio.pages_from_json(doc)
         if tuple(count_page_crossings(p) for p in pp.pages) != pp.metrics:
             raise InvalidInputError("page crossing metrics do not match layout")
@@ -372,10 +408,14 @@ def _verify_pair(witness_doc, data_doc, oracle: bool) -> tuple[bool, dict]:
         color, vertices = jsonio.monopath_from_json(witness_doc)
         return _monopath_ok(col, color, vertices), {"checked": "monopath-vs-coloring"}
     if wkind == "blockpath" and dkind == "coloring":
+        from .ramsey import validate_block_path
+
         col = jsonio.coloring_from_json(data_doc)
         w = jsonio.blockpath_from_json(witness_doc)
         return validate_block_path(col, w), {"checked": "blockpath-vs-coloring"}
     if wkind == "avoid" and dkind == "points":
+        from .avoid import check_avoiding
+
         points = set(jsonio.points_from_json(data_doc).points)
         w = jsonio.avoid_from_json(witness_doc)
         members = [p for blk in w.a_blocks + w.b_blocks for p in blk]
@@ -384,6 +424,8 @@ def _verify_pair(witness_doc, data_doc, oracle: bool) -> tuple[bool, dict]:
             ok = _oracle_failure(wkind, witness_doc) is None
         return ok, {"checked": "avoid-vs-points", "oracle": oracle}
     if wkind == "pages" and dkind == "graph":
+        from .biarc import count_page_crossings
+
         graph = jsonio.graph_from_json(data_doc)
         n, pp = jsonio.pages_from_json(witness_doc)
         drawn = sorted(e for page in pp.pages for e in page.edges)
@@ -398,9 +440,15 @@ def _verify_pair(witness_doc, data_doc, oracle: bool) -> tuple[bool, dict]:
 def _oracle_failure(kind: str, doc) -> str | None:
     """Re-check an avoid or pages artifact with the brute-force oracle; the
     reason it fails, or None.  Other kinds have no oracle check."""
-    if kind == "avoid" and not brute_avoiding_transversals(jsonio.avoid_from_json(doc)):
-        return "oracle transversal check failed"
+    if kind == "avoid":
+        from .oracle import brute_avoiding_transversals
+
+        if not brute_avoiding_transversals(jsonio.avoid_from_json(doc)):
+            return "oracle transversal check failed"
     if kind == "pages":
+        from .biarc import count_page_crossings
+        from .oracle import brute_crossings_geometric
+
         _, pp = jsonio.pages_from_json(doc)
         if any(count_page_crossings(p) != brute_crossings_geometric(p) for p in pp.pages):
             return "oracle crossing count mismatch"
@@ -473,6 +521,8 @@ def _scatter_groups_from_witness(seq, witness):
 
 
 def cmd_render(args) -> CommandResult:
+    from . import svg
+
     doc = jsonio.read_artifact(args.infile)
     try:
         kind = jsonio.infer_kind(doc)

@@ -9,6 +9,8 @@ max/min comparison between the value ranges of consecutive blocks; the
 validator below relies on that equivalence.
 
 All public indices are 1-based, matching the JSON interchange format.
+numpy loads only inside the functions that compute with it, so reading and
+validating sequences and witnesses never imports it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 import math
 import random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INC",
@@ -213,11 +217,21 @@ def require_int(**values) -> None:
             raise InvalidInputError(f"{name} must be an int, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """A seed for numpy's ``default_rng``, which rejects negative ints with a
+    bare ValueError: a non-negative int, or a typed error."""
+    require_int(seed=seed)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 _WIDTH = 32  # entries per block fed to longest_chain by the package
 
 
 def chain_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Fresh ``(lengths, pred)`` for ``chain_block`` over entries 0..n-1."""
+    import numpy as np
+
     dt = np.int16 if n < 2**15 else np.int64  # lengths never exceed n
     return np.ones(n, dtype=dt), np.full(n, -1, dtype=np.int64)
 
@@ -231,6 +245,8 @@ def chain_block(lengths: np.ndarray, pred: np.ndarray, lo: int, hi: int, ok) -> 
     smallest predecessor); the triangle inside the block follows in plain
     Python, where a strict comparison keeps the earlier of equal lengths.
     """
+    import numpy as np
+
     if lo:
         cand = ok[:, :lo] * lengths[:lo]  # 0 where j may not precede i
         at = cand.argmax(axis=1)
@@ -351,7 +367,10 @@ def gen_clustered(
 
 def gen_random(n: int, seed: int = 0) -> Sequence:
     """Seeded pseudorandom permutation of {1, ..., n} as floats."""
-    require_int(n=n, seed=seed)
+    import numpy as np
+
+    require_int(n=n)
+    require_seed(seed)
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     rng = np.random.default_rng(seed)

@@ -11,20 +11,25 @@ reported as :class:`InvalidInputError` (by the domain constructors, or by
 the coloring reader before its int16 matrix stores a color), which lets
 callers distinguish a malformed file from a well-formed artifact that
 fails verification.
+
+Sequences and witnesses need only ``core``; each other reader imports the
+module that defines its model when it runs, so checking a sequence or a
+witness never loads numpy or the algorithm modules.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .avoid import AvoidingWitness
-from .biarc import OrderedGraph, Page, PagePartition
 from .core import DEC, INC, BlockWitness, Sequence
 from .errors import BlockseqError, InvalidInputError
-from .partition import LabeledPartition, PointSet
-from .ramsey import MAX_COLORS, BlockPathWitness, PairColoring
+
+if TYPE_CHECKING:
+    from .avoid import AvoidingWitness
+    from .biarc import OrderedGraph, Page, PagePartition
+    from .partition import LabeledPartition, PointSet
+    from .ramsey import BlockPathWitness, PairColoring
 
 __all__ = [
     "SchemaError",
@@ -176,6 +181,10 @@ def coloring_to_json(col: PairColoring) -> dict:
 
 
 def coloring_from_json(doc) -> PairColoring:
+    import numpy as np
+
+    from .ramsey import MAX_COLORS, PairColoring
+
     _require(doc, "coloring")
     n, q, colors = doc["n"], doc["q"], doc["colors"]
     for name, v in (("n", n), ("q", q)):
@@ -225,6 +234,8 @@ def points_to_json(ps: PointSet) -> dict:
 
 
 def points_from_json(doc) -> PointSet:
+    from .partition import PointSet
+
     _require(doc, "points")
     if not isinstance(doc["points"], list):
         raise SchemaError("'points' must be a list")
@@ -242,6 +253,8 @@ def graph_to_json(g: OrderedGraph) -> dict:
 
 
 def graph_from_json(doc) -> OrderedGraph:
+    from .biarc import OrderedGraph
+
     _require(doc, "graph")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
@@ -266,6 +279,8 @@ def partition_to_json(lp: LabeledPartition) -> dict:
 
 
 def partition_from_json(doc) -> LabeledPartition:
+    from .partition import LabeledPartition
+
     _require(doc, "partition")
     if not isinstance(doc["parts"], list) or not isinstance(doc["remainder"], list):
         raise SchemaError("'parts' and 'remainder' must be lists")
@@ -306,6 +321,8 @@ def _coord_blocks(raw, what: str):
 
 
 def avoid_from_json(doc) -> AvoidingWitness:
+    from .avoid import AvoidingWitness
+
     _require(doc, "avoid")
     return AvoidingWitness(
         _coord_blocks(doc["a_blocks"], "a_blocks"),
@@ -341,6 +358,8 @@ def pages_to_json(pp: PagePartition, n: int) -> dict:
 
 
 def page_from_json(doc) -> Page:
+    from .biarc import Page
+
     if not isinstance(doc, dict):
         raise SchemaError(f"a page must be an object, got {doc!r}")
     if set(doc) != {"edges", "style", "split_b", "layout"}:
@@ -365,7 +384,7 @@ def page_from_json(doc) -> Page:
 def _spine_pages(doc) -> tuple[int, tuple[Page, ...]]:
     """(n, pages) of a pages artifact, an empty page list included.  The
     spine length n must be an int, at least 1, and reach every page edge's
-    right end."""
+    right end; every page's split vertex must lie on the spine before n."""
     _require(doc, "pages")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
@@ -378,12 +397,19 @@ def _spine_pages(doc) -> tuple[int, tuple[Page, ...]]:
     top = max((r for page in pages for _, r in page.edges), default=1)
     if top > n:
         raise InvalidInputError(f"edge vertex {top} lies past the spine end n = {n}")
+    for page in pages:
+        if page.split_b > n - 1:
+            raise InvalidInputError(
+                f"split vertex {page.split_b} lies past n - 1 = {n - 1}"
+            )
     return n, pages
 
 
 def pages_from_json(doc) -> tuple[int, PagePartition]:
     """Returns (n, partition).  Rejects empty page lists, which no page
     partition holds; renderers that draw them read ``_spine_pages``."""
+    from .biarc import PagePartition
+
     _require(doc, "pages")
     if not isinstance(doc["metrics"], list):
         raise SchemaError("'metrics' must be a list")
@@ -417,6 +443,8 @@ def blockpath_to_json(w: BlockPathWitness) -> dict:
 
 
 def blockpath_from_json(doc) -> BlockPathWitness:
+    from .ramsey import BlockPathWitness
+
     _require(doc, "blockpath")
     color = doc["color"]
     if isinstance(color, bool) or not isinstance(color, int):

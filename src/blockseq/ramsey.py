@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _WIDTH, DEC, INC, BlockWitness, Sequence, longest_chain, trace_chain
-from .core import require_int
+from .core import require_int, require_seed
 from .errors import InvalidInputError
 
 __all__ = [
@@ -122,7 +122,8 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
 
 def gen_random_coloring(n: int, q: int, seed: int) -> PairColoring:
     """Uniform random coloring; deterministic per seed."""
-    require_int(n=n, q=q, seed=seed)
+    require_int(n=n, q=q)
+    require_seed(seed)
     if not 1 <= n <= MAX_VERTICES or not 1 <= q <= MAX_COLORS:
         raise InvalidInputError(
             f"need n in 1..{MAX_VERTICES} and q in 1..{MAX_COLORS}"

@@ -234,6 +234,23 @@ def test_points_generator_rejects_bad_box(tmp_path, box):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "sequence"],
+        ["gen", "--kind", "coloring"],
+        ["gen", "--kind", "points"],
+        ["gen", "--kind", "points-grid"],
+        ["gen", "--kind", "graph"],
+        ["ramsey", "--mode", "gen-random"],
+    ],
+)
+def test_negative_seed_is_precondition_failure(tmp_path, argv):
+    # numpy's default_rng raises a bare ValueError on negative seeds
+    result = run(argv + ["--seed", "-1", "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+
+
 def test_ramsey_gen_recursive_without_k_is_usage_error(tmp_path):
     out = tmp_path / "col.json"
     result = run(["ramsey", "--mode", "gen-recursive", "--q", "2", "--out", str(out)])
@@ -587,6 +604,22 @@ def test_pages_n_gets_one_exit_code_from_verify_and_render(tmp_path, n, code):
     assert run(["render", "--in", bad, "--out", str(tmp_path / "p.svg")]).exit_code == code
 
 
+@pytest.mark.parametrize("split_b, code", [(11, 0), (12, 3), (1000, 3)])
+def test_pages_split_vertex_gets_one_exit_code_from_verify_and_render(
+    tmp_path, split_b, code
+):
+    """A page's split vertex lies before the spine end: 1 <= split_b <= n - 1."""
+    g = gen(tmp_path, "graph", "g.json", n=12, m=30, seed=2)
+    pages = str(tmp_path / "pages.json")
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages]))
+    doc = read(pages)
+    doc["pages"][0]["split_b"] = split_b
+    bad = write(tmp_path / "bad.json", doc)
+    assert run(["verify", "--in", bad]).exit_code == code
+    assert run(["verify", "--witness", bad, "--in", g]).exit_code == code
+    assert run(["render", "--in", bad, "--out", str(tmp_path / "p.svg")]).exit_code == code
+
+
 def test_pages_n_must_match_the_graph(tmp_path):
     g = gen(tmp_path, "graph", "g.json", n=12, m=30, seed=2)
     pages = str(tmp_path / "pages.json")
@@ -611,3 +644,40 @@ def test_empty_artifacts_render_an_empty_canvas(tmp_path):
         out = str(tmp_path / "out.svg")
         ok(run(["render", "--in", path, *data, "--out", out]))
         assert paths(ET.fromstring(open(out).read()), "circle") == []
+
+
+# Arguments for every gen kind: integers in -1..5, reals that are zero,
+# negative, huge or nan, and deltas at or outside (0, 1/2).
+_INT_FLAGS = ("n", "k", "s", "q", "m", "seed", "per-cluster")
+_REALS = ["0", "-1.5", "1e300", "nan", "0.3"]
+
+
+@hs.composite
+def gen_argvs(draw):
+    kind = draw(hs.sampled_from([
+        "sequence", "clustered", "es-extremal", "coloring", "coloring-recursive",
+        "points", "points-grid", "graph",
+    ]))
+    argv = ["gen", "--kind", kind]
+    for flag in _INT_FLAGS:
+        # k**q vertices: q <= 3 keeps a recursive coloring at 125 vertices;
+        # at 5**5 the artifact alone is 216 MB.
+        top = 3 if kind == "coloring-recursive" and flag == "q" else 5
+        argv += [f"--{flag}", str(draw(hs.integers(-1, top)))]
+    for flag in ("box", "jitter"):
+        argv += [f"--{flag}", draw(hs.sampled_from(_REALS))]
+    delta = draw(hs.sampled_from(["0", "0.5", "-0.25", "0.75", "nan", "0.25", "1e-9"]))
+    return argv + ["--delta", delta]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen_argvs())
+@example(["gen", "--kind", "clustered", "--k", "2", "--s", "3", "--delta", "0.5"])
+@example(["gen", "--kind", "points", "--n", "3", "--box", "1e300"])
+def test_gen_exit_codes_hold_the_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/out.json"
+        code = run(argv + ["--out", out]).exit_code
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert run(["verify", "--in", out]).exit_code == 0

@@ -57,3 +57,22 @@ def test_traced_avoid_records_one_balanced_line_span(monkeypatch):
     finally:
         tracer.remove()
     assert [span[0] for span in tracer.spans].count("avoid.balanced_line") == 1
+
+
+def test_traced_cli_extract_records_one_extract_span(monkeypatch, tmp_path):
+    """``cli.inproc_extract_s`` holds an ``extract`` span only while
+    ``cmd_extract`` calls the extractor through ``cli.extract_block_monotone``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from blockseq import cli
+
+    seq, wit = str(tmp_path / "seq.json"), str(tmp_path / "wit.json")
+    assert cli.run(["gen", "--kind", "sequence", "--n", "200", "--out", seq]).exit_code == 0
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.run(["extract", "--k", "2", "--in", seq, "--out", wit]).exit_code == 0
+    finally:
+        tracer.remove()
+    assert [span[0] for span in tracer.spans].count("extract") == 1
