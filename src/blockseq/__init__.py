@@ -100,65 +100,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INC",
-    "DEC",
-    "Sequence",
-    "BlockWitness",
-    "InversionStats",
-    "GappedChain",
-    "DominanceCounter",
-    "BlockseqError",
-    "InvalidInputError",
-    "PreconditionError",
-    "BudgetExceededError",
-    "SearchFailedError",
-    "IndeterminateGeometryError",
-    "validate_block_witness",
-    "longest_monotone",
-    "inversion_stats",
-    "gen_es_extremal",
-    "gen_clustered",
-    "gen_random",
-    "build_counter",
-    "count_open_box",
-    "is_gapped_pair",
-    "gapped_chain_dp",
-    "chain_to_blocks",
-    "extract_block_monotone",
-    "max_gapped_blocksize",
-    "PointSet",
-    "LabeledPartition",
-    "validate_point_witness",
-    "partition_point_set",
-    "partition_sequence",
-    "greedy_partition",
-    "PairColoring",
-    "BlockPathWitness",
-    "coloring_from_sequence",
-    "gen_recursive_coloring",
-    "gen_random_coloring",
-    "longest_monochromatic_path",
-    "depth1_block_path",
-    "find_block_path",
-    "validate_block_path",
-    "path_witness_to_blocks",
-    "Line",
-    "AvoidingWitness",
-    "balanced_line",
-    "check_avoiding",
-    "mutually_avoiding_sets",
-    "gen_point_cloud",
-    "gen_grid_clusters",
-    "BIARCS",
-    "UPPER_ARCS",
-    "OrderedGraph",
-    "Page",
-    "PagePartition",
-    "count_page_crossings",
-    "half_split",
-    "paginate",
-    "partition_multiset",
-    "spine_crossing",
-    "__version__",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]

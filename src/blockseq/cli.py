@@ -1,13 +1,17 @@
 """Batch command-line front end for the toolkit.
 
-Subcommands: ``gen`` (seeded artifact generators), ``extract``
-(block-monotone witness), ``partition`` (full or greedy sequence
-partition), ``ramsey`` (coloring generation and monochromatic path
-search), ``avoid`` (mutually avoiding families), ``paginate``
-(low-crossing book drawing), ``verify`` (artifact validation), and
-``render`` (SVG output).
+Subcommands: ``gen`` (seeded artifact generators: sequences, pair
+colorings, point sets and graphs), ``extract`` (block-monotone witness),
+``partition`` (full or greedy sequence partition), ``ramsey``
+(monochromatic path and block-path search in a ``gen`` coloring),
+``avoid`` (mutually avoiding families), ``paginate`` (low-crossing book
+drawing), ``verify`` (artifact validation), and ``render`` (SVG output).
 
-Every producing command re-validates its own output before exiting 0.
+Every artifact kind has one reader and one check of its own, and every
+(witness, data) pair one check of the witness against its input.  Each
+producing command runs that pair check on its output before exiting 0, and
+``verify`` and ``render`` read through the same checks.
+
 Exit codes: 0 = requested guarantee produced and self-verified;
 2 = precondition failure; 3 = verification mismatch or guarantee not
 produced; 4 = I/O, schema, or usage error.  All randomness flows
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import json
 from pathlib import Path
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import jsonio
 from .core import (
@@ -33,6 +37,7 @@ from .core import (
     gen_es_extremal,
     gen_random,
     require_seed,
+    separated_blocks,
     validate_block_witness,
 )
 from .errors import (
@@ -140,11 +145,235 @@ def cmd_gen(args) -> CommandResult:
         )
     else:  # graph
         doc = jsonio.graph_to_json(_random_graph(args.n, args.m, args.seed))
-    _self_verify(doc)
+    _parse(doc)  # what gen writes reads back
     jsonio.write_artifact(doc, args.out)
     return CommandResult(
         0, [args.out], [_entry("generated", kind=kind, path=args.out)]
     )
+
+
+# -- artifact kinds ----------------------------------------------------------
+#
+# ``_KINDS`` gives each artifact kind its one reader and its one check that
+# needs nothing but the artifact; ``_PAIRS`` gives each (witness kind, data
+# kind) pair its one check of a witness against the input it was made from.
+# Producers, ``verify`` and ``render`` all go through these two tables.  A
+# failed check raises InvalidInputError; a pair check returns False on a
+# mismatch and runs after the witness's own check (``_pair_ok``).
+
+
+def _check_witness(w) -> None:
+    if any(i < 1 for b in w.blocks for i in b) or not separated_blocks(w.blocks):
+        raise InvalidInputError(
+            "witness blocks must be non-empty, of one size, positive and "
+            "positionally separated"
+        )
+
+
+def _check_partition(lp) -> None:
+    ids = [i for part_ids, _ in lp.parts for i in part_ids] + list(lp.remainder)
+    if len(set(ids)) != len(ids):
+        raise InvalidInputError("partition parts and remainder overlap")
+    if any(i < 1 for i in ids):
+        raise InvalidInputError("partition indices must be positive")
+    for _, w in lp.parts:
+        _check_witness(w)
+    # a partition that names its depth k promises parts of depth >= k and at
+    # most (k - 1)^2 points left over
+    k = lp.metrics.get("k")
+    if isinstance(k, int) and not isinstance(k, bool) and k >= 2:
+        if any(len(w.blocks) < k for _, w in lp.parts) or len(lp.remainder) > (k - 1) ** 2:
+            raise InvalidInputError(
+                f"a depth-{k} partition needs parts of depth >= {k} and at "
+                f"most {(k - 1) ** 2} points left over"
+            )
+
+
+def _check_monopath(path) -> None:
+    color, vertices = path
+    if color < 1 or not vertices or vertices[0] < 1:
+        raise InvalidInputError("a path needs a color >= 1 and positive vertices")
+    if any(a >= b for a, b in zip(vertices, vertices[1:])):
+        raise InvalidInputError("monopath must be strictly increasing")
+
+
+def _check_blockpath(w) -> None:
+    from .ramsey import interleaved_path
+
+    if not interleaved_path(w) or w.color < 1 or w.endpoints[0] < 1:
+        raise InvalidInputError(
+            "block path must interleave k >= 1 equal non-empty blocks with "
+            "k + 1 positive endpoints, in a color >= 1"
+        )
+
+
+def _check_avoid(w) -> None:
+    from .avoid import check_avoiding
+
+    if not check_avoiding(w):
+        raise InvalidInputError("families are not mutually avoiding")
+
+
+def _check_pages(spine) -> None:
+    from .biarc import PagePartition, count_page_crossings
+
+    _, pages, epsilon, metrics = spine
+    PagePartition(pages, epsilon, metrics)
+    if tuple(count_page_crossings(p) for p in pages) != metrics:
+        raise InvalidInputError("page crossing metrics do not match layout")
+
+
+def _avoid_oracle(w) -> str | None:
+    from .oracle import brute_avoiding_transversals
+
+    return None if brute_avoiding_transversals(w) else "oracle transversal check failed"
+
+
+def _pages_oracle(spine) -> str | None:
+    from .biarc import count_page_crossings
+    from .oracle import brute_crossings_geometric
+
+    if any(count_page_crossings(p) != brute_crossings_geometric(p) for p in spine[1]):
+        return "oracle crossing count mismatch"
+    return None
+
+
+def _scatter(groups, rest=()) -> str:
+    from . import svg
+
+    return svg.render_scatter(groups, rest=rest)
+
+
+def _at(seq, ids) -> list[tuple[float, float]]:
+    """(index, value) points of a sequence, 1-based."""
+    return [(float(i), float(seq.values[i - 1])) for i in ids]
+
+
+def _draw_witness(w, seq) -> str:
+    member = {i for b in w.blocks for i in b}
+    rest = [i for i in range(1, len(seq) + 1) if i not in member]
+    return _scatter([_at(seq, b) for b in w.blocks], _at(seq, rest))
+
+
+def _draw_partition(lp, seq) -> str:
+    return _scatter([_at(seq, ids) for ids, _ in lp.parts], _at(seq, lp.remainder))
+
+
+def _draw_pages(spine, _) -> str:
+    from . import svg
+
+    return svg.render_pages(spine[0], spine[1])
+
+
+class _Kind(NamedTuple):
+    read: Callable  # artifact document -> object
+    check: Callable = lambda obj: None  # raises InvalidInputError
+    oracle: Callable | None = None  # object -> failure reason or None
+    draw: Callable | None = None  # (object, data object or None) -> SVG
+    draw_on: str | None = None  # the --data kind that ``draw`` needs
+
+
+_KINDS = {
+    "sequence": _Kind(
+        jsonio.sequence_from_json,
+        draw=lambda seq, _: _scatter([], _at(seq, range(1, len(seq) + 1))),
+    ),
+    "witness": _Kind(
+        jsonio.witness_from_json, _check_witness, draw=_draw_witness, draw_on="sequence"
+    ),
+    "coloring": _Kind(jsonio.coloring_from_json),
+    "points": _Kind(jsonio.points_from_json, draw=lambda ps, _: _scatter([], ps.points)),
+    "graph": _Kind(jsonio.graph_from_json),
+    "partition": _Kind(
+        jsonio.partition_from_json,
+        _check_partition,
+        draw=_draw_partition,
+        draw_on="sequence",
+    ),
+    "avoid": _Kind(
+        jsonio.avoid_from_json,
+        _check_avoid,
+        _avoid_oracle,
+        lambda w, _: _scatter(list(w.a_blocks + w.b_blocks)),
+    ),
+    # (n, pages, epsilon, metrics); the reader takes an empty page list,
+    # which ``render`` draws as a bare spine and the check rejects
+    "pages": _Kind(jsonio._spine_pages, _check_pages, _pages_oracle, _draw_pages),
+    "monopath": _Kind(jsonio.monopath_from_json, _check_monopath),
+    "blockpath": _Kind(jsonio.blockpath_from_json, _check_blockpath),
+}
+
+
+def _partition_on(lp, seq) -> bool:
+    if not all(validate_block_witness(seq, w) for _, w in lp.parts):
+        return False
+    covered = [i for ids, _ in lp.parts for i in ids] + list(lp.remainder)
+    return sorted(covered) == list(range(1, len(seq) + 1))
+
+
+def _monopath_on(path, col) -> bool:
+    color, vertices = path
+    return vertices[-1] <= col.n and all(
+        col.color(a, b) == color for a, b in zip(vertices, vertices[1:])
+    )
+
+
+def _blockpath_on(w, col) -> bool:
+    from .ramsey import validate_block_path
+
+    return validate_block_path(col, w)
+
+
+def _avoid_on(w, points) -> bool:
+    present = set(points.points)
+    return all(p in present for blk in w.a_blocks + w.b_blocks for p in blk)
+
+
+def _pages_on(spine, graph) -> bool:
+    n, pages = spine[:2]
+    drawn = sorted(e for page in pages for e in page.edges)
+    return n == graph.n and drawn == sorted(graph.edges)
+
+
+_PAIRS = {
+    ("witness", "sequence"): lambda w, seq: validate_block_witness(seq, w),
+    ("partition", "sequence"): _partition_on,
+    ("monopath", "coloring"): _monopath_on,
+    ("blockpath", "coloring"): _blockpath_on,
+    ("avoid", "points"): _avoid_on,
+    ("pages", "graph"): _pages_on,
+}
+
+
+def _parse(doc) -> tuple[str, object]:
+    """(kind, object) of an artifact document: SchemaError when it is
+    malformed, InvalidInputError when its values break a domain rule."""
+    kind = jsonio.infer_kind(doc)
+    return kind, _KINDS[kind].read(doc)
+
+
+def _parse_data(wkind: str, doc) -> tuple[str, object]:
+    """(kind, object) of the input a ``wkind`` witness is checked against;
+    SchemaError when no pair check takes that kind."""
+    dkind = jsonio.infer_kind(doc)
+    if (wkind, dkind) not in _PAIRS:
+        raise SchemaError(f"cannot verify a {wkind} artifact against a {dkind}")
+    return dkind, _KINDS[dkind].read(doc)
+
+
+def _pair_ok(wkind: str, obj, dkind: str, data) -> bool:
+    """The witness's own check, then its pair check against ``data``."""
+    _KINDS[wkind].check(obj)
+    return _PAIRS[wkind, dkind](obj, data)
+
+
+def _self_verified(wkind: str, obj, dkind: str, data) -> bool:
+    """A producer's check of the object it is about to write against the
+    input it read."""
+    try:
+        return _pair_ok(wkind, obj, dkind, data)
+    except InvalidInputError:
+        return False
 
 
 # -- producing commands ------------------------------------------------------
@@ -152,7 +381,8 @@ def cmd_gen(args) -> CommandResult:
 def cmd_extract(args) -> CommandResult:
     seq = jsonio.sequence_from_json(jsonio.read_artifact(args.infile))
     witness = _module.extract_block_monotone(seq, args.k, args.c)
-    if not validate_block_witness(seq, witness) or len(witness.blocks) < args.k:
+    verified = _self_verified("witness", witness, "sequence", seq)
+    if not verified or len(witness.blocks) < args.k:
         return _fail(3, "self-verification-failed", what="witness")
     jsonio.write_artifact(jsonio.witness_to_json(witness), args.out)
     return CommandResult(
@@ -170,19 +400,6 @@ def cmd_extract(args) -> CommandResult:
     )
 
 
-def _check_partition(seq, lp, k: int, full: bool) -> bool:
-    covered = list(lp.remainder)
-    for ids, witness in lp.parts:
-        if not validate_block_witness(seq, witness):
-            return False
-        if full and len(witness.blocks) < k:
-            return False
-        covered.extend(ids)
-    if sorted(covered) != list(range(1, len(seq) + 1)):
-        return False
-    return not (full and len(lp.remainder) > (k - 1) ** 2)
-
-
 def cmd_partition(args) -> CommandResult:
     from .partition import greedy_partition, partition_sequence
 
@@ -191,7 +408,7 @@ def cmd_partition(args) -> CommandResult:
         lp = greedy_partition(seq, args.k)
     else:
         lp = partition_sequence(seq, args.k)
-    if not _check_partition(seq, lp, args.k, full=args.mode == "full"):
+    if not _self_verified("partition", lp, "sequence", seq):
         return _fail(3, "self-verification-failed", what="partition")
     jsonio.write_artifact(jsonio.partition_to_json(lp), args.out)
     return CommandResult(
@@ -209,46 +426,15 @@ def cmd_partition(args) -> CommandResult:
     )
 
 
-def _monopath_ok(col, color: int, vertices) -> bool:
-    if len(vertices) < 1:
-        return False
-    if any(a >= b for a, b in zip(vertices, vertices[1:])):
-        return False
-    if not all(1 <= v <= col.n for v in vertices):
-        return False
-    return all(col.color(a, b) == color for a, b in zip(vertices, vertices[1:]))
-
-
 def cmd_ramsey(args) -> CommandResult:
-    from .ramsey import (
-        depth1_block_path,
-        find_block_path,
-        gen_random_coloring,
-        gen_recursive_coloring,
-        longest_monochromatic_path,
-        validate_block_path,
-    )
+    from .ramsey import depth1_block_path, find_block_path, longest_monochromatic_path
 
-    if args.mode == "gen-recursive":
-        if args.k is None:
-            return _fail(4, "usage", detail="ramsey --mode gen-recursive needs --k")
-        doc = jsonio.coloring_to_json(gen_recursive_coloring(args.k, args.q))
-        _self_verify(doc)
-        jsonio.write_artifact(doc, args.out)
-        return CommandResult(0, [args.out], [_entry("generated", path=args.out)])
-    if args.mode == "gen-random":
-        doc = jsonio.coloring_to_json(gen_random_coloring(args.n, args.q, args.seed))
-        _self_verify(doc)
-        jsonio.write_artifact(doc, args.out)
-        return CommandResult(0, [args.out], [_entry("generated", path=args.out)])
-    if not args.infile:
-        return _fail(4, "usage", detail=f"ramsey --mode {args.mode} needs --in")
     if args.mode == "block-path" and (args.k is None) != (args.s is None):
         return _fail(4, "usage", detail="block-path takes --k and --s together")
     col = jsonio.coloring_from_json(jsonio.read_artifact(args.infile))
     if args.mode == "search":
-        color, vertices = longest_monochromatic_path(col)
-        if not _monopath_ok(col, color, vertices):
+        color, vertices = path = longest_monochromatic_path(col)
+        if not _self_verified("monopath", path, "coloring", col):
             return _fail(3, "self-verification-failed", what="monopath")
         jsonio.write_artifact(jsonio.monopath_to_json(color, vertices), args.out)
         return CommandResult(
@@ -263,7 +449,7 @@ def cmd_ramsey(args) -> CommandResult:
         witness = depth1_block_path(col)
     if witness is None:
         return _fail(3, "search-exhausted", what="block-path")
-    if not validate_block_path(col, witness):
+    if not _self_verified("blockpath", witness, "coloring", col):
         return _fail(3, "self-verification-failed", what="block-path")
     jsonio.write_artifact(jsonio.blockpath_to_json(witness), args.out)
     return CommandResult(
@@ -282,11 +468,11 @@ def cmd_ramsey(args) -> CommandResult:
 
 
 def cmd_avoid(args) -> CommandResult:
-    from .avoid import check_avoiding, mutually_avoiding_sets
+    from .avoid import mutually_avoiding_sets
 
     points = jsonio.points_from_json(jsonio.read_artifact(args.infile))
     witness = mutually_avoiding_sets(points, args.k)
-    if not check_avoiding(witness):
+    if not _self_verified("avoid", witness, "points", points):
         return _fail(3, "self-verification-failed", what="avoiding-witness")
     jsonio.write_artifact(jsonio.avoid_to_json(witness), args.out)
     return CommandResult(
@@ -305,16 +491,14 @@ def cmd_avoid(args) -> CommandResult:
 
 
 def cmd_paginate(args) -> CommandResult:
-    from .biarc import count_page_crossings, paginate
+    from .biarc import paginate
 
     graph = jsonio.graph_from_json(jsonio.read_artifact(args.infile))
     pp = paginate(graph, args.epsilon)
-    drawn = sorted(e for page in pp.pages for e in page.edges)
-    recount = tuple(count_page_crossings(p) for p in pp.pages)
-    if drawn != sorted(graph.edges) or recount != pp.metrics:
+    spine = (graph.n, pp.pages, pp.epsilon, pp.metrics)
+    if not _self_verified("pages", spine, "graph", graph):
         return _fail(3, "self-verification-failed", what="pages")
-    doc = jsonio.pages_to_json(pp, graph.n)
-    jsonio.write_artifact(doc, args.out)
+    jsonio.write_artifact(jsonio.pages_to_json(pp, graph.n), args.out)
     artifacts = [args.out]
     log = [
         _entry(
@@ -336,131 +520,13 @@ def cmd_paginate(args) -> CommandResult:
 
 # -- verification ------------------------------------------------------------
 
-def _self_verify(doc) -> str:
-    """Structural + self-contained semantic validation; returns the kind.
-
-    Raises SchemaError for malformed documents and InvalidInputError for
-    well-formed documents that fail their own invariants.
-    """
-    kind = jsonio.infer_kind(doc)
-    if kind == "sequence":
-        jsonio.sequence_from_json(doc)
-    elif kind == "witness":
-        jsonio.witness_from_json(doc)
-    elif kind == "coloring":
-        jsonio.coloring_from_json(doc)
-    elif kind == "points":
-        jsonio.points_from_json(doc)
-    elif kind == "graph":
-        jsonio.graph_from_json(doc)
-    elif kind == "partition":
-        lp = jsonio.partition_from_json(doc)
-        ids = [i for part_ids, _ in lp.parts for i in part_ids] + list(lp.remainder)
-        if len(set(ids)) != len(ids):
-            raise InvalidInputError("partition parts and remainder overlap")
-    elif kind == "avoid":
-        from .avoid import check_avoiding
-
-        witness = jsonio.avoid_from_json(doc)
-        if not check_avoiding(witness):
-            raise InvalidInputError("families are not mutually avoiding")
-    elif kind == "pages":
-        from .biarc import count_page_crossings
-
-        _, pp = jsonio.pages_from_json(doc)
-        if tuple(count_page_crossings(p) for p in pp.pages) != pp.metrics:
-            raise InvalidInputError("page crossing metrics do not match layout")
-    elif kind == "monopath":
-        color, vertices = jsonio.monopath_from_json(doc)
-        if color < 1 or any(a >= b for a, b in zip(vertices, vertices[1:])):
-            raise InvalidInputError("monopath must be strictly increasing")
-    else:  # blockpath
-        witness = jsonio.blockpath_from_json(doc)
-        order = []
-        for i, p in enumerate(witness.endpoints[:-1]):
-            order.append((p,))
-            if i < len(witness.blocks):
-                order.append(witness.blocks[i])
-        order.append((witness.endpoints[-1],))
-        flat = [v for chunk in order for v in sorted(chunk)]
-        if any(a >= b for a, b in zip(flat, flat[1:])):
-            raise InvalidInputError("block path is not properly interleaved")
-    return kind
-
-
-def _verify_pair(witness_doc, data_doc, oracle: bool) -> tuple[bool, dict]:
-    wkind = jsonio.infer_kind(witness_doc)
-    dkind = jsonio.infer_kind(data_doc)
-    if wkind == "witness" and dkind == "sequence":
-        seq = jsonio.sequence_from_json(data_doc)
-        w = jsonio.witness_from_json(witness_doc)
-        return validate_block_witness(seq, w), {"checked": "witness-vs-sequence"}
-    if wkind == "partition" and dkind == "sequence":
-        seq = jsonio.sequence_from_json(data_doc)
-        lp = jsonio.partition_from_json(witness_doc)
-        k = lp.metrics.get("k")
-        full = isinstance(k, int) and not isinstance(k, bool) and k >= 2
-        return _check_partition(seq, lp, k if full else 2, full), {
-            "checked": "partition-vs-sequence"
-        }
-    if wkind == "monopath" and dkind == "coloring":
-        col = jsonio.coloring_from_json(data_doc)
-        color, vertices = jsonio.monopath_from_json(witness_doc)
-        return _monopath_ok(col, color, vertices), {"checked": "monopath-vs-coloring"}
-    if wkind == "blockpath" and dkind == "coloring":
-        from .ramsey import validate_block_path
-
-        col = jsonio.coloring_from_json(data_doc)
-        w = jsonio.blockpath_from_json(witness_doc)
-        return validate_block_path(col, w), {"checked": "blockpath-vs-coloring"}
-    if wkind == "avoid" and dkind == "points":
-        from .avoid import check_avoiding
-
-        points = set(jsonio.points_from_json(data_doc).points)
-        w = jsonio.avoid_from_json(witness_doc)
-        members = [p for blk in w.a_blocks + w.b_blocks for p in blk]
-        ok = all(p in points for p in members) and check_avoiding(w)
-        if ok and oracle:
-            ok = _oracle_failure(wkind, witness_doc) is None
-        return ok, {"checked": "avoid-vs-points", "oracle": oracle}
-    if wkind == "pages" and dkind == "graph":
-        from .biarc import count_page_crossings
-
-        graph = jsonio.graph_from_json(data_doc)
-        n, pp = jsonio.pages_from_json(witness_doc)
-        drawn = sorted(e for page in pp.pages for e in page.edges)
-        ok = n == graph.n and drawn == sorted(graph.edges)
-        ok = ok and tuple(count_page_crossings(p) for p in pp.pages) == pp.metrics
-        if ok and oracle:
-            ok = _oracle_failure(wkind, witness_doc) is None
-        return ok, {"checked": "pages-vs-graph", "oracle": oracle}
-    raise SchemaError(f"cannot verify a {wkind} artifact against a {dkind}")
-
-
-def _oracle_failure(kind: str, doc) -> str | None:
-    """Re-check an avoid or pages artifact with the brute-force oracle; the
-    reason it fails, or None.  Other kinds have no oracle check."""
-    if kind == "avoid":
-        from .oracle import brute_avoiding_transversals
-
-        if not brute_avoiding_transversals(jsonio.avoid_from_json(doc)):
-            return "oracle transversal check failed"
-    if kind == "pages":
-        from .biarc import count_page_crossings
-        from .oracle import brute_crossings_geometric
-
-        _, pp = jsonio.pages_from_json(doc)
-        if any(count_page_crossings(p) != brute_crossings_geometric(p) for p in pp.pages):
-            return "oracle crossing count mismatch"
-    return None
-
-
 def _verify_file(path: str, oracle: bool) -> tuple[str, int, str]:
     """Returns (path, exit-code contribution, detail)."""
     try:
-        doc = jsonio.read_artifact(path)
-        kind = _self_verify(doc)
-        failure = _oracle_failure(kind, doc) if oracle else None
+        kind, obj = _parse(jsonio.read_artifact(path))
+        spec = _KINDS[kind]
+        spec.check(obj)
+        failure = spec.oracle(obj) if oracle and spec.oracle else None
     except (SchemaError, OSError) as exc:
         return path, 4, str(exc)
     except (InvalidInputError, PreconditionError, IndeterminateGeometryError) as exc:
@@ -489,12 +555,17 @@ def cmd_verify(args) -> CommandResult:
         witness_doc = jsonio.read_artifact(args.witness)
         data_doc = jsonio.read_artifact(args.infile)
         try:
-            ok, detail = _verify_pair(witness_doc, data_doc, args.oracle)
+            wkind, obj = _parse(witness_doc)
+            dkind, data = _parse_data(wkind, data_doc)
+            ok = _pair_ok(wkind, obj, dkind, data)
+            oracle = _KINDS[wkind].oracle
+            if ok and args.oracle and oracle:
+                ok = oracle(obj) is None
         except (InvalidInputError, PreconditionError) as exc:
             return _fail(3, "invalid-artifact", detail=str(exc))
-        code = 0 if ok else 3
+        detail = {"checked": f"{wkind}-vs-{dkind}", "oracle": args.oracle}
         return CommandResult(
-            code, [], [_entry("verified" if ok else "mismatch", **detail)]
+            0 if ok else 3, [], [_entry("verified" if ok else "mismatch", **detail)]
         )
     if not args.infile:
         return _fail(4, "usage", detail="verify needs --in, --witness or --all")
@@ -505,66 +576,22 @@ def cmd_verify(args) -> CommandResult:
 
 # -- rendering ---------------------------------------------------------------
 
-def _scatter_groups_from_witness(seq, witness):
-    values = seq.values
-    member = set()
-    groups = []
-    for block in witness.blocks:
-        groups.append([(float(i), float(values[i - 1])) for i in block])
-        member.update(block)
-    rest = [
-        (float(i), float(values[i - 1]))
-        for i in range(1, len(values) + 1)
-        if i not in member
-    ]
-    return groups, rest
-
-
 def cmd_render(args) -> CommandResult:
-    from . import svg
-
     doc = jsonio.read_artifact(args.infile)
+    kind = jsonio.infer_kind(doc)
+    spec = _KINDS[kind]
+    if spec.draw is None:
+        return _fail(4, "usage", detail=f"cannot render a {kind} artifact")
+    if spec.draw_on and not args.data:
+        return _fail(4, "usage", detail=f"render {kind} needs --data {spec.draw_on}.json")
     try:
-        kind = jsonio.infer_kind(doc)
-        if kind == "pages":
-            content = svg.render_pages(*jsonio._spine_pages(doc))
-        elif kind == "points":
-            points = jsonio.points_from_json(doc)
-            content = svg.render_scatter([], rest=points.points)
-        elif kind == "avoid":
-            witness = jsonio.avoid_from_json(doc)
-            content = svg.render_scatter(list(witness.a_blocks + witness.b_blocks))
-        elif kind == "sequence":
-            seq = jsonio.sequence_from_json(doc)
-            pts = [(float(i + 1), v) for i, v in enumerate(seq.values)]
-            content = svg.render_scatter([], rest=pts)
-        elif kind == "witness":
-            if not args.data:
-                return _fail(4, "usage", detail="render witness needs --data seq.json")
-            seq = jsonio.sequence_from_json(jsonio.read_artifact(args.data))
-            witness = jsonio.witness_from_json(doc)
-            if not validate_block_witness(seq, witness):
-                return _fail(3, "invalid-artifact", detail="witness fails validation")
-            groups, rest = _scatter_groups_from_witness(seq, witness)
-            content = svg.render_scatter(groups, rest=rest)
-        elif kind == "partition":
-            if not args.data:
-                return _fail(
-                    4, "usage", detail="render partition needs --data seq.json"
-                )
-            seq = jsonio.sequence_from_json(jsonio.read_artifact(args.data))
-            lp = jsonio.partition_from_json(doc)
-            if not _check_partition(seq, lp, 2, full=False):
-                return _fail(3, "invalid-artifact", detail="partition fails validation")
-            values = seq.values
-            groups = [
-                [(float(i), float(values[i - 1])) for i in ids]
-                for ids, _ in lp.parts
-            ]
-            rest = [(float(i), float(values[i - 1])) for i in lp.remainder]
-            content = svg.render_scatter(groups, rest=rest)
-        else:
-            return _fail(4, "usage", detail=f"cannot render a {kind} artifact")
+        obj = spec.read(doc)
+        data = None
+        if spec.draw_on:
+            dkind, data = _parse_data(kind, jsonio.read_artifact(args.data))
+            if not _pair_ok(kind, obj, dkind, data):
+                return _fail(3, "invalid-artifact", detail=f"{kind} fails validation")
+        content = spec.draw(obj, data)
     except (InvalidInputError, PreconditionError) as exc:
         return _fail(3, "invalid-artifact", detail=str(exc))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -625,18 +652,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("ramsey", help="pair colorings and monochromatic paths")
-    p.add_argument(
-        "--mode",
-        choices=["gen-recursive", "gen-random", "search", "block-path"],
-        default="gen-recursive",
-    )
+    p = sub.add_parser("ramsey", help="monochromatic paths in a pair coloring")
+    p.add_argument("--mode", choices=["search", "block-path"], required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--n", type=int, default=100)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ramsey)
 

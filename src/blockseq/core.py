@@ -121,6 +121,20 @@ class InversionStats:
         return self.is_eps_increasing(eps) or self.is_eps_decreasing(eps)
 
 
+def separated_blocks(blocks) -> bool:
+    """The part of a witness's validity that needs no sequence: at least one
+    block, every block of one size s >= 1 with no index twice, and each
+    block positionally before the next."""
+    if not blocks:
+        return False
+    s = len(blocks[0])
+    if s < 1 or any(len(b) != s for b in blocks):
+        return False
+    if any(len(set(b)) != len(b) for b in blocks):
+        return False
+    return all(max(a) < min(b) for a, b in zip(blocks, blocks[1:]))
+
+
 def validate_block_witness(seq: Sequence, w: BlockWitness) -> bool:
     """Check that ``w`` is a valid block-monotone witness for ``seq``.
 
@@ -135,17 +149,8 @@ def validate_block_witness(seq: Sequence, w: BlockWitness) -> bool:
         for i in b:
             if not 1 <= i <= n:
                 raise InvalidInputError(f"index {i} out of range 1..{n}")
-    if not w.blocks:
+    if not separated_blocks(w.blocks):
         return False
-    s = len(w.blocks[0])
-    if s < 1 or any(len(b) != s for b in w.blocks):
-        return False
-    if any(len(set(b)) != len(b) for b in w.blocks):
-        return False
-    # positional separation between consecutive blocks
-    for a, b in zip(w.blocks, w.blocks[1:]):
-        if max(a) >= min(b):
-            return False
     # transversal monotonicity via value-range comparison
     for a, b in zip(w.blocks, w.blocks[1:]):
         va = [seq.values[i - 1] for i in a]

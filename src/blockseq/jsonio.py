@@ -173,10 +173,14 @@ def witness_from_json(doc) -> BlockWitness:
 # -- pair colorings ----------------------------------------------------------
 
 def coloring_to_json(col: PairColoring) -> dict:
+    """Dense triangular form: one color per pair (i, j), i < j, in
+    lexicographic order."""
+    import numpy as np
+
     return {
         "n": col.n,
         "q": col.q,
-        "colors": [[i, j, c] for i, j, c in col.pairs()],
+        "colors": col.matrix[np.triu_indices(col.n, 1)].tolist(),
     }
 
 
@@ -205,13 +209,12 @@ def coloring_from_json(doc) -> PairColoring:
 
     matrix = np.zeros((n, n), dtype=np.int16)
     if all(isinstance(c, int) and not isinstance(c, bool) for c in colors):
-        # Dense triangular form: one color per pair (i, j), i < j, in
-        # lexicographic order.
+        # dense triangular form, as coloring_to_json writes it
         if colors:
             check(min(colors))
             check(max(colors))
         matrix[np.triu_indices(n, 1)] = colors
-    else:
+    else:  # one [i, j, c] triple per pair
         seen = set()
         for entry in colors:
             if not isinstance(entry, list) or len(entry) != 3:
@@ -381,11 +384,15 @@ def page_from_json(doc) -> Page:
     return Page(edges, doc["style"], doc["split_b"], tuple(layout))
 
 
-def _spine_pages(doc) -> tuple[int, tuple[Page, ...]]:
-    """(n, pages) of a pages artifact, an empty page list included.  The
-    spine length n must be an int, at least 1, and reach every page edge's
-    right end; every page's split vertex must lie on the spine before n."""
+def _spine_pages(doc) -> tuple[int, tuple[Page, ...], float, tuple[int, ...]]:
+    """(n, pages, epsilon, metrics) of a pages artifact, an empty page list
+    included.  The spine length n must be an int, at least 1, and reach
+    every page edge's right end; every page's split vertex must lie on the
+    spine before n."""
     _require(doc, "pages")
+    if not isinstance(doc["metrics"], list):
+        raise SchemaError("'metrics' must be a list")
+    metrics = tuple(_int_list(doc["metrics"], "metrics"))
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise SchemaError(f"'n' must be an integer, got {n!r}")
@@ -402,7 +409,7 @@ def _spine_pages(doc) -> tuple[int, tuple[Page, ...]]:
             raise InvalidInputError(
                 f"split vertex {page.split_b} lies past n - 1 = {n - 1}"
             )
-    return n, pages
+    return n, pages, _real(doc["epsilon"], "epsilon"), metrics
 
 
 def pages_from_json(doc) -> tuple[int, PagePartition]:
@@ -410,12 +417,8 @@ def pages_from_json(doc) -> tuple[int, PagePartition]:
     partition holds; renderers that draw them read ``_spine_pages``."""
     from .biarc import PagePartition
 
-    _require(doc, "pages")
-    if not isinstance(doc["metrics"], list):
-        raise SchemaError("'metrics' must be a list")
-    metrics = tuple(_int_list(doc["metrics"], "metrics"))
-    n, pages = _spine_pages(doc)
-    return n, PagePartition(pages, _real(doc["epsilon"], "epsilon"), metrics)
+    n, pages, epsilon, metrics = _spine_pages(doc)
+    return n, PagePartition(pages, epsilon, metrics)
 
 
 # -- monochromatic paths -----------------------------------------------------

@@ -76,12 +76,6 @@ class PairColoring:
             raise InvalidInputError(f"need 1 <= i < j <= {self.n}, got ({i}, {j})")
         return int(self.matrix[i - 1, j - 1])
 
-    def pairs(self):
-        """Iterate (i, j, color) over all pairs, 1-based, i < j."""
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield i, j, int(self.matrix[i - 1, j - 1])
-
 
 def _coloring(n: int, q: int, matrix: np.ndarray) -> PairColoring:
     matrix = np.asarray(matrix, dtype=np.int16)
@@ -178,17 +172,10 @@ class BlockPathWitness:
         return len(self.blocks[0]) if self.blocks else 0
 
 
-def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
-    """Exact check of the interleaving, spoke-color, and equal-size
-    conditions.  Out-of-range vertices raise; structural defects return
-    False."""
-    n = c.n
-    members = list(w.endpoints) + [v for blk in w.blocks for v in blk]
-    for v in members:
-        if not (isinstance(v, (int, np.integer)) and 1 <= v <= n):
-            raise InvalidInputError(f"vertex {v!r} out of range 1..{n}")
-    if not (1 <= w.color <= c.q):
-        raise InvalidInputError(f"color {w.color} out of range 1..{c.q}")
+def interleaved_path(w: BlockPathWitness) -> bool:
+    """The part of a block path's validity that needs no coloring:
+    p_1 < V_1 < p_2 < ... < V_k < p_{k+1} with k >= 1 blocks, all of one
+    size s >= 1, and no vertex twice."""
     p = w.endpoints
     if len(p) != len(w.blocks) + 1 or len(p) < 2:
         return False
@@ -197,16 +184,30 @@ def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
     sizes = {len(blk) for blk in w.blocks}
     if len(sizes) != 1 or sizes == {0}:
         return False
+    members = list(p) + [v for blk in w.blocks for v in blk]
     if len(set(members)) != len(members):
         return False
-    for i, blk in enumerate(w.blocks):
-        lo, hi = p[i], p[i + 1]
-        for v in blk:
-            if not (lo < v < hi):
-                return False
-            if c.color(lo, v) != w.color or c.color(v, hi) != w.color:
-                return False
-    return True
+    return all(p[i] < v < p[i + 1] for i, blk in enumerate(w.blocks) for v in blk)
+
+
+def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
+    """Exact check of the interleaving, spoke-color, and equal-size
+    conditions.  Out-of-range vertices raise; structural defects return
+    False."""
+    n = c.n
+    for v in list(w.endpoints) + [v for blk in w.blocks for v in blk]:
+        if not (isinstance(v, (int, np.integer)) and 1 <= v <= n):
+            raise InvalidInputError(f"vertex {v!r} out of range 1..{n}")
+    if not (1 <= w.color <= c.q):
+        raise InvalidInputError(f"color {w.color} out of range 1..{c.q}")
+    if not interleaved_path(w):
+        return False
+    p = w.endpoints
+    return all(
+        c.color(p[i], v) == w.color and c.color(v, p[i + 1]) == w.color
+        for i, blk in enumerate(w.blocks)
+        for v in blk
+    )
 
 
 def _middle_counts(c: PairColoring, color: int) -> np.ndarray:

@@ -416,7 +416,7 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
              "--out", f("wit.json")],
             ["partition", "--k", "2", "--in", f("seq.json"),
              "--out", f("part.json")],
-            ["ramsey", "--mode", "gen-random", "--n", "60", "--q", "2",
+            ["gen", "--kind", "coloring", "--n", "60", "--q", "2",
              "--seed", "14", "--out", f("col.json")],
             ["ramsey", "--mode", "search", "--in", f("col.json"),
              "--out", f("path.json")],

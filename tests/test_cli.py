@@ -1,6 +1,7 @@
 """Tests for JSON artifacts, SVG rendering, and the CLI front end."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import xml.etree.ElementTree as ET
 from hypothesis import example, given, settings, strategies as hs
 import pytest
 
-from blockseq import jsonio, svg
+from blockseq import cli, jsonio, svg
 from blockseq.biarc import BIARCS, Page, spine_crossing
 from blockseq.cli import CommandResult, run
 from blockseq.errors import InvalidInputError
@@ -68,6 +69,24 @@ def test_dense_triangular_coloring_accepted():
     assert col.color(1, 2) == 1
     assert col.color(1, 3) == 2
     assert col.color(2, 3) == 1
+
+
+def test_coloring_is_written_dense_and_triples_still_verify(tmp_path):
+    col = gen(tmp_path, "coloring", "col.json", n=12, q=3, seed=4)
+    doc = read(col)
+    assert len(doc["colors"]) == 12 * 11 // 2
+    assert all(isinstance(c, int) for c in doc["colors"])
+    pairs = [(i, j) for i in range(1, 13) for j in range(i + 1, 13)]
+    triples = write(
+        tmp_path / "triples.json",
+        {**doc, "colors": [[i, j, c] for (i, j), c in zip(pairs, doc["colors"])]},
+    )
+    dense, listed = (jsonio.coloring_from_json(read(p)) for p in (col, triples))
+    assert (dense.matrix == listed.matrix).all()
+    ok(run(["verify", "--in", triples]))
+    mono = str(tmp_path / "mono.json")
+    ok(run(["ramsey", "--mode", "search", "--in", triples, "--out", mono]))
+    ok(run(["verify", "--witness", mono, "--in", col]))
 
 
 def test_canonical_dump_is_stable():
@@ -196,9 +215,8 @@ def test_exit4_usage_and_schema(tmp_path):
     "argv",
     [
         ["gen", "--kind", "coloring", "--n", "3", "--q", "40000"],
-        ["ramsey", "--mode", "gen-random", "--n", "3", "--q", "40000"],
     ],
-    ids=["gen", "ramsey"],
+    ids=["gen"],
 )
 def test_coloring_generators_reject_q_beyond_int16(tmp_path, argv):
     out = tmp_path / "col.json"
@@ -213,11 +231,9 @@ def test_coloring_generators_reject_q_beyond_int16(tmp_path, argv):
     "argv",
     [
         ["gen", "--kind", "coloring", "--n", "10000000", "--q", "2"],
-        ["ramsey", "--mode", "gen-random", "--n", "10000000", "--q", "2"],
         ["gen", "--kind", "coloring-recursive", "--k", "2", "--q", "30"],
-        ["ramsey", "--mode", "gen-recursive", "--k", "2", "--q", "30"],
     ],
-    ids=["gen", "ramsey", "gen-recursive", "ramsey-recursive"],
+    ids=["gen", "gen-recursive"],
 )
 def test_coloring_generators_reject_too_many_vertices(tmp_path, argv):
     out = tmp_path / "col.json"
@@ -242,7 +258,6 @@ def test_points_generator_rejects_bad_box(tmp_path, box):
         ["gen", "--kind", "points"],
         ["gen", "--kind", "points-grid"],
         ["gen", "--kind", "graph"],
-        ["ramsey", "--mode", "gen-random"],
     ],
 )
 def test_negative_seed_is_precondition_failure(tmp_path, argv):
@@ -254,6 +269,24 @@ def test_negative_seed_is_precondition_failure(tmp_path, argv):
 def test_ramsey_gen_recursive_without_k_is_usage_error(tmp_path):
     out = tmp_path / "col.json"
     result = run(["ramsey", "--mode", "gen-recursive", "--q", "2", "--out", str(out)])
+    assert result.exit_code == 4, result.log
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ramsey", "--mode", "gen-random", "--n", "10", "--q", "2", "--seed", "3"],
+        ["ramsey", "--mode", "gen-recursive", "--k", "2", "--q", "3"],
+        ["ramsey", "--n", "10"],
+    ],
+    ids=["gen-random", "gen-recursive", "no-mode"],
+)
+def test_ramsey_makes_no_colorings(tmp_path, argv):
+    # colorings come from gen --kind coloring / coloring-recursive; ramsey
+    # only searches, and no default picks its mode
+    out = tmp_path / "col.json"
+    result = run(argv + ["--out", str(out)])
     assert result.exit_code == 4, result.log
     assert not out.exists()
 
@@ -661,7 +694,7 @@ def gen_argvs(draw):
     argv = ["gen", "--kind", kind]
     for flag in _INT_FLAGS:
         # k**q vertices: q <= 3 keeps a recursive coloring at 125 vertices;
-        # at 5**5 the artifact alone is 216 MB.
+        # 5**5 vertices take seconds to write and read back.
         top = 3 if kind == "coloring-recursive" and flag == "q" else 5
         argv += [f"--{flag}", str(draw(hs.integers(-1, top)))]
     for flag in ("box", "jitter"):
@@ -681,3 +714,145 @@ def test_gen_exit_codes_hold_the_contract(argv):
         assert code in (0, 2, 3, 4)
         if code == 0:
             assert run(["verify", "--in", out]).exit_code == 0
+
+
+def test_block_path_without_endpoints_exits_3(tmp_path):
+    bp = write(tmp_path / "bp.json", {"color": 1, "endpoints": [], "blocks": [[1], [2]]})
+    assert run(["verify", "--in", bp]).exit_code == 3
+    assert run(["verify", "--all", str(tmp_path)]).exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"color": 1, "endpoints": [1], "blocks": [[2], [3]]},
+        {"color": 1, "vertices": []},
+        {"color": 0, "vertices": [1]},
+    ],
+    ids=["blockpath-block-count", "monopath-empty", "monopath-color-0"],
+)
+def test_verify_in_rejects_what_verify_witness_rejects(tmp_path, doc):
+    col = gen(tmp_path, "coloring", "col.json", n=6, q=1, seed=0)
+    art = write(tmp_path / "art.json", doc)
+    assert run(["verify", "--witness", art, "--in", col]).exit_code == 3
+    assert run(["verify", "--in", art]).exit_code == 3
+
+
+# Small, degenerate or ill-typed values for every field of every artifact kind.
+_LEAF = hs.one_of(
+    hs.integers(-2, 5), hs.sampled_from([0.5, -1.0, 1e300]), hs.booleans(), hs.none(),
+    hs.just("x"),
+)
+_INT = hs.integers(-1, 6)
+_NUM = hs.one_of(_INT, hs.sampled_from([0.5, 2.5, -1.5]))
+_POINT = hs.lists(_NUM, min_size=2, max_size=2)
+_RISING = hs.lists(_INT, max_size=4, unique=True).map(sorted)
+_PAIRS_OF_INTS = hs.lists(hs.lists(_INT, min_size=2, max_size=2), max_size=4)
+
+
+def _field(strategy):
+    """Mostly ``strategy``; one draw in eight is an arbitrary leaf."""
+    return hs.integers(0, 7).flatmap(lambda r: _LEAF if r == 0 else strategy)
+
+
+_BLOCKS = hs.lists(hs.lists(_INT, max_size=3), max_size=3) | _RISING.map(
+    lambda v: [[i] for i in v]
+)
+_WITNESS = hs.fixed_dictionaries(
+    {"direction": _field(hs.sampled_from(["inc", "dec"])), "blocks": _field(_BLOCKS)}
+)
+_PAGE = hs.fixed_dictionaries({
+    "edges": _field(_PAIRS_OF_INTS),
+    "style": _field(hs.sampled_from(["biarcs", "upper-arcs"])),
+    "split_b": _field(_INT),
+    "layout": _field(hs.lists(hs.tuples(_POINT, hs.none() | _POINT).map(list), max_size=3)),
+})
+_FAMILY = hs.lists(hs.lists(_POINT, min_size=1, max_size=2), min_size=1, max_size=2)
+_COLORING = hs.integers(1, 4).flatmap(
+    lambda n: hs.fixed_dictionaries({
+        "n": _field(hs.just(n)),
+        "q": _field(hs.integers(1, 3)),
+        "colors": _field(hs.lists(hs.integers(0, 3), min_size=n * (n - 1) // 2,
+                                  max_size=n * (n - 1) // 2)),
+    })
+)
+_ARTIFACTS = {
+    "sequence": {"values": _field(hs.lists(_NUM, max_size=5))},
+    "witness": _WITNESS,
+    "coloring": _COLORING,
+    "points": {"points": _field(hs.lists(_POINT, max_size=5))},
+    "graph": {"n": _field(hs.integers(-1, 5)), "edges": _field(_PAIRS_OF_INTS)},
+    "partition": {
+        "parts": _field(hs.lists(_WITNESS, max_size=2)),
+        "remainder": _field(_RISING),
+        "metrics": _field(
+            hs.fixed_dictionaries({}, optional={"k": _field(hs.integers(-1, 3))})
+        ),
+    },
+    "avoid": {
+        "a_blocks": _field(_FAMILY),
+        "b_blocks": _field(_FAMILY),
+        "guarantee": _field(_NUM),
+    },
+    "pages": {
+        "n": _field(hs.integers(-1, 6)),
+        "epsilon": _field(hs.sampled_from([0.5, 1.0, 0.0, 2.0])),
+        "pages": _field(hs.lists(_PAGE, max_size=2)),
+        "metrics": _field(hs.lists(_INT, max_size=2)),
+    },
+    "monopath": {"color": _field(hs.integers(-1, 3)), "vertices": _field(_RISING)},
+    "blockpath": {
+        "color": _field(hs.integers(-1, 3)),
+        "endpoints": _field(_RISING),
+        "blocks": _field(_BLOCKS),
+    },
+}
+# one small valid artifact of each data kind
+_DATA = {
+    "sequence": {"values": [1.0, 3.0, 2.0, 4.0, 0.5, 6.0]},
+    "coloring": {"n": 6, "q": 2, "colors": [1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 1, 2, 1]},
+    "points": {"points": [[0.0, 0.0], [1.0, 2.0], [2.0, 1.0], [3.0, 3.0], [0.5, 2.5]]},
+    "graph": {"n": 6, "edges": [[1, 3], [2, 4], [1, 6], [3, 5]]},
+}
+
+
+def any_artifact():
+    """(kind, document) over all ten artifact kinds."""
+    def docs(kind):
+        fields = _ARTIFACTS[kind]
+        strategy = hs.fixed_dictionaries(fields) if isinstance(fields, dict) else fields
+        return strategy.map(lambda doc: (kind, doc))
+
+    return hs.sampled_from(sorted(_ARTIFACTS)).flatmap(docs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_artifact())
+@example(("blockpath", {"color": 1, "endpoints": [], "blocks": [[1], [2]]}))
+@example(("blockpath", {"color": 1, "endpoints": [1], "blocks": [[2], [3]]}))
+@example(("monopath", {"color": 1, "vertices": []}))
+@example(("monopath", {"color": 0, "vertices": [1]}))
+def test_every_artifact_kind_gets_a_documented_exit_code(case):
+    kind, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for dkind, data in _DATA.items():
+            write(f"{tmp}/{dkind}.json", data)
+        art_dir = f"{tmp}/art"
+        os.mkdir(art_dir)
+        art = f"{art_dir}/art.json"
+        with open(art, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        alone = run(["verify", "--in", art]).exit_code
+        assert alone in (0, 2, 3, 4)
+        assert run(["verify", "--all", art_dir]).exit_code == alone
+        rendered = run(["render", "--in", art, "--data", f"{tmp}/sequence.json",
+                        "--out", f"{tmp}/out.svg"]).exit_code
+        assert rendered in (0, 2, 3, 4)
+        against = [run(["verify", "--witness", art, "--in", f"{tmp}/{d}.json"]).exit_code
+                   for d in _DATA]
+        assert set(against) <= {0, 2, 3, 4}
+        if 0 in against:
+            assert alone == 0
+    if kind in {wkind for wkind, _ in cli._PAIRS} and alone == 0:
+        spec = cli._KINDS[kind]
+        spec.check(spec.read(doc))

@@ -143,8 +143,6 @@ PRODUCERS = {
     "extract": ["extract", "--k", "2", "--in", "{sequence}"],
     "partition-full": ["partition", "--k", "2", "--in", "{sequence}"],
     "partition-greedy": ["partition", "--k", "2", "--mode", "greedy", "--in", "{sequence}"],
-    "ramsey-gen-recursive": ["ramsey", "--mode", "gen-recursive", "--k", "2", "--q", "3"],
-    "ramsey-gen-random": ["ramsey", "--mode", "gen-random", "--n", "10", "--seed", "3"],
     "ramsey-search": ["ramsey", "--mode", "search", "--in", "{coloring}"],
     "ramsey-block-path": ["ramsey", "--mode", "block-path", "--in", "{coloring}"],
     "avoid": ["avoid", "--k", "2", "--in", "{points}"],

@@ -37,6 +37,11 @@ def upper_only(n, q, colors):
     return PairColoring(n, q, m)
 
 
+def pairs(c):
+    """(i, j, color) over all pairs, 1-based, i < j."""
+    return [(i, j, c.color(i, j)) for i in range(1, c.n + 1) for j in range(i + 1, c.n + 1)]
+
+
 def brute_3path_count(c, color, u, v):
     return sum(
         1
@@ -48,15 +53,15 @@ def brute_3path_count(c, color, u, v):
 class TestColoringFromSequence:
     def test_sorted_all_red(self):
         c = coloring_from_sequence(Sequence([1, 2, 3, 4]))
-        assert all(col == 1 for _, _, col in c.pairs())
+        assert all(col == 1 for _, _, col in pairs(c))
 
     def test_reversed_all_blue(self):
         c = coloring_from_sequence(Sequence([4, 3, 2, 1]))
-        assert all(col == 2 for _, _, col in c.pairs())
+        assert all(col == 2 for _, _, col in pairs(c))
 
     def test_extremal_two(self):
         c = coloring_from_sequence(gen_es_extremal(2))
-        blue = {(i, j) for i, j, col in c.pairs() if col == 2}
+        blue = {(i, j) for i, j, col in pairs(c) if col == 2}
         assert blue == {(1, 2), (3, 4)}
 
     def test_color_accessor_bounds(self):
