@@ -218,6 +218,8 @@ def _check_pages(spine) -> None:
     from .biarc import PagePartition, count_page_crossings
 
     _, pages, epsilon, metrics = spine
+    if not pages and not metrics:
+        return  # a bare spine has nothing to violate
     PagePartition(pages, epsilon, metrics)
     if tuple(count_page_crossings(p) for p in pages) != metrics:
         raise InvalidInputError("page crossing metrics do not match layout")
@@ -296,8 +298,7 @@ _KINDS = {
         _avoid_oracle,
         lambda w, _: _scatter(list(w.a_blocks + w.b_blocks)),
     ),
-    # (n, pages, epsilon, metrics); the reader takes an empty page list,
-    # which ``render`` draws as a bare spine and the check rejects
+    # (n, pages, epsilon, metrics); an empty page list is a bare spine
     "pages": _Kind(jsonio._spine_pages, _check_pages, _pages_oracle, _draw_pages),
     "monopath": _Kind(jsonio.monopath_from_json, _check_monopath),
     "blockpath": _Kind(jsonio.blockpath_from_json, _check_blockpath),
@@ -591,6 +592,8 @@ def cmd_render(args) -> CommandResult:
             dkind, data = _parse_data(kind, jsonio.read_artifact(args.data))
             if not _pair_ok(kind, obj, dkind, data):
                 return _fail(3, "invalid-artifact", detail=f"{kind} fails validation")
+        else:
+            spec.check(obj)
         content = spec.draw(obj, data)
     except (InvalidInputError, PreconditionError) as exc:
         return _fail(3, "invalid-artifact", detail=str(exc))

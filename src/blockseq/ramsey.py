@@ -10,12 +10,23 @@ constructive counterpart of the positive-fraction path results and powers
 the depth-1 counting construction as well.
 
 Both searches rest on one kernel, the middle counts: with U the strictly
-upper-triangular 0/1 matrix of one color, counts = U @ U.  It is computed in
-float32 tiles of ``_TILE`` rows and columns, and only the tiles on or above
-the diagonal, since the rest of the product is zero: about n^3/6
-multiply-adds instead of n^3.  Every partial sum is an integer at most n,
-and n stays far below 2^24 (the generators stop at ``MAX_VERTICES``), so
-float32 holds the counts exactly.
+upper-triangular 0/1 matrix of one color, counts = U @ U.  It comes as a
+stream of ``_TILE`` x ``_TILE`` tiles on or above the diagonal (the rest of
+the product is zero), each computed on demand, in float32, and each with an
+upper bound known before any tile is computed: the smaller of the most
+color edges from a row of the tile to an x before its last column, and the
+most color edges into a column of the tile from an x at or after its first
+row.  No count exceeds either, and both maxima come from block sums of U in
+O(n^2) time.  The depth-1 search computes tiles in decreasing bound until
+no bound can win; the chain search computes only the tiles whose bound
+reaches ``s``.  Every partial sum is an integer at most n, and n stays far
+below 2^24 (the generators stop at ``MAX_VERTICES``), so float32 holds the
+counts exactly.
+
+The searches hold one color's U at a time, as float32 row strips of the
+upper triangle (about 2 n^2 bytes), and build no n x n float32 matrix: at
+``MAX_VERTICES`` the strips take about 0.5 GB beside the 512 MB int16 color
+matrix, where an n x n float32 U and its product took 2 GB.
 """
 
 from __future__ import annotations
@@ -210,41 +221,105 @@ def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
     )
 
 
-def _middle_counts(c: PairColoring, color: int) -> np.ndarray:
-    """counts[u, v] = number of x with u < x < v and both (u,x), (x,v) in
-    ``color`` (0-based matrix indices), as float32; zero on and below the
-    diagonal.
+class _MiddleTiles:
+    """One color's middle counts M[u, v] (0-based), as ``size`` x ``size``
+    tiles on or above the diagonal; the tiles below it are zero.
 
-    counts = U @ U for the strictly upper-triangular 0/1 matrix U of the
-    color, one ``_TILE`` x ``_TILE`` tile at a time and only for column
-    blocks at or right of the row block.  Rows lo:hi and columns jlo:jhi
-    need only x in lo:jhi, because U[u, x] = 0 for x <= u and U[x, v] = 0
-    for x >= v.  Exact in float32: every partial sum is an integer at most
-    n, and n < 2**24 for any n x n color matrix that fits in memory."""
-    n = c.n
-    upper = np.triu(c.matrix == color, 1).astype(np.float32)
-    counts = np.zeros((n, n), dtype=np.float32)
-    for lo in range(0, n, _TILE):
-        hi = min(lo + _TILE, n)
-        for jlo in range(lo, n, _TILE):
-            jhi = min(jlo + _TILE, n)
-            counts[lo:hi, jlo:jhi] = upper[lo:hi, lo:jhi] @ upper[lo:jhi, jlo:jhi]
-    return counts
+    ``order`` lists (bound, I, J) for the tile at rows I*size.. and columns
+    J*size.., J >= I, by decreasing bound, ties by (I, J).  The bound is the
+    smaller of the most color edges from a row u of the tile to an x before
+    its last column, and the most color edges into a column v of the tile
+    from an x at or after its first row; M[u, v] counts only x with both,
+    so no entry of the tile exceeds it.  Both maxima come from block sums
+    taken one row strip at a time, in O(n^2) time and O(n^2 / size) extra
+    memory.
+
+    Each strip's triangle U[lo:hi, lo:] is kept once as float32.  ``tile``
+    multiplies its row strip by the column block gathered from the strips
+    below it, x in lo:jhi, because U[u, x] = 0 for x <= u and U[x, v] = 0
+    for x >= v."""
+
+    def __init__(self, c: PairColoring, color: int):
+        n, size = c.n, _TILE
+        starts = np.arange(0, n, size)
+        ends = np.minimum(starts + size, n)
+        nb = len(starts)
+        above = ~np.tri(size, dtype=bool)
+        self.size = size
+        self.strips = []  # strip I: U[lo:hi, lo:] as float32
+        row_reach = np.zeros((nb, nb), dtype=np.int64)
+        col_sums = np.zeros((nb, n), dtype=np.int64)  # color edges into v from strip I
+        for block, (lo, hi) in enumerate(zip(starts, ends)):
+            mask = c.matrix[lo:hi, lo:] == color
+            mask[:, : hi - lo] &= above[: hi - lo, : hi - lo]
+            strip = mask.astype(np.float32)
+            self.strips.append(strip)
+            # edges from each row u to an x before the last column of each
+            # column block J >= I
+            sums = np.add.reduceat(strip, starts[block:] - lo, axis=1)
+            reach = np.cumsum(sums, axis=1) - strip[:, ends[block:] - lo - 1]
+            row_reach[block, block:] = reach.max(axis=0)
+            col_sums[block, lo:] = strip.sum(axis=0)
+        # edges into each column v from an x at or after the first row of
+        # block I
+        into = np.cumsum(col_sums[::-1], axis=0)[::-1]
+        col_reach = np.maximum.reduceat(into, starts, axis=1)
+        rows, cols = np.triu_indices(nb)
+        bounds = np.minimum(row_reach, col_reach)[rows, cols]
+        order = np.lexsort((cols, rows, -bounds))
+        self.order = [(int(bounds[i]), int(rows[i]), int(cols[i])) for i in order]
+
+    def tile(self, row: int, col: int) -> np.ndarray:
+        """Counts for rows row*size.. and columns col*size.., as float32."""
+        size = self.size
+        lo, jlo = row * size, col * size
+        jhi = jlo + self.strips[col].shape[0]
+        below = [
+            strip[:, jlo - k * size : jhi - k * size]
+            for k, strip in enumerate(self.strips[row : col + 1], row)
+        ]
+        return self.strips[row][:, : jhi - lo] @ np.concatenate(below)
+
+
+# the one per-color entry of both searches, looked up at each call, so a
+# wrapper installed on the module attribute sees every call
+_middle_counts = _MiddleTiles
+
+
+def _best_cell(tiles: _MiddleTiles, beat: int) -> tuple[int, tuple[int, int]] | None:
+    """(count, (u, v)) of the largest count above ``beat`` in a tile stream,
+    the smallest (u, v) among ties; None when no count exceeds ``beat``.
+
+    Tiles are visited in decreasing bound.  The visit stops at a bound below
+    the count a tile must reach: above ``beat``, and at least the best count
+    so far.  A tile whose bound equals the best count is still computed,
+    since it may hold a tie at a smaller (u, v)."""
+    least, at = beat + 1, None  # the count a tile must reach to matter
+    for bound, row, col in tiles.order:
+        if bound < least:
+            break
+        counts = tiles.tile(row, col)
+        count = int(counts.max())
+        if count < least:
+            continue
+        i, j = divmod(int(np.argmax(counts == count)), counts.shape[1])
+        cell = (row * tiles.size + i, col * tiles.size + j)
+        if at is None or count > least or cell < at:
+            least, at = count, cell
+    return None if at is None else (least, at)
 
 
 def depth1_block_path(c: PairColoring) -> BlockPathWitness | None:
     """The counting construction: bucket all monochromatic monotone 3-paths
     (u, x, v) by (color, u, v) and return the largest bucket as a depth-1
     witness.  Ties break toward the smallest (color, u, v); returns None when
-    no 3-path exists."""
+    no 3-path exists.  A later color computes only the tiles that can beat
+    the best count of the earlier ones."""
     best = None  # (count, color, u0, v0)
     for color in range(1, c.q + 1):
-        counts = _middle_counts(c, color)
-        top = int(counts.max(initial=0))
-        if top > 0 and (best is None or top > best[0]):
-            flat = int(np.argmax(counts == top))
-            u0, v0 = divmod(flat, c.n)
-            best = (top, color, u0, v0)
+        found = _best_cell(_middle_counts(c, color), 0 if best is None else best[0])
+        if found is not None:
+            best = (found[0], color, *found[1])
     if best is None:
         return None
     _, color, u0, v0 = best
@@ -254,6 +329,20 @@ def depth1_block_path(c: PairColoring) -> BlockPathWitness | None:
     return BlockPathWitness(
         color, (u0 + 1, v0 + 1), (tuple(int(x) for x in middles),)
     )
+
+
+def _links(tiles: _MiddleTiles, n: int, s: int) -> np.ndarray:
+    """linked[u, v]: at least ``s`` middles, computed only in the tiles
+    whose bound reaches ``s``; no other tile holds a link."""
+    linked = np.zeros((n, n), dtype=bool)
+    for bound, row, col in tiles.order:
+        if bound < s:
+            break
+        counts = tiles.tile(row, col)
+        u0, v0 = row * tiles.size, col * tiles.size
+        h, w = counts.shape
+        linked[u0 : u0 + h, v0 : v0 + w] = counts >= s
+    return linked
 
 
 def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
@@ -271,7 +360,7 @@ def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
     if n < k + 1:
         return None
     for color in range(1, c.q + 1):
-        linked = _middle_counts(c, color) >= s
+        linked = _links(_middle_counts(c, color), n, s)
         lengths, pred = longest_chain(n, _upper_blocks(linked))
         if int(lengths.max()) >= k + 1:
             # the first endpoint reaching k+1 has a chain of exactly k+1

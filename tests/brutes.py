@@ -127,6 +127,20 @@ def brute_middle_counts(matrix, color):
     return counts
 
 
+def brute_depth1(matrix, q):
+    """(count, colour, u, v) of the largest middle count over every colour
+    and pair u < v (0-based), the smallest (colour, u, v) among ties; None
+    when every count is zero.  Reads only the upper triangle."""
+    best = None
+    for color in range(1, q + 1):
+        counts = brute_middle_counts(matrix, color)
+        for u, v in zip(*np.nonzero(counts)):
+            key = (-int(counts[u, v]), color, int(u), int(v))
+            if best is None or key < best:
+                best = key
+    return None if best is None else (-best[0], *best[1:])
+
+
 def brute_longest_monotone_indices(values):
     """All longest monotone index lists (1-based), by full enumeration."""
     n = len(values)

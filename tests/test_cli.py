@@ -355,6 +355,40 @@ def test_ramsey_search_and_block_path(tmp_path):
     assert half.exit_code == 4
 
 
+# (k, q) of every recursive coloring with at most 12 vertices
+_SMALL_RECURSIVE = [(k, q) for k in range(1, 13) for q in range(1, 4) if k**q <= 12]
+
+
+@hs.composite
+def ramsey_cases(draw):
+    """A ``gen`` coloring of 1-12 vertices in 1-3 colors, and ``ramsey``
+    arguments with --k and --s in -1..5, given alone, together or not at
+    all."""
+    if draw(hs.booleans()):
+        n, q, seed = draw(hs.integers(1, 12)), draw(hs.integers(1, 3)), draw(hs.integers(0, 99))
+        gen_argv = ["gen", "--kind", "coloring", "--n", str(n), "--q", str(q), "--seed", str(seed)]
+    else:
+        k, q = draw(hs.sampled_from(_SMALL_RECURSIVE))
+        gen_argv = ["gen", "--kind", "coloring-recursive", "--k", str(k), "--q", str(q)]
+    argv = ["ramsey", "--mode", draw(hs.sampled_from(["search", "block-path"]))]
+    for flag in draw(hs.sampled_from([(), ("k",), ("s",), ("k", "s")])):
+        argv += [f"--{flag}", str(draw(hs.integers(-1, 5)))]
+    return gen_argv, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(ramsey_cases())
+def test_ramsey_exit_codes_hold_the_contract(case):
+    gen_argv, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        col, out = f"{tmp}/col.json", f"{tmp}/out.json"
+        ok(run(gen_argv + ["--out", col]))
+        code = run(argv + ["--in", col, "--out", out]).exit_code
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            ok(run(["verify", "--witness", out, "--in", col]))
+
+
 def test_avoid_pipeline(tmp_path):
     pts = gen(tmp_path, "points", "pts.json", n=120, seed=2)
     out = str(tmp_path / "av.json")
@@ -677,6 +711,46 @@ def test_empty_artifacts_render_an_empty_canvas(tmp_path):
         out = str(tmp_path / "out.svg")
         ok(run(["render", "--in", path, *data, "--out", out]))
         assert paths(ET.fromstring(open(out).read()), "circle") == []
+
+
+def test_render_runs_the_kinds_own_check(tmp_path):
+    """``render`` draws nothing that ``verify --in`` rejects: a pages
+    artifact with every crossing count raised by one, and an avoid artifact
+    with one point swapped between the families."""
+    g = gen(tmp_path, "graph", "g.json", n=24, m=60, seed=3)
+    pages = str(tmp_path / "pages.json")
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", pages]))
+    doc = read(pages)
+    doc["metrics"] = [m + 1 for m in doc["metrics"]]
+    raised = write(tmp_path / "raised.json", doc)
+
+    pts = gen(tmp_path, "points", "pts.json", n=120, seed=2)
+    av = str(tmp_path / "av.json")
+    ok(run(["avoid", "--k", "2", "--in", pts, "--out", av]))
+    doc = read(av)
+    a, b = doc["a_blocks"][0], doc["b_blocks"][0]
+    a[0], b[0] = b[0], a[0]
+    swapped = write(tmp_path / "swapped.json", doc)
+
+    for bad in (raised, swapped):
+        verified = run(["verify", "--in", bad]).exit_code
+        rendered = run(["render", "--in", bad, "--out", str(tmp_path / "x.svg")])
+        assert verified == rendered.exit_code == 3
+        assert rendered.log[0]["event"] == "invalid-artifact"
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_bare_spine_verifies_and_renders(tmp_path):
+    """A pages artifact with no pages and no metrics has nothing to violate;
+    any page list with content still goes through the page-partition check."""
+    empty = write(tmp_path / "empty.json",
+                  {"n": 6, "epsilon": 0.5, "pages": [], "metrics": []})
+    ok(run(["verify", "--in", empty]))
+    ok(run(["render", "--in", empty, "--out", str(tmp_path / "e.svg")]))
+    stray = write(tmp_path / "stray.json",
+                  {"n": 6, "epsilon": 0.5, "pages": [], "metrics": [0]})
+    assert run(["verify", "--in", stray]).exit_code == 3
+    assert run(["render", "--in", stray, "--out", str(tmp_path / "s.svg")]).exit_code == 3
 
 
 # Arguments for every gen kind: integers in -1..5, reals that are zero,

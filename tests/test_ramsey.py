@@ -1,11 +1,14 @@
 from itertools import product
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blockseq import DEC, INC, InvalidInputError, Sequence, gen_clustered, gen_es_extremal
+from blockseq import (
+    DEC, INC, InvalidInputError, Sequence, gen_clustered, gen_es_extremal, gen_random,
+)
 from blockseq import ramsey
 from blockseq.core import validate_block_witness
 from blockseq.ramsey import (
@@ -20,7 +23,9 @@ from blockseq.ramsey import (
     path_witness_to_blocks,
     validate_block_path,
 )
-from brutes import brute_block_path_color, brute_middle_counts, brute_monochromatic_path
+from brutes import (
+    brute_block_path_color, brute_depth1, brute_middle_counts, brute_monochromatic_path,
+)
 
 
 def mono_coloring(n, color=1, q=1):
@@ -143,21 +148,40 @@ class TestLongestMonochromaticPath:
                 assert u < v and c.color(u, v) == color
 
 
+def dense_counts(tiles, n):
+    """The n x n middle counts assembled from a tile stream."""
+    counts = np.zeros((n, n), dtype=np.int64)
+    for _, row, col in tiles.order:
+        tile = tiles.tile(row, col)
+        u0, v0 = row * tiles.size, col * tiles.size
+        counts[u0 : u0 + tile.shape[0], v0 : v0 + tile.shape[1]] = tile
+    return counts
+
+
 class TestMiddleCounts:
-    """The tiled float32 kernel behind both block-path searches."""
+    """The bounded tile stream behind both block-path searches."""
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_matches_brute_force(self, n, q):
         c = gen_random_coloring(n, q, seed=n * 10 + q)
+        blocks = -(-n // ramsey._TILE)
         for color in range(1, q + 1):
-            counts = ramsey._middle_counts(c, color)
-            assert counts.shape == (n, n)
-            assert np.array_equal(counts, brute_middle_counts(c.matrix, color))
+            tiles = ramsey._middle_counts(c, color)
+            # every tile on or above the diagonal once, by decreasing bound,
+            # ties by (row block, column block)
+            keys = [(-bound, row, col) for bound, row, col in tiles.order]
+            assert keys == sorted(keys)
+            assert sorted(key[1:] for key in keys) == [
+                (row, col) for row in range(blocks) for col in range(row, blocks)
+            ]
+            for bound, row, col in tiles.order:
+                assert tiles.tile(row, col).max() <= bound
+            assert np.array_equal(dense_counts(tiles, n), brute_middle_counts(c.matrix, color))
 
     def test_zero_on_and_below_diagonal(self):
         for n in (1, 2, 257, 600):
-            counts = ramsey._middle_counts(mono_coloring(n), 1)
+            counts = dense_counts(ramsey._middle_counts(mono_coloring(n), 1), n)
             assert not np.tril(counts).any()
             # one color everywhere: every x strictly between u and v counts
             u, v = np.triu_indices(n, 1)
@@ -174,7 +198,10 @@ class TestMiddleCounts:
             for c in colorings:
                 out.append(depth1_block_path(c))
                 out.extend(find_block_path(c, k, s) for k, s in params)
-                out.extend(ramsey._middle_counts(c, x).tolist() for x in range(1, c.q + 1))
+                out.extend(
+                    dense_counts(ramsey._middle_counts(c, x), c.n).tolist()
+                    for x in range(1, c.q + 1)
+                )
             return out
 
         want = outputs()
@@ -198,6 +225,86 @@ class TestMiddleCounts:
             color, u, v = ties[0]
             assert (w.color, w.endpoints, w.block_size) == (color, (u + 1, v + 1), top)
         assert crossing >= 5
+
+
+def brute_colorings():
+    """Random colorings with q = 1-4, recursive colorings and
+    sequence-derived colorings, all small enough for the brute force."""
+    rng = random.Random(41)
+    out = [gen_random_coloring(rng.randint(1, 40), rng.randint(1, 4), seed=t) for t in range(24)]
+    out += [gen_recursive_coloring(k, q) for k, q in ((3, 3), (2, 5), (4, 2), (6, 2))]
+    out += [coloring_from_sequence(gen_random(rng.randint(2, 40), seed=t)) for t in range(8)]
+    out.append(coloring_from_sequence(gen_clustered(3, 6, inner="increasing", delta=0.1)))
+    return out
+
+
+def chain_color(c, k, s):
+    """Smallest color with k+1 vertices, each consecutive pair with at least
+    s middles, from the brute-force counts; None when no color has one."""
+    for color in range(1, c.q + 1):
+        linked = brute_middle_counts(c.matrix, color) >= s
+        longest = [1] * c.n
+        for v in range(c.n):
+            for u in range(v):
+                if linked[u, v]:
+                    longest[v] = max(longest[v], longest[u] + 1)
+        if max(longest) >= k + 1:
+            return color
+    return None
+
+
+@pytest.mark.parametrize("tile", [1, 4, 7, 256])
+class TestSearchesMatchBruteForce:
+    """Both searches prune tiles by their bounds; the answers stay those
+    of the full brute-force counts at every tile size."""
+
+    def test_depth1(self, monkeypatch, tile):
+        monkeypatch.setattr(ramsey, "_TILE", tile)
+        found = 0
+        for c in brute_colorings():
+            want = brute_depth1(c.matrix, c.q)
+            w = depth1_block_path(c)
+            if want is None:
+                assert w is None
+                continue
+            count, color, u, v = want
+            assert (w.color, w.endpoints, w.block_size) == (color, (u + 1, v + 1), count)
+            assert validate_block_path(c, w) is True
+            found += 1
+        assert found >= 30
+
+    def test_find_block_path(self, monkeypatch, tile):
+        monkeypatch.setattr(ramsey, "_TILE", tile)
+        found = missed = 0
+        for c in brute_colorings():
+            top = (brute_depth1(c.matrix, c.q) or (0,))[0]
+            for k, s in [(1, s) for s in range(1, top + 2)] + [(2, 1), (2, 3), (3, 2)]:
+                want = chain_color(c, k, s)
+                w = find_block_path(c, k, s)
+                if want is None:
+                    assert w is None
+                    missed += 1
+                    continue
+                assert w is not None and w.color == want
+                assert w.depth == k and w.block_size == s
+                assert validate_block_path(c, w) is True
+                found += 1
+        assert found >= 100 and missed >= 30
+
+
+class TestDepth1Memory:
+    def test_peak_below_one_float32_matrix(self):
+        """The search holds float32 row strips of the upper triangle, never
+        an n x n float32 matrix: its traced peak stays below 4 n^2 bytes."""
+        n = 2048
+        c = gen_random_coloring(n, 2, seed=8)
+        tracemalloc.start()
+        try:
+            assert depth1_block_path(c) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
 
 
 class TestMiddleCountsHook:
