@@ -56,7 +56,7 @@ print(f"\nbiarc for edge (2,9) at b=4, n=12 crosses the spine at x={c:.4f}")
 # -- picture -----------------------------------------------------------------
 
 pp = paginate(g, 0.5)
-svg = render_pages(n, pp.pages, epsilon=0.5)
+svg = render_pages(n, pp.pages)
 path = OUT / "arc_diagram.svg"
 path.write_text(svg)
 print(f"wrote {path} ({len(svg)} bytes); one color per page")

@@ -282,7 +282,8 @@ def partition_multiset(values, k: int):
     deleted = tuple(sorted(labeled.remainder))
     if len(deleted) > (k - 1) ** 2:
         raise SearchFailedError("partition deleted too many entries")
-    if len(parts) > _part_cap(k):
+    # parts <= n < _part_cap(n + 1), so a larger k cannot fail the cap
+    if len(parts) > _part_cap(min(k, n + 1)):
         raise SearchFailedError("partition produced too many parts")
     return parts, deleted
 
@@ -387,7 +388,9 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
         raise InvalidInputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     if not graph.edges:
         raise InvalidInputError("cannot paginate a graph with no edges")
-    k = max(2, math.ceil(1.0 / epsilon))
+    # (k - 1)^2 >= |E| at k = |E| + 1 already leaves every split's crossing
+    # edges to singleton pages, so a larger k draws the same pages
+    k = max(2, math.ceil(min(1.0 / epsilon, len(graph.edges) + 1)))
     pages = []
     for edges, layout, b in _build_pages(sorted(graph.edges), k, graph.n):
         style = BIARCS if any(lo is not None for _, lo in layout) else UPPER_ARCS

@@ -7,10 +7,11 @@ colorings, point sets and graphs), ``extract`` (block-monotone witness),
 ``avoid`` (mutually avoiding families), ``paginate`` (low-crossing book
 drawing), ``verify`` (artifact validation), and ``render`` (SVG output).
 
-Every artifact kind has one reader and one check of its own, and every
-(witness, data) pair one check of the witness against its input.  Each
-producing command runs that pair check on its output before exiting 0, and
-``verify`` and ``render`` read through the same checks.
+Every artifact kind has one reader, one writer and one check of its own, and
+every (witness, data) pair one check of the witness against its input.  Each
+producing command reads its input, computes, runs that pair check on its
+output and only then writes it and exits 0 (``_produce``); ``verify`` and
+``render`` read through the same checks.
 
 Exit codes: 0 = requested guarantee produced and self-verified;
 2 = precondition failure; 3 = verification mismatch or guarantee not
@@ -154,12 +155,12 @@ def cmd_gen(args) -> CommandResult:
 
 # -- artifact kinds ----------------------------------------------------------
 #
-# ``_KINDS`` gives each artifact kind its one reader and its one check that
-# needs nothing but the artifact; ``_PAIRS`` gives each (witness kind, data
-# kind) pair its one check of a witness against the input it was made from.
-# Producers, ``verify`` and ``render`` all go through these two tables.  A
-# failed check raises InvalidInputError; a pair check returns False on a
-# mismatch and runs after the witness's own check (``_pair_ok``).
+# ``_KINDS`` gives each artifact kind its one reader, its one writer and its
+# one check that needs nothing but the artifact; ``_PAIRS`` gives each
+# (witness kind, data kind) pair its one check of a witness against the input
+# it was made from.  Producers, ``verify`` and ``render`` all go through these
+# two tables.  A failed check raises InvalidInputError; a pair check returns
+# False on a mismatch and runs after the witness's own check (``_pair_ok``).
 
 
 def _check_witness(w) -> None:
@@ -269,6 +270,7 @@ def _draw_pages(spine, _) -> str:
 
 class _Kind(NamedTuple):
     read: Callable  # artifact document -> object
+    write: Callable  # object -> artifact document
     check: Callable = lambda obj: None  # raises InvalidInputError
     oracle: Callable | None = None  # object -> failure reason or None
     draw: Callable | None = None  # (object, data object or None) -> SVG
@@ -278,30 +280,51 @@ class _Kind(NamedTuple):
 _KINDS = {
     "sequence": _Kind(
         jsonio.sequence_from_json,
+        jsonio.sequence_to_json,
         draw=lambda seq, _: _scatter([], _at(seq, range(1, len(seq) + 1))),
     ),
     "witness": _Kind(
-        jsonio.witness_from_json, _check_witness, draw=_draw_witness, draw_on="sequence"
+        jsonio.witness_from_json,
+        jsonio.witness_to_json,
+        _check_witness,
+        draw=_draw_witness,
+        draw_on="sequence",
     ),
-    "coloring": _Kind(jsonio.coloring_from_json),
-    "points": _Kind(jsonio.points_from_json, draw=lambda ps, _: _scatter([], ps.points)),
-    "graph": _Kind(jsonio.graph_from_json),
+    "coloring": _Kind(jsonio.coloring_from_json, jsonio.coloring_to_json),
+    "points": _Kind(
+        jsonio.points_from_json,
+        jsonio.points_to_json,
+        draw=lambda ps, _: _scatter([], ps.points),
+    ),
+    "graph": _Kind(jsonio.graph_from_json, jsonio.graph_to_json),
     "partition": _Kind(
         jsonio.partition_from_json,
+        jsonio.partition_to_json,
         _check_partition,
         draw=_draw_partition,
         draw_on="sequence",
     ),
     "avoid": _Kind(
         jsonio.avoid_from_json,
+        jsonio.avoid_to_json,
         _check_avoid,
         _avoid_oracle,
         lambda w, _: _scatter(list(w.a_blocks + w.b_blocks)),
     ),
     # (n, pages, epsilon, metrics); an empty page list is a bare spine
-    "pages": _Kind(jsonio._spine_pages, _check_pages, _pages_oracle, _draw_pages),
-    "monopath": _Kind(jsonio.monopath_from_json, _check_monopath),
-    "blockpath": _Kind(jsonio.blockpath_from_json, _check_blockpath),
+    "pages": _Kind(
+        jsonio._spine_pages,
+        jsonio.pages_to_json,
+        _check_pages,
+        _pages_oracle,
+        _draw_pages,
+    ),
+    "monopath": _Kind(
+        jsonio.monopath_from_json, jsonio.monopath_to_json, _check_monopath
+    ),
+    "blockpath": _Kind(
+        jsonio.blockpath_from_json, jsonio.blockpath_to_json, _check_blockpath
+    ),
 }
 
 
@@ -379,144 +402,108 @@ def _self_verified(wkind: str, obj, dkind: str, data) -> bool:
 
 # -- producing commands ------------------------------------------------------
 
+def _produce(args, dkind: str, wkind: str, make, log, promise=None) -> CommandResult:
+    """The one path of every producing command: read ``args.infile`` as a
+    ``dkind`` artifact, ``make`` a ``wkind`` object from it (None when the
+    search finds none), check the object against the input, and only then
+    write it to ``args.out`` and log the ``log(obj)`` entry with the path.
+    A ``promise`` the command makes beyond the pair check fails as the pair
+    check does.  Failures name the artifact kind as ``what``."""
+    data = _KINDS[dkind].read(jsonio.read_artifact(args.infile))
+    obj = make(data)
+    if obj is None:
+        return _fail(3, "search-exhausted", what=wkind)
+    if not _self_verified(wkind, obj, dkind, data) or (promise and not promise(obj)):
+        return _fail(3, "self-verification-failed", what=wkind)
+    jsonio.write_artifact(_KINDS[wkind].write(obj), args.out)
+    return CommandResult(0, [args.out], [{**log(obj), "path": args.out}])
+
+
 def cmd_extract(args) -> CommandResult:
-    seq = jsonio.sequence_from_json(jsonio.read_artifact(args.infile))
-    witness = _module.extract_block_monotone(seq, args.k, args.c)
-    verified = _self_verified("witness", witness, "sequence", seq)
-    if not verified or len(witness.blocks) < args.k:
-        return _fail(3, "self-verification-failed", what="witness")
-    jsonio.write_artifact(jsonio.witness_to_json(witness), args.out)
-    return CommandResult(
-        0,
-        [args.out],
-        [
-            _entry(
-                "extracted",
-                depth=len(witness.blocks),
-                block_size=len(witness.blocks[0]),
-                direction=witness.direction,
-                path=args.out,
-            )
-        ],
-    )
+    def extract(seq):
+        return _module.extract_block_monotone(seq, args.k, args.c)
+
+    def log(w):
+        depth, size = len(w.blocks), len(w.blocks[0])
+        return _entry("extracted", depth=depth, block_size=size, direction=w.direction)
+
+    def deep(w):
+        return len(w.blocks) >= args.k
+
+    return _produce(args, "sequence", "witness", extract, log, deep)
 
 
 def cmd_partition(args) -> CommandResult:
     from .partition import greedy_partition, partition_sequence
 
-    seq = jsonio.sequence_from_json(jsonio.read_artifact(args.infile))
-    if args.mode == "greedy":
-        lp = greedy_partition(seq, args.k)
-    else:
-        lp = partition_sequence(seq, args.k)
-    if not _self_verified("partition", lp, "sequence", seq):
-        return _fail(3, "self-verification-failed", what="partition")
-    jsonio.write_artifact(jsonio.partition_to_json(lp), args.out)
-    return CommandResult(
-        0,
-        [args.out],
-        [
-            _entry(
-                "partitioned",
-                mode=args.mode,
-                parts=len(lp.parts),
-                remainder=len(lp.remainder),
-                path=args.out,
-            )
-        ],
-    )
+    split = greedy_partition if args.mode == "greedy" else partition_sequence
+
+    def log(lp):
+        parts, rest = len(lp.parts), len(lp.remainder)
+        return _entry("partitioned", mode=args.mode, parts=parts, remainder=rest)
+
+    return _produce(args, "sequence", "partition", lambda seq: split(seq, args.k), log)
 
 
 def cmd_ramsey(args) -> CommandResult:
     from .ramsey import depth1_block_path, find_block_path, longest_monochromatic_path
 
-    if args.mode == "block-path" and (args.k is None) != (args.s is None):
-        return _fail(4, "usage", detail="block-path takes --k and --s together")
-    col = jsonio.coloring_from_json(jsonio.read_artifact(args.infile))
     if args.mode == "search":
-        color, vertices = path = longest_monochromatic_path(col)
-        if not _self_verified("monopath", path, "coloring", col):
-            return _fail(3, "self-verification-failed", what="monopath")
-        jsonio.write_artifact(jsonio.monopath_to_json(color, vertices), args.out)
-        return CommandResult(
-            0,
-            [args.out],
-            [_entry("searched", length=len(vertices), color=color, path=args.out)],
+        return _produce(
+            args,
+            "coloring",
+            "monopath",
+            longest_monochromatic_path,
+            lambda path: _entry("searched", length=len(path[1]), color=path[0]),
         )
-    # block-path
-    if args.k is not None and args.s is not None:
-        witness = find_block_path(col, args.k, args.s)
-    else:
-        witness = depth1_block_path(col)
-    if witness is None:
-        return _fail(3, "search-exhausted", what="block-path")
-    if not _self_verified("blockpath", witness, "coloring", col):
-        return _fail(3, "self-verification-failed", what="block-path")
-    jsonio.write_artifact(jsonio.blockpath_to_json(witness), args.out)
-    return CommandResult(
-        0,
-        [args.out],
-        [
-            _entry(
-                "block-path",
-                depth=witness.depth,
-                block_size=witness.block_size,
-                color=witness.color,
-                path=args.out,
-            )
-        ],
-    )
+    if (args.k is None) != (args.s is None):
+        return _fail(4, "usage", detail="block-path takes --k and --s together")
+
+    def search(col):
+        if args.k is None:
+            return depth1_block_path(col)
+        return find_block_path(col, args.k, args.s)
+
+    def log(w):
+        return _entry(
+            "block-path", depth=w.depth, block_size=w.block_size, color=w.color
+        )
+
+    return _produce(args, "coloring", "blockpath", search, log)
 
 
 def cmd_avoid(args) -> CommandResult:
     from .avoid import mutually_avoiding_sets
 
-    points = jsonio.points_from_json(jsonio.read_artifact(args.infile))
-    witness = mutually_avoiding_sets(points, args.k)
-    if not _self_verified("avoid", witness, "points", points):
-        return _fail(3, "self-verification-failed", what="avoiding-witness")
-    jsonio.write_artifact(jsonio.avoid_to_json(witness), args.out)
-    return CommandResult(
-        0,
-        [args.out],
-        [
-            _entry(
-                "avoid",
-                k=witness.k,
-                block_sizes=[len(witness.a_blocks[0]), len(witness.b_blocks[0])],
-                guarantee=witness.guarantee,
-                path=args.out,
-            )
-        ],
+    def log(w):
+        sizes = [len(w.a_blocks[0]), len(w.b_blocks[0])]
+        return _entry("avoid", k=w.k, block_sizes=sizes, guarantee=w.guarantee)
+
+    return _produce(
+        args, "points", "avoid", lambda ps: mutually_avoiding_sets(ps, args.k), log
     )
 
 
 def cmd_paginate(args) -> CommandResult:
     from .biarc import paginate
 
-    graph = jsonio.graph_from_json(jsonio.read_artifact(args.infile))
-    pp = paginate(graph, args.epsilon)
-    spine = (graph.n, pp.pages, pp.epsilon, pp.metrics)
-    if not _self_verified("pages", spine, "graph", graph):
-        return _fail(3, "self-verification-failed", what="pages")
-    jsonio.write_artifact(jsonio.pages_to_json(pp, graph.n), args.out)
-    artifacts = [args.out]
-    log = [
-        _entry(
-            "paginated",
-            pages=len(pp.pages),
-            crossings=pp.total_crossings,
-            path=args.out,
-        )
-    ]
-    if args.svg:
-        from . import svg
+    drawn = []  # the spine written, for --svg
 
+    def draw(graph):
+        pp = paginate(graph, args.epsilon)
+        drawn.append((graph.n, pp.pages, pp.epsilon, pp.metrics))
+        return drawn[0]
+
+    def log(spine):
+        return _entry("paginated", pages=len(spine[1]), crossings=sum(spine[3]))
+
+    result = _produce(args, "graph", "pages", draw, log)
+    if result.exit_code == 0 and args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg.render_pages(graph.n, pp.pages, pp.epsilon))
-        artifacts.append(args.svg)
-        log.append(_entry("rendered", path=args.svg))
-    return CommandResult(0, artifacts, log)
+            fh.write(_draw_pages(drawn[0], None))
+        result.artifacts.append(args.svg)
+        result.log.append(_entry("rendered", path=args.svg))
+    return result
 
 
 # -- verification ------------------------------------------------------------
@@ -530,9 +517,12 @@ def _verify_file(path: str, oracle: bool) -> tuple[str, int, str]:
         failure = spec.oracle(obj) if oracle and spec.oracle else None
     except (SchemaError, OSError) as exc:
         return path, 4, str(exc)
-    except (InvalidInputError, PreconditionError, IndeterminateGeometryError) as exc:
-        return path, 3, str(exc)
-    except BudgetExceededError as exc:
+    except (
+        InvalidInputError,
+        PreconditionError,
+        IndeterminateGeometryError,
+        BudgetExceededError,
+    ) as exc:
         return path, 3, str(exc)
     if failure:
         return path, 3, failure

@@ -27,7 +27,7 @@ from .errors import BlockseqError, InvalidInputError
 
 if TYPE_CHECKING:
     from .avoid import AvoidingWitness
-    from .biarc import OrderedGraph, Page, PagePartition
+    from .biarc import OrderedGraph, Page
     from .partition import LabeledPartition, PointSet
     from .ramsey import BlockPathWitness, PairColoring
 
@@ -53,7 +53,6 @@ __all__ = [
     "avoid_from_json",
     "pages_to_json",
     "page_from_json",
-    "pages_from_json",
     "monopath_to_json",
     "monopath_from_json",
     "blockpath_to_json",
@@ -226,7 +225,6 @@ def coloring_from_json(doc) -> PairColoring:
                 raise SchemaError(f"pair ({i}, {j}) colored twice")
             seen.add((i, j))
             matrix[i - 1, j - 1] = check(c)
-    matrix = matrix + matrix.T
     return PairColoring(n, q, matrix)
 
 
@@ -336,27 +334,26 @@ def avoid_from_json(doc) -> AvoidingWitness:
 
 # -- page partitions ---------------------------------------------------------
 
-def pages_to_json(pp: PagePartition, n: int) -> dict:
-    pages = []
-    for page in pp.pages:
-        layout = []
-        for upper, lower in page.layout:
-            layout.append(
-                [list(upper), None if lower is None else list(lower)]
-            )
-        pages.append(
+def pages_to_json(spine) -> dict:
+    """The pages artifact of an (n, pages, epsilon, metrics) tuple, as
+    ``_spine_pages`` reads it back."""
+    n, pages, epsilon, metrics = spine
+    return {
+        "n": n,
+        "epsilon": epsilon,
+        "pages": [
             {
                 "edges": [list(e) for e in page.edges],
                 "style": page.style,
                 "split_b": page.split_b,
-                "layout": layout,
+                "layout": [
+                    [list(upper), None if lower is None else list(lower)]
+                    for upper, lower in page.layout
+                ],
             }
-        )
-    return {
-        "n": n,
-        "epsilon": pp.epsilon,
-        "pages": pages,
-        "metrics": list(pp.metrics),
+            for page in pages
+        ],
+        "metrics": list(metrics),
     }
 
 
@@ -385,10 +382,10 @@ def page_from_json(doc) -> Page:
 
 
 def _spine_pages(doc) -> tuple[int, tuple[Page, ...], float, tuple[int, ...]]:
-    """(n, pages, epsilon, metrics) of a pages artifact, an empty page list
-    included.  The spine length n must be an int, at least 1, and reach
-    every page edge's right end; every page's split vertex must lie on the
-    spine before n."""
+    """(n, pages, epsilon, metrics) of a pages artifact; an empty page list
+    is a bare spine.  The spine length n must be an int, at least 1, and
+    reach every page edge's right end; every page's split vertex must lie on
+    the spine before n."""
     _require(doc, "pages")
     if not isinstance(doc["metrics"], list):
         raise SchemaError("'metrics' must be a list")
@@ -412,18 +409,10 @@ def _spine_pages(doc) -> tuple[int, tuple[Page, ...], float, tuple[int, ...]]:
     return n, pages, _real(doc["epsilon"], "epsilon"), metrics
 
 
-def pages_from_json(doc) -> tuple[int, PagePartition]:
-    """Returns (n, partition).  Rejects empty page lists, which no page
-    partition holds; renderers that draw them read ``_spine_pages``."""
-    from .biarc import PagePartition
-
-    n, pages, epsilon, metrics = _spine_pages(doc)
-    return n, PagePartition(pages, epsilon, metrics)
-
-
 # -- monochromatic paths -----------------------------------------------------
 
-def monopath_to_json(color: int, vertices) -> dict:
+def monopath_to_json(path: tuple[int, list[int]]) -> dict:
+    color, vertices = path
     return {"color": int(color), "vertices": [int(v) for v in vertices]}
 
 

@@ -66,7 +66,9 @@ _TILE = 256  # rows and columns per tile of the middle-count product
 
 @dataclass(frozen=True)
 class PairColoring:
-    """A total coloring of the pairs of [n] with colors 1..q, stored densely."""
+    """A total coloring of the pairs of [n] with colors 1..q.  ``matrix``
+    holds color(i, j) at [i - 1, j - 1] for i < j; nothing reads the
+    diagonal or below it."""
 
     n: int
     q: int
@@ -90,9 +92,7 @@ class PairColoring:
 
 def _coloring(n: int, q: int, matrix: np.ndarray) -> PairColoring:
     matrix = np.asarray(matrix, dtype=np.int16)
-    matrix = np.triu(matrix, 1)
-    matrix = matrix + matrix.T  # symmetric storage; diagonal zero
-    return PairColoring(n, q, matrix)
+    return PairColoring(n, q, np.triu(matrix, 1))
 
 
 def coloring_from_sequence(seq: Sequence) -> PairColoring:
@@ -309,6 +309,14 @@ def _best_cell(tiles: _MiddleTiles, beat: int) -> tuple[int, tuple[int, int]] | 
     return None if at is None else (least, at)
 
 
+def _middles(c: PairColoring, color: int, u: int, v: int) -> tuple[int, ...]:
+    """The vertices x, u < x < v, with (u, x) and (x, v) both in ``color``;
+    all 1-based."""
+    row = c.matrix[u - 1, u : v - 1]
+    col = c.matrix[u : v - 1, v - 1]
+    return tuple(int(x) + u + 1 for x in np.nonzero((row == color) & (col == color))[0])
+
+
 def depth1_block_path(c: PairColoring) -> BlockPathWitness | None:
     """The counting construction: bucket all monochromatic monotone 3-paths
     (u, x, v) by (color, u, v) and return the largest bucket as a depth-1
@@ -323,12 +331,8 @@ def depth1_block_path(c: PairColoring) -> BlockPathWitness | None:
     if best is None:
         return None
     _, color, u0, v0 = best
-    row = c.matrix[u0, u0 + 1 : v0]
-    col = c.matrix[u0 + 1 : v0, v0]
-    middles = np.nonzero((row == color) & (col == color))[0] + u0 + 2
-    return BlockPathWitness(
-        color, (u0 + 1, v0 + 1), (tuple(int(x) for x in middles),)
-    )
+    u, v = u0 + 1, v0 + 1
+    return BlockPathWitness(color, (u, v), (_middles(c, color, u, v),))
 
 
 def _links(tiles: _MiddleTiles, n: int, s: int) -> np.ndarray:
@@ -366,13 +370,10 @@ def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
             # the first endpoint reaching k+1 has a chain of exactly k+1
             end = int(np.argmax(lengths >= k + 1))
             chain = [v + 1 for v in trace_chain(pred, end)]
-            blocks = []
-            for u, v in zip(chain, chain[1:]):
-                row = c.matrix[u - 1, u:v - 1]
-                col = c.matrix[u:v - 1, v - 1]
-                mids = np.nonzero((row == color) & (col == color))[0] + u + 1
-                blocks.append(tuple(int(x) for x in mids[:s]))
-            return BlockPathWitness(color, tuple(chain), tuple(blocks))
+            blocks = tuple(
+                _middles(c, color, u, v)[:s] for u, v in zip(chain, chain[1:])
+            )
+            return BlockPathWitness(color, tuple(chain), blocks)
     return None
 
 

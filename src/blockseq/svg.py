@@ -70,7 +70,7 @@ def _semicircle(x1: float, x2: float, y0: float, upper: bool, color: str) -> str
     return f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
-def render_pages(n: int, pages, epsilon=None) -> str:
+def render_pages(n: int, pages) -> str:
     """Arc diagram of a list of :class:`~blockseq.biarc.Page` objects.
 
     An empty page list yields a spine-only drawing.  Pages cycle through

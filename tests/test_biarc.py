@@ -386,6 +386,24 @@ def test_paginate_validation():
         paginate(OrderedGraph(4, ()), 0.5)
 
 
+@pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
+def test_paginate_tiny_epsilon_draws_singleton_pages(epsilon):
+    # 1/epsilon overflows the part cap at 1e-300 and is inf at 5e-324; any
+    # k with (k - 1)^2 >= |E| gives the same singleton pages as k = |E| + 1
+    triangle = OrderedGraph(3, ((1, 2), (2, 3), (1, 3)))
+    pp = paginate(triangle, epsilon)
+    assert pp.epsilon == epsilon
+    assert sorted(p.edges for p in pp.pages) == [((1, 2),), ((1, 3),), ((2, 3),)]
+    assert pp.metrics == (0, 0, 0)
+    assert [p.edges for p in pp.pages] == [p.edges for p in paginate(triangle, 0.01).pages]
+
+
+def test_partition_multiset_huge_depth_deletes_everything():
+    # a depth far past sqrt(n) leaves every entry to the remainder, and the
+    # part cap of such a depth must not overflow a float
+    assert partition_multiset([1, 2, 2, 3], 10**200) == ((), (1, 2, 3, 4))
+
+
 def test_page_validation():
     good = biarc_page(((1, 6), (2, 5)), 4, 10)
     assert good.size == 2

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -930,3 +931,104 @@ def test_every_artifact_kind_gets_a_documented_exit_code(case):
     if kind in {wkind for wkind, _ in cli._PAIRS} and alone == 0:
         spec = cli._KINDS[kind]
         spec.check(spec.read(doc))
+
+
+# -- the producing commands' exit-code contract ------------------------------
+
+# --epsilon values at and past both ends of (0, 1], as the command line gives them
+_EPSILONS = ["1e-300", "5e-324", "1e-9", "0.01", "0.3", "0.5", "1", "0", "-0.5",
+             "1.5", "nan", "inf"]
+# what a corrupted artifact puts where a number or a list belongs
+_JUNK = [True, None, "3", 2.5, -1, 0, 1e308, [], {}]
+
+
+def _leaves(doc, at=()):
+    """Paths to every scalar in a JSON document."""
+    if isinstance(doc, dict):
+        return [p for k in sorted(doc) for p in _leaves(doc[k], at + (k,))]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _leaves(v, at + (i,))]
+    return [at]
+
+
+@hs.composite
+def producer_cases(draw):
+    """(argv without --in/--out, input file text) for ``extract``,
+    ``partition``, ``avoid`` or ``paginate``: small and degenerate inputs,
+    depths past sqrt(n), ``--c 1``, epsilon near 0 and at 1, collinear
+    points, and now and then a corrupted document."""
+    command = draw(hs.sampled_from(["extract", "partition", "avoid", "paginate"]))
+    if command in ("extract", "partition"):
+        n = draw(hs.integers(0, 40))
+        if draw(hs.integers(0, 5)):
+            values = draw(hs.permutations(range(n)))
+        else:  # seven or more values in 0..5 always tie
+            values = draw(hs.lists(hs.integers(0, 5), min_size=7, max_size=8))
+        doc = {"values": [float(v) for v in values]}
+        argv = [command, "--k", str(draw(hs.integers(-1, 8)))]
+        if command == "extract":
+            argv += draw(hs.sampled_from([[], ["--c", "1"], ["--c", "2"]]))
+        else:
+            argv += ["--mode", draw(hs.sampled_from(["full", "greedy"]))]
+    elif command == "avoid":
+        n = draw(hs.integers(0, 130))
+        if draw(hs.integers(0, 3)) == 0:
+            doc = {"points": [[float(i), 2.0 * i + 1.0] for i in range(n)]}
+        else:
+            rng = random.Random(draw(hs.integers(0, 99)))
+            doc = {"points": [[rng.uniform(0, 1000), rng.uniform(0, 1000)] for _ in range(n)]}
+        argv = ["avoid", "--k", str(draw(hs.sampled_from([0, 1, 1, 2])))]
+    else:
+        n = draw(hs.integers(1, 12))
+        pairs = draw(hs.lists(hs.tuples(hs.integers(1, n), hs.integers(1, n)), max_size=30))
+        edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+        doc = {"n": n, "edges": [list(e) for e in edges]}
+        eps = draw(hs.sampled_from(_EPSILONS) | hs.floats(1e-320, 1.0).map(repr))
+        argv = ["paginate", "--epsilon", eps]
+    corruption = draw(hs.sampled_from([None] * 4 + ["junk", "truncated", "not-object"]))
+    leaves = _leaves(doc)
+    if corruption == "junk" and leaves:
+        *path, last = draw(hs.sampled_from(leaves))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        parent[last] = draw(hs.sampled_from(_JUNK))
+    text = json.dumps(doc)
+    if corruption == "truncated":
+        text = text[: len(text) // 2]
+    elif corruption == "not-object":
+        text = json.dumps([doc])
+    return argv, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(producer_cases())
+@example((["extract", "--k", "7", "--c", "1"], '{"values": [3.0, 1.0, 2.0]}'))
+@example((["avoid", "--k", "1"], json.dumps({"points": [[i, 2 * i + 1] for i in range(40)]})))
+def test_producers_exit_codes_hold_the_contract(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = f"{tmp}/in.json", f"{tmp}/out.json"
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = run(argv + ["--in", data, "--out", out]).exit_code
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            ok(run(["verify", "--witness", out, "--in", data, "--oracle"]))
+
+
+def test_paginate_tiny_epsilon_exits_0(tmp_path):
+    graph = write(tmp_path / "g.json", {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]})
+    out = str(tmp_path / "pages.json")
+    for eps in ("1e-300", "5e-324"):
+        result = ok(run(["paginate", "--epsilon", eps, "--in", graph, "--out", out]))
+        assert result.log[0]["pages"] == 3
+        ok(run(["verify", "--witness", out, "--in", graph, "--oracle"]))
+
+
+def test_producer_failures_name_the_artifact_kind(tmp_path):
+    col = gen(tmp_path, "coloring-recursive", "col.json", k=4, q=2)
+    argv = ["ramsey", "--mode", "block-path", "--k", "2", "--s", "2", "--in", col]
+    result = run(argv + ["--out", str(tmp_path / "none.json")])
+    assert result.exit_code == 3
+    assert result.log == [{"event": "search-exhausted", "what": "blockpath"}]
