@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, require_int, require_seed
-from .errors import InvalidInputError, SearchFailedError
+from .errors import InvalidInputError, PreconditionError, SearchFailedError
 from .extract import extract_block_monotone
 from .partition import PointSet
 
@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 _TRIPLE_SAMPLE = 48
+
+# Largest coordinate magnitude accepted: an orientation product
+# (bx - ax)(cy - ay) - (by - ay)(cx - ax) of such points is at most
+# 8 * 2^1020 = 2^1023 in magnitude, still a finite float.
+_MAX_COORD = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,10 @@ def _rechunk(w: BlockWitness, depth: int) -> BlockWitness:
 
 def _triple_signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Orientation signs over all triples of an evenly spread subsample,
-    used to assert that a frame change preserved orientations."""
+    with repeats: (i, j, l) for i < j and every l, so l = i and l = j give
+    the only zeros of a sample in general position.  Used to reject a
+    sample with a collinear triple and to check that a frame change
+    preserved orientations."""
     idx = np.linspace(0, len(xs) - 1, min(len(xs), _TRIPLE_SAMPLE)).astype(int)
     a, b = np.triu_indices(len(idx), k=1)
     i = np.repeat(idx[a], len(idx))
@@ -292,9 +300,12 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 
     Requires P in general position and |P| >= 24 k^2 + 6, so that the slab
     of |P| // 6 points holds more than the 4 k^2 that its depth 2k+1
-    extraction needs.  The block size achieved by the two extractions is
-    reported via ``guarantee`` as a fraction of |P|; blocks keep the
-    original input coordinates.
+    extraction needs.  A collinear triple among ``_TRIPLE_SAMPLE`` evenly
+    spread points raises InvalidInputError, and a coordinate beyond
+    ``_MAX_COORD`` PreconditionError, both before the line search.  The
+    block size achieved by the two extractions is reported via
+    ``guarantee`` as a fraction of |P|; blocks keep the original input
+    coordinates.
     """
     require_int(k=k)
     if k < 1:
@@ -306,6 +317,14 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
         )
     x0 = np.array([pt[0] for pt in P.points])
     y0 = np.array([pt[1] for pt in P.points])
+    if max(np.abs(x0).max(), np.abs(y0).max()) > _MAX_COORD:
+        raise PreconditionError(
+            "coordinates must lie within +-2^510, where orientation products stay finite"
+        )
+    before = _triple_signs(x0, y0)
+    sample = min(n, _TRIPLE_SAMPLE)
+    if np.count_nonzero(before == 0) > sample * (sample - 1):  # two per pair: l = i, l = j
+        raise InvalidInputError("collinear triple violates general position")
 
     ys_sorted = np.sort(y0)
     level = (ys_sorted[n // 2 - 1] + ys_sorted[n // 2]) / 2.0
@@ -352,7 +371,6 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     if cum_dn[stop] == m:
         xwork, ywork = d - xwork, -ywork
 
-    before = _triple_signs(x0, y0)
     after = _triple_signs(xwork, ywork)
     if not np.array_equal(before, after):
         raise SearchFailedError("normalization flipped an orientation")

@@ -6,29 +6,34 @@ and value.  Each window of a chain then contributes one block of ``s``
 entries, so a chain of length m yields a block-monotone witness of depth
 m - 1 and block-size s.
 
-The DP is O(n^2) total.  Window counts come in blocks of ``_WIDTH``
-columns: one cumulative sum along each row prices the entries below a_i, and
-a count carried from block to block prices those below a_j, so a block costs
-a few array operations instead of a few per column.  One signed array serves
-both directions (the count on increasing pairs, its bitwise complement on
-decreasing ones), in narrow integers.  The chain itself comes from
-``core.chain_block``, the one longest-chain step, which takes the same
-blocks and which the Ramsey path searches share through
-``core.longest_chain``.  Because the window array is signed, one pass can
-feed both directions' chains block by block: ``extract_block_monotone``
-asks ``gapped_chain_dp`` for the longer of the two (INC on equal lengths)
-and prices every window once, never storing a block.  The independent
-range-counting module can re-derive every window count, which the tests use
-as a cross-check.
+The DP is O(n^2) total.  Window counts come in blocks of columns: one
+cumulative sum along each row prices the entries below a_i, and a prefix sum
+down the block's columns (log2(width) shifted adds on top of a count carried
+from block to block) prices those below a_j, so a block costs a few array
+operations whatever its width.  One signed array serves both directions (the
+count on increasing pairs, its bitwise complement on decreasing ones), in
+narrow integers.  The chain itself comes from ``core.chain_block``, the one
+longest-chain step, which takes the same blocks and which the Ramsey path
+searches share through ``core.longest_chain``; its blocks keep ``_WIDTH`` =
+32 columns, because the triangle inside a block is plain Python.  Because
+the window array is signed, one pass can feed both directions' chains block
+by block: ``extract_block_monotone`` asks ``gapped_chain_dp`` for the longer
+of the two (INC on equal lengths) and prices every window once, never
+storing a block.  The independent range-counting module can re-derive every
+window count, which the tests use as a cross-check.
 
 The largest feasible s for a target depth comes from one bottleneck pass over
-the same blocks, O(depth * n^2), filling the increasing and the decreasing
+the same windows, O(depth * n^2), filling the increasing and the decreasing
 rows together: for every chain length it keeps the largest minimum window
-over chains ending at each entry.  Carried one level past the target depth,
-the same table also holds the witness: when no chain at that s is longer than
-the target, the chain the DP would return is traced back from the table one
-column of windows at a time, O(depth * n log n), with the DP's tie-breaks.
-Only when a longer chain exists does one DP at that s rebuild the witness.
+over chains ending at each entry.  It walks bands of max(_WIDTH, _CELLS // n)
+columns, so a small table is one or a few bands and its cost follows its
+cells, not its count of numpy calls.  ``_CELLS`` only caps the size of a
+band's temporaries; the band width cannot change the table.  Carried one
+level past the target depth, the same table also holds the witness: when no
+chain at that s is longer than the target, the chain the DP would return is
+traced back from the table one column of windows at a time,
+O(depth * n log n), with the DP's tie-breaks.  Only when a longer chain
+exists does one DP at that s rebuild the witness.
 
 ``_best_gapped`` is the one best-s search: ``max_gapped_blocksize`` and the
 partition's extractions both call it.
@@ -59,13 +64,19 @@ __all__ = [
 DEFAULT_C = 40
 
 
+# Pairs per band of the bottleneck table: a band of the table spans
+# max(_WIDTH, _CELLS // n) columns, so its (2, width, n) int16 temporaries
+# stay near 64 KB, inside a core's cache.  A memory cap, not a tuning knob.
+_CELLS = 2**14
+
+
 def _count_dtype(n: int):
     """Narrowest integer type that holds every count of an n-entry sequence."""
     return np.int16 if n < 2**15 - 1 else np.int32
 
 
-def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None):
-    """Window counts of every pair j < i, ``_WIDTH`` columns i at a time.
+def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None, width: int = _WIDTH):
+    """Window counts of every pair j < i, ``width`` columns i at a time.
 
     Yields ``(lo, hi, window)`` for the columns i in [lo, hi).  ``window``
     has one contiguous row per i and one entry per j < hi, so
@@ -75,10 +86,13 @@ def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None):
     value, and when vals[j] > vals[i] it is ``~count`` (-count - 1).
 
     With C[t][v] the number of x < t with vals[x] < v and bb[i] =
-    C[i][vals[i]], bb[i] + bb[j] - C[j+1][vals[i]] - C[i][vals[j]] is the
-    count on increasing pairs and minus the count on decreasing ones.  The
-    C[j+1] terms are one cumulative sum along each row; the C[i] terms add
-    one column of comparisons per i to C[lo], carried from block to block.
+    C[i][vals[i]], bb[i] + bb[j] - C[j+1][vals[i]] - C[i+1][vals[j]] is the
+    count on increasing pairs and ~count on decreasing ones.  The
+    C[j+1] terms are one cumulative sum along each row.  The C[i+1] terms
+    are a prefix sum down the block's columns of the comparisons
+    vals[i] < vals[j], taken as log2(width) in-place shifted adds (numpy
+    reads an overlapping operand before it writes, so each add sees the
+    previous step's values), plus C[lo], carried from block to block.
     Partial sums may wrap around in the narrow type; the final values fit,
     and wrapped integer arithmetic is exact modulo the type's range.  A
     caller's ``bb`` (of the count type) receives bb[0..hi) as blocks pass.
@@ -90,23 +104,23 @@ def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None):
     if bb is None:
         bb = np.empty(n, dtype=dt)
     below_lo = np.zeros(n, dtype=dt)  # C[lo][r[j]], set for j < hi
-    for lo in range(0, n, _WIDTH):
-        hi = min(lo + _WIDTH, n)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
         rb = r[lo:hi, None]
         window = np.cumsum(rb > r[:hi], axis=1, dtype=dt)  # C[j+1][r[i]]
         bb[lo:hi] = window[:, lo:hi].diagonal()
         if lo:
             below_lo[lo:hi] = window[:, lo - 1]
         np.subtract(bb[lo:hi, None], window, out=window)
-        down = rb < r[:hi]
-        before = np.empty(window.shape, dtype=dt)  # C[i][r[j]]
-        before[0] = below_lo[:hi]
-        for c in range(1, hi - lo):
-            np.add(before[c - 1], down[c - 1], out=before[c])
-        below_lo[:hi] = before[-1] + down[-1]
+        after = (rb < r[:hi]).astype(dt)  # vals[i] < vals[j], summed down next
+        step = 1
+        while step < hi - lo:
+            after[step:] += after[:-step]
+            step *= 2
+        after += below_lo[:hi]  # C[i+1][r[j]]
+        below_lo[:hi] = after[-1]
         window += bb[:hi]
-        window -= before
-        window -= down
+        window -= after
         yield lo, hi, window
 
 
@@ -133,9 +147,16 @@ def _bottleneck_table(vals: np.ndarray, levels: int) -> tuple[np.ndarray, np.nda
     over direction-d chains of L+1 entries ending at i:
     best[d, L, i] = max_j min(best[d, L-1, j], window(j, i)), where a
     negative value means no chain.  Chain prefixes are chains, so longer
-    chains need no separate row.  Level L of a block reads only level L-1 at
-    earlier columns, so once the block's own pairs with j >= i are masked
-    out, each level of a block is one array operation.
+    chains need no separate row.  Level L of a band reads only level L-1 at
+    earlier columns, which the band's previous level or an earlier band has
+    already finished, so once the band's own pairs with j >= i are masked
+    out (one ``np.copyto`` under a triangle), each level of a band is one
+    array operation, and any band width gives the same table.  A band spans
+    max(_WIDTH, _CELLS // n) columns: as many as its (2, width, n)
+    temporaries allow under ``_CELLS`` pairs, so small tables take one or a
+    few bands.  ``_CELLS`` is a memory cap, not a tuning knob: wider bands
+    only grow the temporaries past the cache, and at large n the band stays
+    at ``_WIDTH`` columns.
 
     The table answers every s at once: the longest s-gapped direction-d
     chain ending at i has at least L+1 entries exactly when
@@ -147,9 +168,11 @@ def _bottleneck_table(vals: np.ndarray, levels: int) -> tuple[np.ndarray, np.nda
     bb = np.empty(n, dtype=dt)
     best = np.full((2, levels + 1, n), -1, dtype=dt)  # direction INC, DEC
     best[:, 0] = n  # a lone entry has no window; n exceeds every window count
-    for lo, hi, window in _window_blocks(vals, bb):
+    width = max(_WIDTH, _CELLS // max(n, 1))
+    later = ~np.tri(min(width, n), dtype=bool, k=-1)  # j >= i within a band
+    for lo, hi, window in _window_blocks(vals, bb, width):
         links = np.stack((window, ~window))  # negative where not a link
-        links[:, :, lo:][:, ~np.tri(hi - lo, dtype=bool, k=-1)] = -1
+        np.copyto(links[:, :, lo:], -1, where=later[: hi - lo, : hi - lo])
         for L in range(1, levels + 1):
             np.minimum(best[:, L - 1, None, :hi], links).max(axis=2, out=best[:, L, lo:hi])
     return best, bb
@@ -239,7 +262,8 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain
         return GappedChain(directions[0], s, (), (), ())
     vals = np.asarray(seq.values, dtype=float)
     runs = [chain_arrays(n) for _ in directions]
-    for lo, hi, window in _window_blocks(vals):
+    # 32 columns: chain_block's triangle inside a block is O(width^2) Python
+    for lo, hi, window in _window_blocks(vals, None, _WIDTH):
         for d, (lengths, pred) in zip(directions, runs):
             # ~window >= s on decreasing pairs, without a complemented copy
             chain_block(lengths, pred, lo, hi, window >= s if d == INC else window <= ~s)

@@ -80,8 +80,10 @@ class PairColoring:
             raise InvalidInputError(
                 f"color matrix shape {m.shape} does not match n={self.n}"
             )
-        if np.triu((m < 1) | (m > self.q), 1).any():
-            raise InvalidInputError(f"colors must lie in 1..{self.q}")
+        for lo in range(0, self.n, _TILE):  # row strips: no n x n temporaries
+            strip = m[lo : lo + _TILE, lo:]  # its pairs are above its diagonal
+            if np.triu((strip < 1) | (strip > self.q), 1).any():
+                raise InvalidInputError(f"colors must lie in 1..{self.q}")
         object.__setattr__(self, "matrix", m)
 
     def color(self, i: int, j: int) -> int:
@@ -91,8 +93,14 @@ class PairColoring:
 
 
 def _coloring(n: int, q: int, matrix: np.ndarray) -> PairColoring:
+    """The coloring of ``matrix``'s upper triangle.  The matrix is the
+    caller's own scratch: its diagonal and lower triangle are zeroed in
+    place, one row strip at a time."""
     matrix = np.asarray(matrix, dtype=np.int16)
-    return PairColoring(n, q, np.triu(matrix, 1))
+    for lo in range(0, n, _TILE):
+        hi = min(lo + _TILE, n)
+        np.copyto(matrix[lo:hi, :hi], 0, where=np.tri(hi - lo, hi, lo, dtype=bool))
+    return PairColoring(n, q, matrix)
 
 
 def coloring_from_sequence(seq: Sequence) -> PairColoring:

@@ -17,7 +17,7 @@ from blockseq.avoid import (
     gen_point_cloud,
     mutually_avoiding_sets,
 )
-from blockseq.errors import InvalidInputError, SearchFailedError
+from blockseq.errors import InvalidInputError, PreconditionError, SearchFailedError
 from blockseq.oracle import brute_avoiding_transversals
 from blockseq.partition import PointSet
 from brutes import brute_balanced_line_exists, triple_signs_loop
@@ -262,6 +262,37 @@ def test_pipeline_rejects_bad_input():
         mutually_avoiding_sets(gen_point_cloud(200, seed=0), 0)
     with pytest.raises(InvalidInputError):
         mutually_avoiding_sets(gen_point_cloud(96, seed=0), 2)
+
+
+@pytest.mark.parametrize("n", [30, 40, 60, 130])
+def test_pipeline_rejects_collinear_points(n):
+    P = PointSet([(i, 2 * i + 1) for i in range(n)])
+    with pytest.raises(InvalidInputError, match="general position"):
+        mutually_avoiding_sets(P, 1)
+    if n >= 24 * 4 + 6:
+        with pytest.raises(InvalidInputError, match="general position"):
+            mutually_avoiding_sets(P, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pipeline_rejects_overflowing_coordinates_before_any_product():
+    pts = np.array(gen_point_cloud(30, seed=3).points)
+    pts[4, 0] = 1e308
+    with pytest.raises(PreconditionError, match="orientation products"):
+        mutually_avoiding_sets(PointSet(pts), 1)
+    pts[4, 0] = -np.nextafter(avoid._MAX_COORD, math.inf)
+    with pytest.raises(PreconditionError):
+        mutually_avoiding_sets(PointSet(pts), 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 5])
+def test_pipeline_at_the_coordinate_bound(seed):
+    # a cloud spread over [-2^510, 2^510], corners included, runs warning-free
+    pts = (np.array(gen_point_cloud(200, seed=seed).points) / 500.0 - 1.0) * avoid._MAX_COORD
+    pts[0] = (avoid._MAX_COORD, -avoid._MAX_COORD)
+    w = mutually_avoiding_sets(PointSet(pts), 2)
+    assert w.k == 2 and check_avoiding(w)
 
 
 def test_pipeline_size_boundary():

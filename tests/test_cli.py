@@ -417,6 +417,31 @@ def test_avoid_below_size_bound_is_precondition_failure(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("n", [30, 40, 60, 130])
+@pytest.mark.parametrize("k", [1, 2])
+def test_avoid_collinear_points_is_precondition_failure(tmp_path, n, k):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[i, 2 * i + 1] for i in range(n)]}))
+    result = run(["avoid", "--k", str(k), "--in", str(pts), "--out", str(tmp_path / "av.json")])
+    assert result.exit_code == 2 and result.artifacts == []
+    assert result.log[0]["event"] == "precondition-failed"
+    small = n < 24 * k * k + 6
+    want = f"at least {24 * k * k + 6} points" if small else "general position"
+    assert want in result.log[0]["detail"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_avoid_overflowing_coordinates_is_precondition_failure(tmp_path):
+    rng = random.Random(3)
+    points = [[rng.uniform(0, 1000), rng.uniform(0, 1000)] for _ in range(30)]
+    points[4][0] = 1e308
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": points}))
+    result = run(["avoid", "--k", "1", "--in", str(pts), "--out", str(tmp_path / "av.json")])
+    assert result.exit_code == 2
+    assert "orientation products" in result.log[0]["detail"]
+
+
 def test_verify_all_oracle_over_budget_keeps_per_file_results(tmp_path, monkeypatch):
     # an over-budget oracle check fails its own file with code 3; the other
     # files in the directory still get their entries

@@ -195,7 +195,63 @@ class TestWindowBlocks:
 
         want = outputs()
         monkeypatch.setattr(extract, name, value)
+        if name == "_WIDTH":  # the bottleneck table's bands shrink to _WIDTH too
+            monkeypatch.setattr(extract, "_CELLS", 0)
         assert outputs() == want
+
+    @staticmethod
+    def _rows(vals, width):
+        return [
+            window[c, : lo + c].astype(np.int64)
+            for lo, hi, window in _window_blocks(vals, None, width)
+            for c in range(hi - lo)
+        ]
+
+    @staticmethod
+    def _table(monkeypatch, vals, levels, width):
+        # width = max(_WIDTH, _CELLS // n): _CELLS = 0 leaves exactly _WIDTH
+        monkeypatch.setattr(extract, "_WIDTH", width)
+        monkeypatch.setattr(extract, "_CELLS", 0)
+        return _bottleneck_table(vals, levels)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 100, 300])
+    def test_band_width_leaves_rows_and_table(self, monkeypatch, n):
+        vals = np.asarray(gen_random(n, seed=n + 11).values)
+        want_rows = self._rows(vals, 32)
+        wants = {levels: _bottleneck_table(vals, levels) for levels in (1, 3, 10)}
+        for width in (1, 7, 32, n):  # n: one band covers every column
+            rows = self._rows(vals, width)
+            assert len(rows) == n and all(np.array_equal(g, w) for g, w in zip(rows, want_rows))
+            for levels, (best, bb) in wants.items():
+                got_best, got_bb = self._table(monkeypatch, vals, levels, width)
+                assert np.array_equal(got_best, best) and np.array_equal(got_bb, bb)
+
+    def test_default_bands_are_capped_by_cells(self, monkeypatch):
+        # the bands of a 300-entry table span _CELLS // 300 = 54 columns
+        vals = np.asarray(gen_random(300, seed=5).values)
+        widths = []
+        original = extract._window_blocks
+
+        def recorded(vals, bb, width):
+            widths.append(width)
+            return original(vals, bb, width)
+
+        monkeypatch.setattr(extract, "_window_blocks", recorded)
+        _bottleneck_table(vals, 3)
+        assert widths == [extract._CELLS // 300] and widths[0] > extract._WIDTH
+
+    def test_narrow_type_wraps_exactly_in_one_band(self, monkeypatch):
+        # the log-step carry's partial sums wrap in int8 at n=120 too
+        vals = np.asarray(gen_random(120, seed=7).values)
+
+        def run(dtype):
+            monkeypatch.setattr(extract, "_count_dtype", lambda n: dtype)
+            best, bb = self._table(monkeypatch, vals, 4, 120)
+            return self._rows(vals, 120), best.astype(np.int64), bb.astype(np.int64)
+
+        (want_rows, want_best, want_bb), (rows, best, bb) = run(np.int64), run(np.int8)
+        assert len(rows) == 120 and all(np.array_equal(g, w) for g, w in zip(rows, want_rows))
+        assert np.array_equal(best, want_best) and np.array_equal(bb, want_bb)
 
 
 class TestWindowRow:

@@ -101,6 +101,39 @@ class TestGenRecursiveColoring:
                 assert len(path) == k, (k, q)
 
 
+class TestColoringStrips:
+    def test_random_coloring_is_the_upper_triangle_of_one_draw(self):
+        n, q, seed = 2 * ramsey._TILE + 3, 3, 11
+        draw = np.random.default_rng(seed).integers(1, q + 1, size=(n, n), dtype=np.int16)
+        c = gen_random_coloring(n, q, seed)
+        assert c.matrix.dtype == np.int16 and np.array_equal(c.matrix, np.triu(draw, 1))
+
+    def test_peak_near_one_int16_matrix(self):
+        """The lower triangle is zeroed and the colors checked in place, one
+        row strip at a time: the traced peak stays near the 2 n^2 bytes of
+        the matrix itself (the whole-matrix masks and copies took 7 n^2)."""
+        n = 2048
+        tracemalloc.start()
+        try:
+            gen_random_coloring(n, 3, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n
+
+    @pytest.mark.parametrize("row", [0, ramsey._TILE - 1, ramsey._TILE, 2 * ramsey._TILE + 1])
+    def test_color_check_covers_every_strip(self, row):
+        n = 2 * ramsey._TILE + 3
+        matrix = np.full((n, n), 2, dtype=np.int16)
+        matrix[np.tril_indices(n)] = 9  # below the diagonal nothing is read
+        assert PairColoring(n, 2, matrix).color(1, n) == 2
+        for bad in (0, 3):
+            wrong = matrix.copy()
+            wrong[row, n - 1] = bad
+            with pytest.raises(InvalidInputError):
+                PairColoring(n, 2, wrong)
+
+
 class TestVertexCap:
     def test_random_rejects_beyond_cap(self):
         with pytest.raises(InvalidInputError):
