@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence, require_int, require_seed
+from .core import DEC, INC, BlockWitness, Sequence, require_entries, require_int, require_seed
 from .errors import InvalidInputError, PreconditionError, SearchFailedError
 from .extract import extract_block_monotone
 from .partition import PointSet
@@ -427,6 +427,7 @@ def gen_point_cloud(n: int, seed: int = 0, box: float = 1000.0) -> PointSet:
         raise InvalidInputError(f"n must be positive, got {n}")
     if not 0.0 < box < math.inf:
         raise InvalidInputError(f"box must be positive and finite, got {box}")
+    require_entries(n)
     rng = np.random.default_rng(seed)
     return PointSet(rng.uniform(0.0, box, size=(n, 2)))
 
@@ -442,6 +443,7 @@ def gen_grid_clusters(
         raise InvalidInputError("k and per_cluster must be positive")
     if not 0.0 < jitter < 0.5:
         raise InvalidInputError("jitter must be in (0, 0.5)")
+    require_entries(k * k * per_cluster)
     rng = np.random.default_rng(seed)
     spacing = 10.0
     pts = []

@@ -225,22 +225,17 @@ class PagePartition:
 def half_split(graph: OrderedGraph) -> int:
     """Largest split vertex b whose left side (edges with r <= b) keeps
     at most half the edges; the right side (edges with l > b) then keeps
-    at most half as well."""
+    at most half as well.
+
+    At most floor(m/2) of the m edges end at or before b exactly when b
+    lies before the (floor(m/2) + 1)-th smallest right end, so b is that
+    end minus one (at least 1, since every right end is at least 2):
+    O(m log m), whatever the spine length."""
     edges = graph.edges
     if not edges:
         raise InvalidInputError("cannot split a graph with no edges")
     total = len(edges)
-    ends_at = [0] * (graph.n + 2)
-    for _, right in edges:
-        ends_at[right] += 1
-    best = 0
-    running = 0
-    for vertex in range(1, graph.n + 1):
-        running += ends_at[vertex]
-        if 2 * running <= total:
-            best = vertex
-    if best < 1:
-        raise InvalidInputError("no valid split vertex (attached multigraph?)")
+    best = sorted(right for _, right in edges)[total // 2] - 1
     on_right = sum(1 for left, _ in edges if left > best)
     if 2 * on_right > total:
         raise SearchFailedError("right side of the split exceeded half the edges")

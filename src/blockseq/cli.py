@@ -37,6 +37,7 @@ from .core import (
     gen_clustered,
     gen_es_extremal,
     gen_random,
+    require_entries,
     require_seed,
     separated_blocks,
     validate_block_witness,
@@ -108,9 +109,10 @@ def _random_graph(n: int, m: int, seed: int) -> OrderedGraph:
     total = n * (n - 1) // 2
     if not 1 <= m <= total:
         raise InvalidInputError(f"edge count must lie in 1..{total}, got {m}")
+    require_entries(n + m)
     rng = np.random.default_rng(seed)
     picked = np.sort(rng.choice(total, size=m, replace=False))
-    starts = np.cumsum([0] + [n - 1 - i for i in range(n - 1)])
+    starts = np.cumsum(np.r_[0, np.arange(n - 1, 0, -1)])  # first pair of each row
     rows = np.searchsorted(starts, picked, side="right") - 1
     cols = picked - starts[rows] + rows + 2
     return OrderedGraph(n, tuple((int(i) + 1, int(j)) for i, j in zip(rows, cols)))
@@ -490,6 +492,10 @@ def cmd_paginate(args) -> CommandResult:
     drawn = []  # the spine written, for --svg
 
     def draw(graph):
+        if args.svg:
+            from .svg import require_spine
+
+            require_spine(graph.n)  # before any work or any write
         pp = paginate(graph, args.epsilon)
         drawn.append((graph.n, pp.pages, pp.epsilon, pp.metrics))
         return drawn[0]
@@ -584,9 +590,9 @@ def cmd_render(args) -> CommandResult:
                 return _fail(3, "invalid-artifact", detail=f"{kind} fails validation")
         else:
             spec.check(obj)
-        content = spec.draw(obj, data)
     except (InvalidInputError, PreconditionError) as exc:
         return _fail(3, "invalid-artifact", detail=str(exc))
+    content = spec.draw(obj, data)  # a valid artifact too big to draw exits 2
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(content)
     return CommandResult(0, [args.out], [_entry("rendered", path=args.out)])

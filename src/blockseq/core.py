@@ -222,6 +222,19 @@ def require_int(**values) -> None:
             raise InvalidInputError(f"{name} must be an int, got {value!r}")
 
 
+# The generators refuse to make more entries (sequence values, points, or
+# graph vertices plus edges) than this, before allocating any of them.
+MAX_ENTRIES = 2**22
+
+
+def require_entries(count: int) -> None:
+    """A generator's output size: at most MAX_ENTRIES, or a typed error."""
+    if count > MAX_ENTRIES:
+        raise InvalidInputError(
+            f"generators make at most {MAX_ENTRIES} entries, asked for {count}"
+        )
+
+
 def require_seed(seed) -> None:
     """A seed for numpy's ``default_rng``, which rejects negative ints with a
     bare ValueError: a non-negative int, or a typed error."""
@@ -330,6 +343,7 @@ def gen_es_extremal(k: int) -> Sequence:
     require_int(k=k)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
+    require_entries(k * k)
     vals: list[float] = []
     for b in range(1, k + 1):
         vals.extend(float(v) for v in range(b * k, (b - 1) * k, -1))
@@ -357,6 +371,7 @@ def gen_clustered(
         raise InvalidInputError("delta must lie in (0, 1/2)")
     if inner not in ("increasing", "decreasing", "seeded-random"):
         raise InvalidInputError(f"unknown inner order {inner!r}")
+    require_entries(k * k * s)
     base = [-delta + (t + 1) * 2.0 * delta / (s + 1) for t in range(s)]
     rng = random.Random(seed)
     vals: list[float] = []
@@ -378,5 +393,6 @@ def gen_random(n: int, seed: int = 0) -> Sequence:
     require_seed(seed)
     if n < 0:
         raise InvalidInputError("n must be >= 0")
+    require_entries(n)
     rng = np.random.default_rng(seed)
     return Sequence((rng.permutation(n) + 1).astype(float))

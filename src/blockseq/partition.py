@@ -7,10 +7,12 @@ in x order.  The partitioner maintains a *pattern*: a list of
 already-structured side sets, each with the rest of the pattern confined to
 one quadrant of it, around a staircase *configuration* whose even-indexed
 parts are depth-k block-monotone witnesses.
-Each round either finishes (everything left is small), widens the pattern
-(more sides), or deepens the staircase, and bounded-round pull-outs convert
-the absorbed material into witnesses.  Repeated best extractions then drain
-the leftover pool while their blocks hold 2 or more points, and a final
+Each round widens the pattern (more sides) or deepens the staircase, and
+bounded-round pull-outs convert the absorbed material into witnesses, until
+the staircase is full, the pattern is wide or every odd part is small; one
+endgame then keeps the sides and even parts.  One peel loop serves every
+repeated extraction: the pull-outs, the drain of the leftover pool while its
+blocks hold 2 or more points, and the greedy baseline.  A final
 monotone-subsequence sweep reduces what is left below (k-1)^2 points.  Every
 extraction, at any subset size, keeps the larger of a cut longest monotone
 subsequence and the exact gapped-chain search.
@@ -27,7 +29,15 @@ import math
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence, longest_monotone, require_int
+from .core import (
+    DEC,
+    INC,
+    BlockWitness,
+    Sequence,
+    longest_monotone,
+    require_int,
+    validate_block_witness,
+)
 from .errors import InvalidInputError, SearchFailedError
 from .extract import _best_gapped, chain_to_blocks
 from .extract import gapped_chain_dp  # unused here; perfbench's tracer patches it
@@ -107,39 +117,26 @@ def _ranks(seq: Sequence) -> np.ndarray:
     return np.argsort(np.argsort(seq.values))
 
 
+def _by_x(p: PointSet) -> tuple[list[int], Sequence]:
+    """0-based point indices in x order, and the sequence of their y-values."""
+    order = sorted(range(len(p)), key=lambda i: p.points[i][0])
+    return order, Sequence(p.points[i][1] for i in order)
+
+
 def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
-    """Point-set analogue of the sequence validator: x-separation between
-    consecutive blocks and y-monotone block ranges."""
-    if w.direction not in (INC, DEC):
-        raise InvalidInputError(f"unknown direction {w.direction!r}")
+    """The sequence validator on the y-values in x order, with every point
+    id mapped to its 1-based position in that order; an out-of-range id
+    raises."""
     n = len(p)
-    flat = [i for b in w.blocks for i in b]
-    for i in flat:
-        if not (isinstance(i, (int, np.integer)) and 1 <= i <= n):
+    for i in w.indices():
+        if not 1 <= i <= n:
             raise InvalidInputError(f"point id {i!r} out of range 1..{n}")
-    if not w.blocks or len(set(flat)) != len(flat):
-        return False
-    if len({len(b) for b in w.blocks}) != 1 or not w.blocks[0]:
-        return False
-    xs = [p.points[i - 1][0] for i in flat]
-    ys = [p.points[i - 1][1] for i in flat]
-    sizes = len(w.blocks[0])
-    pos = 0
-    prev_x_max = prev_y_lo = prev_y_hi = None
-    for _ in w.blocks:
-        bx = xs[pos : pos + sizes]
-        by = ys[pos : pos + sizes]
-        pos += sizes
-        if prev_x_max is not None:
-            if min(bx) <= prev_x_max:
-                return False
-            if w.direction == INC and min(by) <= prev_y_hi:
-                return False
-            if w.direction == DEC and max(by) >= prev_y_lo:
-                return False
-        prev_x_max = max(bx)
-        prev_y_lo, prev_y_hi = min(by), max(by)
-    return True
+    order, seq = _by_x(p)
+    position = [0] * n
+    for pos, i in enumerate(order, start=1):
+        position[i] = pos
+    blocks = [[position[i - 1] for i in b] for b in w.blocks]
+    return validate_block_witness(seq, BlockWitness(w.direction, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,30 @@ def _extract_best(ys: np.ndarray, ids: np.ndarray, depth: int) -> _Wit | None:
 
 
 # ---------------------------------------------------------------------------
-# pull-out rounds
+# the peel loop and its pull-out policy
+
+
+def _peel(
+    ys: np.ndarray,
+    ids: np.ndarray,
+    depth: int,
+    keep: float,
+    rounds: float = math.inf,
+    least: int = 1,
+) -> tuple[list[_Wit], np.ndarray]:
+    """Pull best depth-``depth`` witnesses out of the sorted positions
+    ``ids`` while more than ``keep`` remain, for at most ``rounds`` rounds,
+    stopping at the first witness with blocks below ``least`` points.
+    Returns the witnesses and the residue, still sorted."""
+    parts: list[_Wit] = []
+    cur = ids
+    while len(cur) > keep and len(parts) < rounds:
+        wit = _extract_best(ys, cur, depth)
+        if wit is None or wit.size < least:
+            break
+        parts.append(wit)
+        cur = np.setdiff1d(cur, wit.ids(), assume_unique=True)
+    return parts, cur
 
 
 def _round_ceiling(depth: int) -> int:
@@ -180,25 +200,14 @@ def _round_ceiling(depth: int) -> int:
 def _pullout_ids(
     ys: np.ndarray, ids: np.ndarray, depth: int
 ) -> tuple[list[_Wit], np.ndarray]:
-    """Repeatedly extract depth-``depth`` witnesses from the sorted positions
-    ``ids`` until the residue drops to max(|ids|/depth, (depth-1)^2) or the
-    round ceiling is hit; the residue stays sorted."""
-    target = max(len(ids) / depth, (depth - 1) ** 2)
-    parts: list[_Wit] = []
-    cur = ids
-    rounds = 0
-    while len(cur) > target and rounds < _round_ceiling(depth):
-        wit = _extract_best(ys, cur, depth)
-        if wit is None:
-            break
-        parts.append(wit)
-        cur = np.setdiff1d(cur, wit.ids(), assume_unique=True)
-        rounds += 1
-    return parts, cur
+    """Peel until the residue drops to max(|ids|/depth, (depth-1)^2) or the
+    round ceiling is hit."""
+    keep = max(len(ids) / depth, (depth - 1) ** 2)
+    return _peel(ys, ids, depth, keep, _round_ceiling(depth))
 
 
 # ---------------------------------------------------------------------------
-# the pattern step (widen / deepen / finish)
+# the pattern step (widen / deepen) and the endgame
 
 
 @dataclass
@@ -220,11 +229,6 @@ class _State:
     def t(self) -> int:
         return len(self.evens)
 
-    def config_points(self) -> int:
-        return sum(len(o) for o in self.odds) + sum(
-            len(w.ids()) for w in self.evens
-        )
-
 
 def _stitch(base: _Wit, extra: np.ndarray, prepend: bool) -> tuple[list[_Wit], np.ndarray]:
     """Attach a detached point set as one extra block (trimming to a common
@@ -245,23 +249,14 @@ def _stitch(base: _Wit, extra: np.ndarray, prepend: bool) -> tuple[list[_Wit], n
     return out, spill
 
 
-def _step(
-    ys: np.ndarray, st: _State, k: int
-) -> tuple[list[_Wit], _State | np.ndarray, np.ndarray, str]:
-    """One round of the main loop: finish ("small") when every odd part is at
-    most (3k-1)^2 points, else cut a depth-3k witness X from the largest odd
-    part and widen or deepen around it.  Returns the finished witnesses, the
-    successor state (the leftover ids when "small"), the spilled ids and the
-    outcome."""
+def _step(ys: np.ndarray, st: _State, k: int) -> tuple[list[_Wit], _State, np.ndarray]:
+    """One round of the main loop: cut a depth-3k witness X from the largest
+    odd part, which must hold more than (3k-1)^2 points, and widen (the
+    successor has t = 0) or deepen (t + 1) around it.  Returns the finished
+    witnesses, the successor state and the spilled ids."""
     parts: list[_Wit] = []
     pool: list[np.ndarray] = []
-    sizes = [len(o) for o in st.odds]
-    i0 = int(np.argmax(sizes))
-    if sizes[i0] <= (3 * k - 1) ** 2:
-        parts.extend(st.sides)
-        parts.extend(st.evens)
-        return parts, _cat(st.odds), np.empty(0, dtype=np.int64), "small"
-
+    i0 = int(np.argmax([len(o) for o in st.odds]))
     y0 = st.odds[i0]
     x_wit = _extract_best(ys, y0, 3 * k)
     if x_wit is None:  # cannot happen: |Y| > (3k-1)^2 guarantees a chunked LIS
@@ -297,7 +292,7 @@ def _step(
             if len(spill):
                 pool.append(spill)
         st2 = _State(new_sides, [remaining], [], True)
-        return parts, st2, _cat(pool), "widened"
+        return parts, st2, _cat(pool)
 
     # deepen: draw the 3x3 grid around the middle third of X and fold the
     # corner material into the staircase.  Positions and ranks are integers,
@@ -330,35 +325,25 @@ def _step(
     new_odds = st.odds[:i0] + [r7, r3] + st.odds[i0 + 1 :]
     new_evens = st.evens[:i0] + [x2w] + st.evens[i0:]
     st2 = _State(list(st.sides), new_odds, new_evens, st.up)
-    return parts, st2, _cat(pool), "deepened"
+    return parts, st2, _cat(pool)
 
 
 def _cat(chunks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# flatten endgames
-
-
-def _flatten_wide(st: _State) -> tuple[list[_Wit], np.ndarray]:
-    """Endgame for l = 4k sides: the sides and even parts are finished
-    witnesses, and the odd parts go to the leftover pool."""
-    return st.evens + st.sides, _cat(st.odds)
-
-
-def _flatten_deep(ys: np.ndarray, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]:
-    """Endgame for a staircase of full depth t = k: pull depth-(k+1)
-    witnesses out of every odd part and pool their residues; the sides and
-    even parts are kept as they are."""
-    parts: list[_Wit] = list(st.sides)
-    residues: list[np.ndarray] = []
-    for odd in st.odds:
-        got, res = _pullout_ids(ys, odd, k + 1)
-        parts.extend(got)
-        residues.append(res)
-    parts.extend(st.evens)
-    return parts, _cat(residues)
+def _finish(ys: np.ndarray, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]:
+    """The loop's one endgame: the sides and even parts are finished
+    witnesses, and the odd parts go to the leftover pool.  A full staircase
+    (t = k) first pulls depth-(k+1) witnesses out of every odd part and
+    pools their residues.  Parts come sides, pull-outs, evens."""
+    pulled: list[_Wit] = []
+    rest = st.odds
+    if st.t == k:
+        peeled = [_pullout_ids(ys, odd, k + 1) for odd in st.odds]
+        pulled = [w for got, _ in peeled for w in got]
+        rest = [residue for _, residue in peeled]
+    return st.sides + pulled + st.evens, _cat(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -394,46 +379,25 @@ def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
             parts.append(_Wit(d, [np.asarray([i]) for i in all_ids]))
         else:
             st = _State([], [all_ids], [], True)
-            while True:
-                total = st.config_points() + sum(len(w.ids()) for w in st.sides)
-                if total <= k * (3 * k - 1) ** 2 and st.t == 0 and st.l == 0:
-                    pool.append(_cat(st.odds))
-                    break
-                if st.t == k:
-                    got, rest = _flatten_deep(ys, st, k)
-                    parts.extend(got)
-                    if len(rest):
-                        pool.append(rest)
-                    break
-                if st.l >= 4 * k:
-                    got, rest = _flatten_wide(st)
-                    parts.extend(got)
-                    if len(rest):
-                        pool.append(rest)
-                    break
+            small = k * (3 * k - 1) ** 2  # a fresh pattern this small is left over
+            while st.t < k and st.l < 4 * k and (st.l or st.t or len(st.odds[0]) > small):
                 lt_history.append((st.l, st.t))
                 iterations += 1
                 if iterations > 12 * k:
                     raise SearchFailedError("pattern loop exceeded its round bound")
-                got, nxt, spill, outcome = _step(ys, st, k)
-                parts.extend(got)
-                if len(spill):
-                    pool.append(spill)
-                if outcome == "small":
-                    if len(nxt):
-                        pool.append(nxt)
+                if max(len(o) for o in st.odds) <= (3 * k - 1) ** 2:
                     break
-                st = nxt
+                got, st, spill = _step(ys, st, k)
+                parts.extend(got)
+                pool.append(spill)
+            got, rest = _finish(ys, st, k)
+            parts.extend(got)
+            pool.append(rest)
 
     # drain the pool with positive-fraction pulls (block size >= 2), then an
     # Erdos-Szekeres cleanup of what is left
-    rest = np.sort(_cat(pool))
-    while len(rest) > (k - 1) ** 2:
-        wit = _extract_best(ys, rest, k)
-        if wit is None or wit.size < 2:
-            break
-        parts.append(wit)
-        rest = np.setdiff1d(rest, wit.ids(), assume_unique=True)
+    drained, rest = _peel(ys, np.sort(_cat(pool)), k, (k - 1) ** 2, least=2)
+    parts.extend(drained)
     cleanup = 0
     while len(rest) > (k - 1) ** 2:
         d, posn = longest_monotone(Sequence(ys[rest].tolist()))
@@ -458,8 +422,8 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
     """Partition a planar point set into block-monotone parts of depth >= k
     plus at most (k-1)^2 leftover points: the partition of its y-values in
     x order, with every position mapped back to its 1-based point id."""
-    order = sorted(range(len(p)), key=lambda i: p.points[i][0])
-    lp = partition_sequence(Sequence(p.points[i][1] for i in order), k)
+    order, seq = _by_x(p)
+    lp = partition_sequence(seq, k)
 
     def point_ids(positions) -> tuple[int, ...]:
         return tuple(sorted(order[i - 1] + 1 for i in positions))
@@ -478,14 +442,7 @@ def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     ys = _ranks(seq)
-    cur = np.arange(len(ys), dtype=np.int64)
-    parts: list[_Wit] = []
-    while len(cur) > (k - 1) ** 2:
-        wit = _extract_best(ys, cur, k)
-        if wit is None:
-            break
-        parts.append(wit)
-        cur = np.setdiff1d(cur, wit.ids(), assume_unique=False)
+    parts, cur = _peel(ys, np.arange(len(ys), dtype=np.int64), k, (k - 1) ** 2)
     metrics = {
         "n": len(ys),
         "k": k,

@@ -108,8 +108,10 @@ def coloring_from_sequence(seq: Sequence) -> PairColoring:
     color 2 for decreasing ones."""
     vals = np.asarray(seq.values)
     n = len(vals)
-    inc = vals[None, :] > vals[:, None]
-    matrix = np.where(inc, RED, BLUE)
+    matrix = np.full((n, n), BLUE, dtype=np.int16)
+    for lo in range(0, n, _TILE):  # row strips: no n x n temporaries
+        strip = matrix[lo : lo + _TILE]
+        np.copyto(strip, RED, where=vals[None, :] > vals[lo : lo + _TILE, None])
     return _coloring(n, 2, matrix)
 
 
@@ -125,11 +127,12 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
         raise InvalidInputError(f"k**q must be at most {MAX_VERTICES} vertices")
     n = k**q
     v = np.arange(n)
+    digits = [(v // k**level) % k for level in range(q)]
     matrix = np.zeros((n, n), dtype=np.int16)
-    for level in range(q):
-        digit = (v // k**level) % k
-        differ = digit[None, :] != digit[:, None]
-        matrix = np.where(differ, level + 1, matrix)
+    for lo in range(0, n, _TILE):  # row strips: no n x n temporaries
+        strip = matrix[lo : lo + _TILE]
+        for level, digit in enumerate(digits):  # the highest level differing wins
+            np.copyto(strip, level + 1, where=digit[None, :] != digit[lo : lo + _TILE, None])
     return _coloring(n, q, matrix)
 
 

@@ -15,14 +15,19 @@ from .errors import InvalidInputError
 
 __all__ = [
     "MARGIN",
+    "MAX_SPINE",
     "UNIT",
     "render_pages",
+    "require_spine",
     "render_scatter",
     "svg_x",
 ]
 
 MARGIN = 40.0
 UNIT = 60.0
+# Arc diagrams refuse longer spines: every vertex gets a tick and a label,
+# so the drawing grows with the spine, whatever the edges.
+MAX_SPINE = 2**14
 _TICK = 6.0
 _POINT_RADIUS = 4.0
 _GRAY = "#9aa0a6"
@@ -70,15 +75,21 @@ def _semicircle(x1: float, x2: float, y0: float, upper: bool, color: str) -> str
     return f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
+def require_spine(n) -> None:
+    """A spine length ``render_pages`` draws: an int in 1..MAX_SPINE, or a
+    typed error."""
+    require_int(n=n)
+    if not 1 <= n <= MAX_SPINE:
+        raise InvalidInputError(f"spine length must lie in 1..{MAX_SPINE}, got {n!r}")
+
+
 def render_pages(n: int, pages) -> str:
     """Arc diagram of a list of :class:`~blockseq.biarc.Page` objects.
 
     An empty page list yields a spine-only drawing.  Pages cycle through
     the palette so merged sub-diagrams stay distinguishable.
     """
-    require_int(n=n)
-    if n < 1:
-        raise InvalidInputError(f"spine length must be positive, got {n!r}")
+    require_spine(n)
     radius = UNIT * (n - 1) / 2.0
     y0 = MARGIN + radius
     width = 2 * MARGIN + UNIT * (n - 1)

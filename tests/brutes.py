@@ -167,6 +167,22 @@ def all_transversals_monotone(values, blocks, want_inc):
     )
 
 
+def brute_point_witness(points, direction, blocks):
+    """A block witness over 1-based point ids, by definition: non-empty
+    blocks of one size s >= 1, no id twice, every point of a block strictly
+    left of every point of the next block, and every transversal (one point
+    per block) strictly y-monotone in ``direction``."""
+    flat = [i for b in blocks for i in b]
+    if not blocks or not blocks[0] or len({len(b) for b in blocks}) != 1:
+        return False
+    if len(set(flat)) != len(flat):
+        return False
+    for a, b in zip(blocks, blocks[1:]):
+        if any(points[i - 1][0] >= points[j - 1][0] for i in a for j in b):
+            return False
+    return all_transversals_monotone([y for _, y in points], blocks, direction == "inc")
+
+
 def brute_longest_chain(n, links):
     """Column-at-a-time longest chains over 0..n-1: ``links`` yields
     ``(i, mask)`` for i >= 1, ``mask[j]`` true when j < i may precede i.

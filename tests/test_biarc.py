@@ -1,6 +1,7 @@
 """Tests for ordered-graph pagination with per-page crossing budgets."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -107,6 +108,27 @@ def test_half_split_balances_random():
         right = sum(1 for l, _ in g.edges if l > b)
         assert 2 * left <= m
         assert 2 * right <= m
+
+
+def test_half_split_is_the_largest_balanced_vertex():
+    """The closed form agrees with a sweep over every vertex."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(2, 25))
+        m = int(rng.integers(1, n * (n - 1) // 2 + 1))
+        g = random_graph(rng, n, m)
+        sweep = max(b for b in range(1, n + 1) if 2 * sum(r <= b for _, r in g.edges) <= m)
+        assert half_split(g) == sweep
+
+
+def test_half_split_costs_nothing_per_spine_vertex():
+    tracemalloc.start()
+    try:
+        b = half_split(OrderedGraph(10**10, ((1, 2), (2, 7), (4, 6))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b == 5 and peak < 64 * 1024
 
 
 def test_half_split_needs_edges():

@@ -142,6 +142,15 @@ def test_svg_scatter_counts_and_validation():
         svg.render_pages(0, [])
 
 
+def test_svg_refuses_spines_past_the_cap():
+    assert len(paths(ET.fromstring(svg.render_pages(svg.MAX_SPINE, [])), "line")) == (
+        1 + svg.MAX_SPINE
+    )
+    for n in (svg.MAX_SPINE + 1, 10**10):
+        with pytest.raises(InvalidInputError):
+            svg.render_pages(n, [])
+
+
 # -- cli ---------------------------------------------------------------------
 
 def gen(tmp_path, kind, name, **flags):
@@ -777,6 +786,52 @@ def test_bare_spine_verifies_and_renders(tmp_path):
                   {"n": 6, "epsilon": 0.5, "pages": [], "metrics": [0]})
     assert run(["verify", "--in", stray]).exit_code == 3
     assert run(["render", "--in", stray, "--out", str(tmp_path / "s.svg")]).exit_code == 3
+
+
+def test_render_refuses_a_spine_past_the_cap_exit2(tmp_path):
+    out = tmp_path / "e.svg"
+    for n in (svg.MAX_SPINE + 1, 10**10):
+        bare = write(tmp_path / "bare.json",
+                     {"n": n, "epsilon": 0.5, "pages": [], "metrics": []})
+        ok(run(["verify", "--in", bare]))
+        result = run(["render", "--in", bare, "--out", str(out)])
+        assert result.exit_code == 2 and result.log[0]["event"] == "precondition-failed"
+        assert not out.exists()
+
+
+def test_paginate_on_a_huge_spine(tmp_path):
+    """Pagination does no work per spine vertex: a 3-edge graph on 10^10
+    vertices paginates; with --svg the spine is refused before anything is
+    written."""
+    g = write(tmp_path / "g.json", {"n": 10**10, "edges": [[1, 2], [2, 7], [4, 6]]})
+    pages, drawing = tmp_path / "pages.json", tmp_path / "pages.svg"
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", str(pages)]))
+    ok(run(["verify", "--witness", str(pages), "--in", g]))
+    pages.unlink()
+    for n in (svg.MAX_SPINE + 1, 10**10):
+        g = write(tmp_path / "g.json", {"n": n, "edges": [[1, 2], [2, 7], [4, 6]]})
+        result = run(["paginate", "--epsilon", "0.5", "--in", g, "--out", str(pages),
+                      "--svg", str(drawing)])
+        assert result.exit_code == 2 and result.log[0]["event"] == "precondition-failed"
+        assert not pages.exists() and not drawing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "sequence", "--n", "10000000000"],
+        ["--kind", "points", "--n", "10000000000"],
+        ["--kind", "graph", "--n", "100000000", "--m", "3"],
+        ["--kind", "clustered", "--k", "100000", "--s", "100000"],
+        ["--kind", "es-extremal", "--k", "100000"],
+        ["--kind", "points-grid", "--k", "100000", "--per-cluster", "100000"],
+    ],
+)
+def test_generators_past_the_entry_cap_exit2(tmp_path, argv):
+    out = tmp_path / "out.json"
+    result = run(["gen", *argv, "--out", str(out)])
+    assert result.exit_code == 2 and result.log[0]["event"] == "precondition-failed"
+    assert not out.exists()
 
 
 # Arguments for every gen kind: integers in -1..5, reals that are zero,

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from blockseq.biarc import (
     partition_multiset,
     spine_crossing,
 )
-from blockseq.core import longest_chain
+from blockseq import cli
+from blockseq.core import MAX_ENTRIES, longest_chain
 from blockseq.rangecount import build_counter, is_gapped_pair
 from blockseq.svg import render_pages
 from brutes import (
@@ -291,6 +293,32 @@ class TestGenerators:
 
     def test_random_empty(self):
         assert gen_random(0, seed=1).n == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: gen_random(MAX_ENTRIES + 1), id="gen_random"),
+        pytest.param(lambda: gen_clustered(1, MAX_ENTRIES + 1), id="gen_clustered"),
+        # the smallest k with k^2 > MAX_ENTRIES
+        pytest.param(lambda: gen_es_extremal(2**11 + 1), id="gen_es_extremal"),
+        pytest.param(lambda: gen_point_cloud(MAX_ENTRIES + 1), id="gen_point_cloud"),
+        pytest.param(lambda: gen_grid_clusters(1, MAX_ENTRIES + 1), id="gen_grid_clusters"),
+        # vertices plus edges
+        pytest.param(lambda: cli._random_graph(MAX_ENTRIES, 1, 0), id="cli-graph"),
+    ],
+)
+def test_generators_refuse_past_the_entry_cap_before_allocating(make):
+    """One entry beyond the cap fails with a typed error; the traced peak
+    stays far below the 8 bytes per entry any output array would take."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="at most"):
+            make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 _COLORING = gen_random_coloring(12, 2, seed=0)

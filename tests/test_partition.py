@@ -9,6 +9,7 @@ import pytest
 
 from blockseq.avoid import gen_point_cloud
 from blockseq.core import (
+    BlockWitness,
     Sequence,
     gen_clustered,
     gen_random,
@@ -19,8 +20,8 @@ from blockseq.errors import InvalidInputError
 from blockseq.extract import DEFAULT_C, _best_gapped
 from blockseq.partition import (
     _extract_best,
-    _flatten_deep,
-    _flatten_wide,
+    _finish,
+    _peel,
     _pullout_ids,
     _ranks,
     _step,
@@ -32,7 +33,7 @@ from blockseq.partition import (
     partition_sequence,
     validate_point_witness,
 )
-from brutes import pattern_ok, rank_state
+from brutes import brute_point_witness, pattern_ok, rank_state
 
 
 def jitter_box(rng, x0, y0, count, w=8.0, h=8.0):
@@ -49,8 +50,10 @@ def rank_ok(ys, wit):
     return validate_block_witness(Sequence(ys.tolist()), wit.public())
 
 
-def build_wide_pattern(seed, s=45, ny=200):
-    """Eight sides (k=2) in a down-right chain, all up-left of a random Y."""
+def build_wide_pattern(seed, s=45, ny=200, t=0):
+    """Eight sides (k=2) in a down-right chain, all up-left of a random Y;
+    with t = 1, Y is a staircase of two odd parts around one witnessed even
+    part instead."""
     rng = random.Random(seed)
     pts = []
     sides = []
@@ -63,8 +66,18 @@ def build_wide_pattern(seed, s=45, ny=200):
         pts.extend(b1 + b2)
         sides.append(("dec", (range(start, start + s), range(start + s, start + 2 * s))))
     ystart = len(pts)
-    pts.extend(jitter_box(rng, 200.0, 40.0, ny, w=60, h=60))
-    return rank_state(pts, sides, [range(ystart, ystart + ny)], [])
+    if t == 0:
+        pts.extend(jitter_box(rng, 200.0, 40.0, ny, w=60, h=60))
+        return rank_state(pts, sides, [range(ystart, ystart + ny)], [])
+    pts.extend(jitter_box(rng, 200.0, 40.0, ny, w=20, h=20))
+    odd0 = range(ystart, ystart + ny)
+    st = len(pts)
+    pts.extend(jitter_box(rng, 225.0, 65.0, s, w=4, h=4))
+    pts.extend(jitter_box(rng, 232.0, 72.0, s, w=4, h=4))
+    even = ("inc", (range(st, st + s), range(st + s, st + 2 * s)))
+    st = len(pts)
+    pts.extend(jitter_box(rng, 240.0, 80.0, ny, w=20, h=20))
+    return rank_state(pts, sides, [odd0, range(st, st + ny)], [even])
 
 
 def build_deep_pattern(seed, s=34):
@@ -121,6 +134,56 @@ def test_pointset_rejects_duplicate_coordinates():
         PointSet(((0.0, 1.0), (2.0, 1.0)))
 
 
+@hs.composite
+def point_witnesses(draw):
+    """A point set and a witness over its ids: blocks cut from the x order
+    (often valid), then optionally broken by overlapping x ranges, unequal
+    sizes, repeated ids or swapped blocks."""
+    n = draw(hs.integers(1, 12))
+    xs = draw(hs.lists(hs.integers(0, 99), min_size=n, max_size=n, unique=True))
+    ys = draw(hs.lists(hs.integers(0, 99), min_size=n, max_size=n, unique=True))
+    order = sorted(range(n), key=lambda i: xs[i])
+    depth = draw(hs.integers(1, 4))
+    s = draw(hs.integers(1, max(1, n // depth)))
+    picks = sorted(draw(hs.permutations(range(n)))[: depth * s])
+    blocks = [[order[j] + 1 for j in picks[b * s : (b + 1) * s]] for b in range(depth)]
+    blocks = [b for b in blocks if b]
+    flaw = draw(hs.sampled_from(["none", "overlap", "unequal", "repeat", "swap"]))
+    if flaw == "overlap" and len(blocks) > 1:
+        blocks[0][-1], blocks[1][0] = blocks[1][0], blocks[0][-1]
+    elif flaw == "unequal":
+        blocks[-1] = blocks[-1][:-1] or [blocks[-1][0], blocks[-1][0]]
+    elif flaw == "repeat":
+        blocks[-1][-1] = blocks[0][0]
+    elif flaw == "swap" and len(blocks) > 1:
+        blocks[0], blocks[1] = blocks[1], blocks[0]
+    direction = draw(hs.sampled_from(["inc", "dec"]))
+    return PointSet(list(zip(xs, ys))), BlockWitness(direction, blocks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_witnesses())
+def test_point_witness_matches_brute_force(case):
+    p, w = case
+    assert validate_point_witness(p, w) == brute_point_witness(p.points, w.direction, w.blocks)
+
+
+def test_point_witness_rejects_by_kind():
+    p = PointSet([(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)])
+    assert validate_point_witness(p, BlockWitness("inc", [[1, 2], [3, 4], [5, 6]]))
+    assert not validate_point_witness(p, BlockWitness("dec", [[1, 2], [3, 4]]))
+    assert not validate_point_witness(p, BlockWitness("inc", [[1, 3], [2, 4]]))  # x overlap
+    assert not validate_point_witness(p, BlockWitness("inc", [[1, 2], [3]]))  # unequal
+    assert not validate_point_witness(p, BlockWitness("inc", [[1, 1], [3, 4]]))  # repeat
+    assert not validate_point_witness(p, BlockWitness("inc", [[3, 4], [1, 2]]))  # x order
+    assert not validate_point_witness(p, BlockWitness("inc", []))
+    for bad in (0, 7):
+        with pytest.raises(InvalidInputError):
+            validate_point_witness(p, BlockWitness("inc", [[1], [bad]]))
+    with pytest.raises(InvalidInputError):
+        validate_point_witness(p, BlockWitness("up", [[1], [2]]))
+
+
 # ---------------------------------------------------------------------------
 # pull-out rounds
 
@@ -154,6 +217,20 @@ def test_pullout_random_bound():
         assert w.depth >= 4
         seen.extend(w.indices())
     assert len(set(seen)) == len(seen)
+
+
+def test_peel_keep_rounds_and_least():
+    ys, _ = seq_state(gen_random(400, seed=5))
+    ids = np.arange(400)
+    parts, rest = _peel(ys, ids, 3, 4)
+    assert len(rest) <= 4 and all(rank_ok(ys, w) for w in parts)
+    once, rest1 = _peel(ys, ids, 3, 4, rounds=1)
+    assert [w.public() for w in once] == [parts[0].public()]
+    assert len(rest1) == 400 - 3 * parts[0].size
+    big, _ = _peel(ys, ids, 3, 4, least=parts[-1].size + 1)
+    assert len(big) < len(parts)
+    assert all(w.size > parts[-1].size for w in big)
+    assert [w.public() for w in big] == [w.public() for w in parts[: len(big)]]
 
 
 NON_INTEGER_K = [True, 2.5, 3.0, "3"]
@@ -223,22 +300,15 @@ def test_pattern_validation_and_quadrant_violation():
 
 
 # ---------------------------------------------------------------------------
-# one round of the loop (_step)
-
-
-def test_step_small_nine_points():
-    ys, st = seq_state(gen_random(9, seed=2))
-    parts, residue, leftovers, outcome = _step(ys, st, 2)
-    assert outcome == "small"
-    assert residue.tolist() == list(range(9))
-    assert parts == [] and len(leftovers) == 0
+# one round of the loop (_step): a widen restarts the staircase (t = 0), a
+# deepen adds one even part (t + 1)
 
 
 def test_step_t0_is_never_widened():
     for seed in range(6):
         ys, st = seq_state(gen_random(120, seed=seed))
-        parts, nxt, leftovers, outcome = _step(ys, st, 2)
-        assert outcome in ("small", "deepened")
+        parts, nxt, leftovers = _step(ys, st, 2)
+        assert (nxt.l, nxt.t) == (0, 1)  # deepened
         k, c = 2, DEFAULT_C
         assert len(leftovers) <= 9 * c * c * k * k + 3 * k
 
@@ -248,15 +318,18 @@ def test_step_conserves_points_and_validates_successor():
     seen_outcomes = []
     covered = []
     for _ in range(24):
-        parts, nxt, leftovers, outcome = _step(ys, st, 2)
-        seen_outcomes.append(outcome)
+        if max(len(o) for o in st.odds) <= (3 * 2 - 1) ** 2:
+            seen_outcomes.append("small")
+            covered.extend(state_ids(st))
+            break
+        t = st.t
+        parts, nxt, leftovers = _step(ys, st, 2)
+        assert nxt.t in (0, t + 1)
+        seen_outcomes.append("widened" if nxt.t == 0 else "deepened")
         for w in parts:
             assert rank_ok(ys, w)
             covered.extend(w.ids().tolist())
         covered.extend(leftovers.tolist())
-        if outcome == "small":
-            covered.extend(nxt.tolist())
-            break
         assert pattern_ok(ys, nxt, 2)
         st = nxt
         if st.l >= 8 or st.t >= 2:
@@ -268,24 +341,38 @@ def test_step_conserves_points_and_validates_successor():
 
 
 # ---------------------------------------------------------------------------
-# flatten endgames
+# the endgame (_finish): parts come sides, pull-outs, evens
 
 
-def test_flatten_wide_trivial_branch_keeps_existing_witnesses():
-    ys, st = build_wide_pattern(3, s=10, ny=30)
-    assert pattern_ok(ys, st, 2)
-    parts, leftovers = _flatten_wide(st)
-    # every side survives unchanged and the odd part is left over
-    assert [w.public() for w in parts] == [w.public() for w in st.evens + st.sides]
-    assert leftovers.tolist() == st.odds[0].tolist()
+def finish_cover(st, parts, leftovers):
+    """The endgame's parts and leftovers cover exactly the state's ids."""
     cover = sorted([i for w in parts for i in w.ids().tolist()] + leftovers.tolist())
-    assert cover == list(range(len(ys)))
+    return cover == sorted(state_ids(st))
 
 
-def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
+def test_finish_small_pattern_leaves_everything():
+    ys, st = seq_state(gen_random(9, seed=2))
+    parts, leftovers = _finish(ys, st, 2)
+    assert parts == [] and leftovers.tolist() == list(range(9))
+    assert finish_cover(st, parts, leftovers)
+
+
+def test_finish_wide_pattern_keeps_sides_then_evens():
+    for t in (0, 1):
+        ys, st = build_wide_pattern(3, s=10, ny=30, t=t)
+        assert pattern_ok(ys, st, 2) and (st.l, st.t) == (8, t)
+        parts, leftovers = _finish(ys, st, 2)
+        # every side and even part survives unchanged and the odd parts are
+        # left over
+        assert [w.public() for w in parts] == [w.public() for w in st.sides + st.evens]
+        assert leftovers.tolist() == np.concatenate(st.odds).tolist()
+        assert finish_cover(st, parts, leftovers) and len(state_ids(st)) == len(ys)
+
+
+def test_finish_full_staircase_pulls_odd_parts_at_depth_k_plus_one():
     ys, st = build_deep_pattern(1)
     assert pattern_ok(ys, st, 2)
-    parts, leftovers = _flatten_deep(ys, st, 2)
+    parts, leftovers = _finish(ys, st, 2)
     assert [w.public() for w in parts[-2:]] == [w.public() for w in st.evens]
     pulled = parts[:-2]
     assert pulled  # the 300-point odd part yields depth-3 witnesses
@@ -294,8 +381,25 @@ def test_flatten_deep_pulls_odd_parts_at_depth_k_plus_one():
         assert w.depth == 3 and rank_ok(ys, wit)
     odd_ids = {i for o in st.odds for i in o.tolist()}
     assert set(leftovers.tolist()) <= odd_ids
-    cover = sorted([i for w in parts for i in w.ids().tolist()] + leftovers.tolist())
-    assert cover == list(range(len(ys)))
+    assert finish_cover(st, parts, leftovers) and len(state_ids(st)) == len(ys)
+
+
+def test_finish_when_every_odd_part_is_small():
+    """Steps run until no odd part exceeds (3k-1)^2 points; the endgame then
+    keeps the sides and even parts as they are and pools the odd parts."""
+    for seed in range(6):
+        ys, st = seq_state(gen_random(200, seed=seed))
+        while max(len(o) for o in st.odds) > 25 and st.t < 2 and st.l < 8:
+            _, st, _ = _step(ys, st, 2)
+        if st.t < 2 and st.l < 8:
+            break
+    else:
+        pytest.fail("no seed left every odd part small before the other exits")
+    assert st.l + st.t > 0
+    parts, leftovers = _finish(ys, st, 2)
+    assert [w.public() for w in parts] == [w.public() for w in st.sides + st.evens]
+    assert leftovers.tolist() == np.concatenate(st.odds).tolist()
+    assert finish_cover(st, parts, leftovers)
 
 
 # ---------------------------------------------------------------------------

@@ -76,3 +76,34 @@ def test_traced_cli_extract_records_one_extract_span(monkeypatch, tmp_path):
     finally:
         tracer.remove()
     assert [span[0] for span in tracer.spans].count("extract") == 1
+
+
+def test_traced_partition_greedy_and_paginate_reach_their_layers(monkeypatch):
+    """``partition.*``, ``greedy.*`` and the per-layer ``extract``/``core``
+    metrics under them only measure what the partition calls through the
+    names the tracer patches; a refactor that calls around them would zero
+    those metrics silently."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import blockseq
+    from blockseq.biarc import OrderedGraph
+
+    seq, small = blockseq.gen_random(1000, seed=1), blockseq.gen_random(500, seed=2)
+    graph = OrderedGraph(12, [(1, 5), (2, 9), (3, 4), (3, 12), (6, 10), (7, 8), (8, 11)])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        blockseq.partition_sequence(seq, 3)
+        blockseq.greedy_partition(small, 3)
+        blockseq.paginate(graph, 0.5)
+    finally:
+        tracer.remove()
+    under = {}  # root op name -> names of the spans it ran
+    for name, _, _, _, root in tracer.spans:
+        under.setdefault(tracer.spans[root][0], []).append(name)
+    assert sorted(under) == ["greedy", "paginate", "partition"]
+    for op in ("partition", "greedy"):
+        for layer in ("core.longest_monotone", "extract.search", "extract.chain_to_blocks"):
+            assert under[op].count(layer) > 0, (op, layer)
+    assert under["paginate"].count("biarc.half_split") > 0

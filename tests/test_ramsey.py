@@ -121,6 +121,37 @@ class TestColoringStrips:
             tracemalloc.stop()
         assert peak < 3 * n * n
 
+    @pytest.mark.parametrize("which", ["sequence", "recursive"])
+    def test_sequence_and_recursive_colorings_peak_near_one_int16_matrix(self, which):
+        """Both builders write the int16 matrix in place, one row strip at a
+        time (a whole-matrix ``np.where`` took 11 n^2 and 5 n^2 bytes)."""
+        n = 2048
+        seq = gen_random(n, seed=1)
+        tracemalloc.start()
+        try:
+            if which == "sequence":
+                c = coloring_from_sequence(seq)
+            else:
+                c = gen_recursive_coloring(2, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.n == n and c.matrix.dtype == np.int16
+        assert peak < 3 * n * n
+
+    def test_sequence_and_recursive_colorings_by_definition(self):
+        seq = gen_random(2 * ramsey._TILE + 3, seed=2)
+        c = coloring_from_sequence(seq)
+        v = np.asarray(seq.values)
+        want = np.where(v[None, :] > v[:, None], ramsey.RED, ramsey.BLUE)
+        assert np.array_equal(c.matrix, np.triu(want, 1))
+        k, q = 3, 6
+        c = gen_recursive_coloring(k, q)
+        for i, j in ((100, 600), (0, 1), (5, 8), (242, 243)):  # 0-based, i < j
+            differ = [lv for lv in range(q) if (i // k**lv) % k != (j // k**lv) % k]
+            assert c.matrix[i, j] == 1 + max(differ)
+        assert c.matrix[100, 600] == 6  # 100 = 010201, 600 = 211020 in base 3
+
     @pytest.mark.parametrize("row", [0, ramsey._TILE - 1, ramsey._TILE, 2 * ramsey._TILE + 1])
     def test_color_check_covers_every_strip(self, row):
         n = 2 * ramsey._TILE + 3
