@@ -23,8 +23,9 @@ The result is returned with its achieved block-size fraction, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
+import math
 
 import numpy as np
 
@@ -168,6 +169,28 @@ def _x_split(xs: np.ndarray, j: int) -> float:
     return (part[j - 1] + part[j]) / 2.0
 
 
+def _coords(half) -> tuple[np.ndarray, np.ndarray]:
+    """x and y coordinate arrays of a ``PointSet`` or of an (n, 2) float
+    array, which gets the checks a ``PointSet`` makes: finite coordinates,
+    pairwise-distinct x and pairwise-distinct y."""
+    if isinstance(half, PointSet):
+        flat = chain.from_iterable(half.points)
+        pts = np.fromiter(flat, dtype=float, count=2 * len(half)).reshape(-1, 2)
+        return pts[:, 0], pts[:, 1]
+    try:
+        pts = np.asarray(half, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidInputError(f"points must form an (n, 2) array, got shape {pts.shape}")
+    for col, axis in ((pts[:, 0], "x"), (pts[:, 1], "y")):
+        if not np.isfinite(col).all():
+            raise InvalidInputError(f"{axis} coordinates must be finite")
+        if len(np.unique(col)) != len(col):
+            raise InvalidInputError(f"{axis} coordinates must be distinct")
+    return pts[:, 0], pts[:, 1]
+
+
 def _bisect_direction(px, py, qx, qy, above: int, near: float, far: float, sign):
     """Bisect the directions between ``near``, where D has sign ``sign``,
     and ``far``, where it does not, for a line with ``above`` points of each
@@ -192,13 +215,13 @@ def _bisect_direction(px, py, qx, qy, above: int, near: float, far: float, sign)
             far = mid
 
 
-def balanced_line(
-    P: PointSet, Q: PointSet, L: Line, m: int
-) -> tuple[Line, str]:
+def balanced_line(P, Q, L: Line, m: int) -> tuple[Line, str]:
     """Find a non-vertical line with exactly ``m`` points of P and of Q
     strictly on one side (the reported one), and no point on it.
 
-    P and Q must have equal size n >= m >= 1 and be strictly separated by
+    P and Q are each a ``PointSet`` or an (n, 2) float array of (x, y)
+    rows, checked as a ``PointSet`` would be (``InvalidInputError``).
+    They must have equal size n >= m >= 1 and be strictly separated by
     L.  For m < n the side is "upper" (a = m points above the line) or
     "lower" (a = n - m above).  Project both sets as
     w = y cos(theta) - x sin(theta): a line of slope tan(theta) has a points
@@ -224,16 +247,14 @@ def balanced_line(
     equals an end) without such a probe: then no balancing line exists, or
     its directions lie closer together than float arithmetic resolves.
     """
-    n = len(P)
-    if len(Q) != n:
-        raise InvalidInputError(f"sets must have equal size, got {n} != {len(Q)}")
+    px, py = _coords(P)
+    qx, qy = _coords(Q)
+    n = len(px)
+    if len(qx) != n:
+        raise InvalidInputError(f"sets must have equal size, got {n} != {len(qx)}")
     require_int(m=m)
     if not 1 <= m <= n:
         raise InvalidInputError(f"need 1 <= m <= {n}, got {m}")
-    px = np.array([pt[0] for pt in P.points])
-    py = np.array([pt[1] for pt in P.points])
-    qx = np.array([pt[0] for pt in Q.points])
-    qy = np.array([pt[1] for pt in Q.points])
     sp = _separation_signs(L, px, py)
     sq = _separation_signs(L, qx, qy)
     if sp == sq:
@@ -285,14 +306,14 @@ def _triple_signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     sample with a collinear triple and to check that a frame change
     preserved orientations."""
     idx = np.linspace(0, len(xs) - 1, min(len(xs), _TRIPLE_SAMPLE)).astype(int)
+    sx, sy = xs[idx], ys[idx]
+    dx = sx[None, :] - sx[:, None]  # dx[i, j] = x_j - x_i
+    dy = sy[None, :] - sy[:, None]
     a, b = np.triu_indices(len(idx), k=1)
-    i = np.repeat(idx[a], len(idx))
-    j = np.repeat(idx[b], len(idx))
-    l = np.tile(idx, len(a))
-    cross = (xs[j] - xs[i]) * (ys[l] - ys[i]) - (ys[j] - ys[i]) * (
-        xs[l] - xs[i]
-    )
-    return np.sign(cross)
+    # row (i, j) of cross holds every l: the (i, j, l) order, one triple's
+    # operands and operations as in the loop over triples
+    cross = dx[a, b][:, None] * dy[a] - dy[a, b][:, None] * dx[a]
+    return np.sign(cross).ravel()
 
 
 def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
@@ -315,8 +336,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
         raise InvalidInputError(
             f"need at least {24 * k * k + 6} points for k={k}, got {n}"
         )
-    x0 = np.array([pt[0] for pt in P.points])
-    y0 = np.array([pt[1] for pt in P.points])
+    x0, y0 = _coords(P)
     if max(np.abs(x0).max(), np.abs(y0).max()) > _MAX_COORD:
         raise PreconditionError(
             "coordinates must lie within +-2^510, where orientation products stay finite"
@@ -338,8 +358,8 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 
     m = n // 6
     H, _side = balanced_line(
-        PointSet([(x0[i], ywork[i]) for i in upper]),
-        PointSet([(x0[i], ywork[i]) for i in lower]),
+        np.column_stack((x0[upper], ywork[upper])),
+        np.column_stack((x0[lower], ywork[lower])),
         Line(0.0, 0.0),
         m,
     )
@@ -378,7 +398,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     slab = np.flatnonzero((xwork > 0.0) & (xwork < d) & (ywork > 0.0))
     slab = slab[np.lexsort((ywork[slab], xwork[slab]))]
     wit_q = _rechunk(
-        extract_block_monotone(Sequence(ywork[slab]), 2 * k + 1), 2 * k + 1
+        extract_block_monotone(Sequence(ywork[slab].tolist()), 2 * k + 1), 2 * k + 1
     )
     q_blocks = [tuple(int(slab[i - 1]) for i in block) for block in wit_q.blocks]
     if wit_q.direction == INC:
@@ -405,7 +425,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     rho = np.hypot(xwork[flank] - xwork[pivot], ywork[flank] - ywork[pivot])
     ranks = np.empty(len(flank), dtype=float)
     ranks[np.lexsort((np.arange(len(flank)), rho))] = np.arange(len(flank))
-    wit_a = _rechunk(extract_block_monotone(Sequence(ranks), k), k)
+    wit_a = _rechunk(extract_block_monotone(Sequence(ranks.tolist()), k), k)
     a_blocks = [tuple(int(flank[i - 1]) for i in block) for block in wit_a.blocks]
     b_blocks = q_blocks[:k] if wit_a.direction == DEC else q_blocks[k + 1 :]
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .core import DEC, Sequence, require_int
-from .errors import InvalidInputError, SearchFailedError
+from .errors import InvalidInputError, PreconditionError, SearchFailedError
 from .partition import partition_sequence
 
 __all__ = [
@@ -89,6 +89,15 @@ class OrderedGraph:
             raise InvalidInputError("duplicate edges are not allowed")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[_Edge, ...]) -> OrderedGraph:
+        """A graph on edges already taken from a validated graph on n
+        vertices, built without checking them again."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -330,11 +339,13 @@ def _layout(edges, b: int, n: int, biarc: bool) -> list[_Entry]:
     if not biarc:
         return [((float(l), float(r)), None) for l, r in edges]
     crossings = [spine_crossing(l, r, b, n) for l, r in edges]
-    # Construction-time geometry check: lex-later edges must cross the
-    # spine strictly earlier, otherwise crossing counting breaks down.
+    # Lex-later edges cross the spine strictly earlier in exact arithmetic,
+    # and crossing counting relies on it; consecutive crossings can differ
+    # by 1/(2n^2), which floats near b + 1 stop resolving on long spines.
     if any(x <= y for x, y in zip(crossings, crossings[1:])):
-        raise SearchFailedError(
-            "biarc spine crossings are not strictly decreasing in lex order"
+        raise PreconditionError(
+            f"a spine of {n} vertices is too long for this graph: two biarc "
+            "spine crossings round to the same or swapped floats"
         )
     return [((float(l), c), (c, float(r))) for (l, r), c in zip(edges, crossings)]
 
@@ -345,7 +356,7 @@ def _build_pages(edges, k: int, n: int) -> list[_Draft]:
     pairwise."""
     if not edges:
         return []
-    b = half_split(OrderedGraph(n, tuple(edges)))
+    b = half_split(OrderedGraph._trusted(n, tuple(edges)))
     crossing = [e for e in edges if e[0] <= b < e[1]]
     left = [e for e in edges if e[1] <= b]
     right = [e for e in edges if e[0] > b]
@@ -374,7 +385,9 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
 
     Every returned page carries at most ``epsilon * size**2`` crossings,
     and the number of pages is O(k^2 log k log |E|) for k = ceil(1/epsilon).
-    Deterministic: equal inputs give equal drawings.
+    Deterministic: equal inputs give equal drawings.  Raises
+    PreconditionError when the spine is so long that two of a page's biarc
+    spine crossings, 1/(2n^2) apart at least, round to the same float.
     """
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
         raise InvalidInputError(f"epsilon must be a real number, got {epsilon!r}")

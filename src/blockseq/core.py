@@ -15,7 +15,7 @@ validating sequences and witnesses never imports it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 import math
 import random
@@ -164,36 +164,21 @@ def validate_block_witness(seq: Sequence, w: BlockWitness) -> bool:
     return True
 
 
-def _lis_lex_smallest(vals: list[float]) -> list[int]:
-    """0-based indices of the longest strictly increasing subsequence,
-    breaking ties toward the lexicographically smallest index list."""
-    n = len(vals)
-    if n == 0:
-        return []
-    # starts[i] + 1 = longest increasing subsequence starting at i: patience
-    # sorting run right to left on the negated values.
-    tails: list[float] = []
-    starts = [0] * n
-    for i in range(n - 1, -1, -1):
-        x = -vals[i]
-        pos = bisect_left(tails, x)
-        if pos == len(tails):
-            tails.append(x)
-        else:
-            tails[pos] = x
-        starts[i] = pos
-    buckets: list[list[int]] = [[] for _ in tails]
-    for i, pos in enumerate(starts):
-        buckets[pos].append(i)
-    # Within a bucket, values strictly decrease as the index grows.  The
-    # previous pick continues through some later entry of the next bucket,
-    # so the first entry of that bucket after the pick is at least as large
-    # and also continues it: it is the lexicographically smallest choice.
+def _lex_smallest(starts: list[int], length: int) -> list[int]:
+    """0-based indices of the lexicographically smallest longest chain, from
+    ``starts[i] + 1``, the longest chain starting at i.  Entries of one level
+    move strictly against the chain's direction as the index grows, so the
+    previous pick continues through some later entry of the next level, and
+    the first such entry after the pick is at least as far along and
+    continues it too: one left-to-right scan makes every pick."""
     out: list[int] = []
-    cur = -1
-    for bucket in reversed(buckets):
-        cur = bucket[bisect_right(bucket, cur)]
-        out.append(cur)
+    level = length - 1
+    for i, pos in enumerate(starts):
+        if pos == level:
+            out.append(i)
+            if not level:
+                break
+            level -= 1
     return out
 
 
@@ -202,16 +187,36 @@ def longest_monotone(seq: Sequence) -> tuple[str, list[int]]:
 
     Length ties are broken toward ``INC``, then toward the lexicographically
     smallest index list.  For any sequence of length n the result has length
-    at least ceil(sqrt(n)).
+    at least ceil(sqrt(n)).  One patience-sorting pass, right to left, keeps
+    the tails of both directions; only the winner is rebuilt.
     """
     if len(seq) == 0:
         raise InvalidInputError("longest_monotone requires a non-empty sequence")
-    vals = list(seq.values)
-    inc = _lis_lex_smallest(vals)
-    dec = _lis_lex_smallest([-v for v in vals])
-    if len(inc) >= len(dec):
-        return INC, [i + 1 for i in inc]
-    return DEC, [i + 1 for i in dec]
+    vals = seq.values
+    n = len(vals)
+    # inc_tails holds negated values, so both tail lists stay ascending;
+    # *_starts[i] + 1 is the longest chain of that direction starting at i
+    inc_tails: list[float] = []
+    dec_tails: list[float] = []
+    inc_starts = [0] * n
+    dec_starts = [0] * n
+    for i in range(n - 1, -1, -1):
+        v = vals[i]
+        pos = bisect_left(inc_tails, -v)
+        if pos == len(inc_tails):
+            inc_tails.append(-v)
+        else:
+            inc_tails[pos] = -v
+        inc_starts[i] = pos
+        pos = bisect_left(dec_tails, v)
+        if pos == len(dec_tails):
+            dec_tails.append(v)
+        else:
+            dec_tails[pos] = v
+        dec_starts[i] = pos
+    if len(inc_tails) >= len(dec_tails):
+        return INC, [i + 1 for i in _lex_smallest(inc_starts, len(inc_tails))]
+    return DEC, [i + 1 for i in _lex_smallest(dec_starts, len(dec_tails))]
 
 
 def require_int(**values) -> None:

@@ -6,14 +6,18 @@ library always means a genuine bug on one side.  ``best_gapped_s`` and
 ``rebuild_best_gapped`` are the exception: they replay the package's slower
 two-pass route to a gapped witness (the block-size search, then a fresh
 chain DP at that size) and pin the witness the bottleneck-table trace reads
-off.  ``triple_signs_loop`` replays the avoid module's orientation
-sampling one triple at a time, to pin the batched version to the same
-output.  ``rank_state`` builds the partition loop's own state from planar
-points, ranked the way the loop sees them, for the partition tests.
+off.  ``two_pass_longest_monotone`` is the package's former
+``longest_monotone``, one patience pass and one rebuild per direction, to
+pin the one-pass version to the same output.  ``triple_signs_loop``
+replays the avoid module's orientation sampling one triple at a time, to
+pin the batched version to the same output.  ``rank_state`` builds the
+partition loop's own state from planar points, ranked the way the loop
+sees them, for the partition tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -156,6 +160,45 @@ def brute_longest_monotone_indices(values):
         if found:
             best, winners = r, found
     return best, winners
+
+
+def _lis_lex_smallest(vals):
+    """0-based indices of the longest strictly increasing subsequence,
+    breaking ties toward the lexicographically smallest index list."""
+    n = len(vals)
+    if n == 0:
+        return []
+    tails = []
+    starts = [0] * n
+    for i in range(n - 1, -1, -1):
+        x = -vals[i]
+        pos = bisect_left(tails, x)
+        if pos == len(tails):
+            tails.append(x)
+        else:
+            tails[pos] = x
+        starts[i] = pos
+    buckets = [[] for _ in tails]
+    for i, pos in enumerate(starts):
+        buckets[pos].append(i)
+    out = []
+    cur = -1
+    for bucket in reversed(buckets):
+        cur = bucket[bisect_right(bucket, cur)]
+        out.append(cur)
+    return out
+
+
+def two_pass_longest_monotone(values):
+    """(direction, 1-based indices) of a longest strictly monotone
+    subsequence, ties to "inc" then to the smallest index list: one full
+    patience pass and rebuild per direction."""
+    vals = list(values)
+    inc = _lis_lex_smallest(vals)
+    dec = _lis_lex_smallest([-v for v in vals])
+    if len(inc) >= len(dec):
+        return "inc", [i + 1 for i in inc]
+    return "dec", [i + 1 for i in dec]
 
 
 def all_transversals_monotone(values, blocks, want_inc):

@@ -1,6 +1,7 @@
 """Tests for balanced-line search and mutually avoiding families."""
 
 from fractions import Fraction
+import hashlib
 import math
 
 from hypothesis import assume, example, given, settings, strategies as hs
@@ -212,6 +213,40 @@ def test_balanced_line_fails_only_without_a_line(halves):
         assert (above_p, above_q) == want
 
 
+def _line_or_error(P, Q, L, m):
+    try:
+        return balanced_line(P, Q, L, m)
+    except SearchFailedError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_halves(), hs.data())
+def test_balanced_line_takes_arrays_as_point_sets(halves, data):
+    """(n, 2) array halves give what PointSet halves give, and fail the
+    checks a PointSet makes with InvalidInputError."""
+    P, Q, L = halves
+    arrays = np.array(P, dtype=float), np.array(Q, dtype=float)
+    for m in range(1, len(P) + 1):
+        want = _line_or_error(PointSet(P), PointSet(Q), L, m)
+        assert _line_or_error(*arrays, L, m) == want
+        assert _line_or_error(arrays[0], PointSet(Q), L, m) == want
+    arr = arrays[data.draw(hs.integers(0, 1))]
+    row, col = data.draw(hs.integers(0, len(arr) - 1)), data.draw(hs.integers(0, 1))
+    bad = [arr[:, :1], arr.ravel(), arr[None], np.column_stack((arr, arr[:, 0]))]
+    for value in (math.nan, math.inf, -math.inf):
+        bad.append(arr.copy())
+        bad[-1][row, col] = value
+    if len(arr) > 1:
+        bad.append(arr.copy())
+        bad[-1][(row + 1) % len(arr), col] = arr[row, col]  # a repeated x or y
+    for half in bad:
+        with pytest.raises(InvalidInputError):
+            balanced_line(half, arrays[1], L, 1)
+        with pytest.raises(InvalidInputError):
+            balanced_line(arrays[0], half, L, 1)
+
+
 def test_triple_signs_matches_loop():
     rng = np.random.default_rng(4)
     for n in (3, 47, 48, 2000):
@@ -326,6 +361,55 @@ def test_pipeline_2000_pinned():
         assert pts.issuperset(block)
     again = mutually_avoiding_sets(p, 2)
     assert again == w
+
+
+# sha256 of repr(mutually_avoiding_sets(gen_point_cloud(n, seed), k)), first
+# taken from the PointSet-halves pipeline before it ran on arrays
+WITNESS_SHA256 = {
+    (700, 0, 2): "60b37c79db7152058f56452aa7dc2bd7220fa4076862364eed3081249baf9174",
+    (700, 0, 3): "cddc11988624c0e20d5cf930e3f465b6e3a3768fd8fc1619809849b0a48cafee",
+    (700, 1, 2): "bd5ea2bb75e15aabf7e43e9c97b4863a8771e0c3baaa2b9fe8df854e291a97a2",
+    (700, 1, 3): "5d72cb418767d2888e5e88107548d16cf5345d1e5f22f808c79adaddbcc6f4ed",
+    (700, 2, 2): "c3fda491f0f7d454868c77933ed8fe9d4fdf500092a2512aba1c1ea3b1584d93",
+    (700, 2, 3): "79453b5c21071cbe580841554786f7583ff6bf2000fb9716ce2f663fcd0d9071",
+    (2000, 0, 2): "8732325f47c500ea246346d8fa2686d1e6c9aec67816d79c963ac891ca84a04d",
+    (2000, 0, 3): "144a05663d910a925fd2012829262c35804a011858a516bf2c6185756aed142f",
+    (2000, 1, 2): "6e9875f16320b02ba189fccc48b814adc78dbec4b141e342a1dc1416a5e52866",
+    (2000, 1, 3): "ee29fbe623ac1b867bf3cc0004f24d9bbffd8e48f41cbc5321f8053f95541730",
+    (2000, 2, 2): "76dbeccd48483249fdda015d127d9ce9892b387c05445924f72ba5a5bf865e66",
+    (2000, 2, 3): "3dea9480303450d12c9e1bcc9c2a4107f238684af5309b38154adef3e2952a96",
+    (5000, 0, 2): "2096eeb4b367aa034a9749b96acd07e71697985cefbd23470928f75559f80849",
+    (5000, 0, 3): "122aadd457d66014fa52e428828dbc61e6a929f0ea2d62f32f8409a2739c77ca",
+    (5000, 1, 2): "cadfdf17c01e584aaa05968ea5de43fc0df1ba36f97d3954eff26417f2a88da8",
+    (5000, 1, 3): "71bface4e6a99a033d94e0a77ad8d8493140e26ff585305a7f80e96cc24b4655",
+    (5000, 2, 2): "7f877db63a07a44cef6a92f8224d073c47d83b558c41c6f232f9ef3be632d0a5",
+    (5000, 2, 3): "fc799d0d67792e26e62bd8f4226e80d30a67b0aa882bf3f7a1e87f14f9e5e82d",
+}
+
+
+@pytest.mark.parametrize("n", [700, 2000, 5000])
+def test_pipeline_witnesses_pinned(n):
+    for seed in (0, 1, 2):
+        cloud = gen_point_cloud(n, seed)
+        for k in (2, 3):
+            got = repr(mutually_avoiding_sets(cloud, k)).encode()
+            assert hashlib.sha256(got).hexdigest() == WITNESS_SHA256[n, seed, k], (seed, k)
+
+
+def test_pipeline_builds_no_point_set(monkeypatch):
+    """The pipeline runs on coordinate arrays: no PointSet of its halves."""
+    cloud = gen_point_cloud(2000, seed=4)
+    built = []
+    init = PointSet.__init__
+
+    def counting_init(self, points):
+        built.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(PointSet, "__init__", counting_init)
+    for k in (2, 3):
+        assert check_avoiding(mutually_avoiding_sets(cloud, k))
+    assert built == []
 
 
 def test_pipeline_many_seeds():

@@ -21,7 +21,7 @@ from blockseq.biarc import (
     spine_crossing,
 )
 from blockseq.core import DEC, INC, gen_random
-from blockseq.errors import InvalidInputError
+from blockseq.errors import InvalidInputError, PreconditionError
 from blockseq.oracle import brute_crossings_geometric
 from brutes import brute_interleavings
 
@@ -490,3 +490,46 @@ def test_paginate_builds_one_page_per_returned_page(monkeypatch):
     pp = paginate(OrderedGraph(40, sorted(pairs[i] for i in picked)), 0.5)
     assert len(pp.pages) > 1
     assert len(built) == len(pp.pages)
+
+
+# Two biarcs of one page whose spine crossings are 1/(2n^2) apart, below float
+# resolution near b + 1 from n = 10^6, and a 10^8-vertex graph that fails too.
+TIED_AT_1E6 = OrderedGraph(10**6, [(333333, 666666), (333333, 666667), (1, 2)])
+TIED_AT_1E8 = OrderedGraph(10**8, [(1, 2), (2, 7), (2, 8), (4, 6), (6, 7)])
+
+
+def test_paginate_refuses_spines_whose_crossings_tie_in_floats():
+    for graph in (TIED_AT_1E6, TIED_AT_1E8):
+        with pytest.raises(PreconditionError, match=f"spine of {graph.n} vertices"):
+            paginate(graph, 0.5)
+    # the same shape a tenth as long still draws, its crossings distinct
+    pp = paginate(OrderedGraph(10**5, [(33333, 66666), (33333, 66667), (1, 2)]), 0.5)
+    assert sorted(e for page in pp.pages for e in page.edges) == [
+        (1, 2), (33333, 66666), (33333, 66667)
+    ]
+    pp = paginate(OrderedGraph(10**7, TIED_AT_1E8.edges), 0.5)
+    assert sum(page.size for page in pp.pages) == len(TIED_AT_1E8.edges)
+
+
+def test_build_pages_splits_without_rechecking_edges(monkeypatch):
+    """Each recursion node hands half_split (through the module attribute)
+    a sub-graph of the checked input without building an OrderedGraph."""
+    rng = np.random.default_rng(9)
+    graph = random_graph(rng, 60, 400)
+    built, seen = [], []
+    graph_init, split = OrderedGraph.__init__, biarc.half_split
+
+    def counting_init(self, *args):
+        built.append(args)
+        graph_init(self, *args)
+
+    def recording_split(g):
+        seen.append(g)
+        return split(g)
+
+    monkeypatch.setattr(OrderedGraph, "__init__", counting_init)
+    monkeypatch.setattr(biarc, "half_split", recording_split)
+    pp = paginate(graph, 0.25)
+    assert built == [] and len(seen) > 10
+    assert all(g.n == 60 and set(g.edges) <= set(graph.edges) for g in seen)
+    assert sorted(e for page in pp.pages for e in page.edges) == sorted(graph.edges)

@@ -816,6 +816,24 @@ def test_paginate_on_a_huge_spine(tmp_path):
         assert not pages.exists() and not drawing.exists()
 
 
+def test_paginate_spine_too_long_for_float_crossings_exit2(tmp_path):
+    """Biarc crossings 1/(2n^2) apart tie in floats from n = 10^6: exit 2,
+    naming the spine, with nothing written; a spine a tenth as long draws."""
+    pages = tmp_path / "pages.json"
+    for n, edges in (
+        (10**6, [[333333, 666666], [333333, 666667], [1, 2]]),
+        (10**8, [[1, 2], [2, 7], [2, 8], [4, 6], [6, 7]]),
+    ):
+        g = write(tmp_path / "g.json", {"n": n, "edges": edges})
+        result = run(["paginate", "--epsilon", "0.5", "--in", g, "--out", str(pages)])
+        assert result.exit_code == 2 and result.log[0]["event"] == "precondition-failed"
+        assert f"spine of {n} vertices" in result.log[0]["detail"]
+        assert not pages.exists()
+    g = write(tmp_path / "g.json", {"n": 10**5, "edges": [[33333, 66666], [33333, 66667], [1, 2]]})
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", str(pages)]))
+    ok(run(["verify", "--witness", str(pages), "--in", g]))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+from hypothesis import example, given, settings, strategies as hs
 import numpy as np
 import pytest
 
@@ -40,6 +41,7 @@ from brutes import (
     all_transversals_monotone,
     brute_longest_chain,
     brute_longest_monotone_indices,
+    two_pass_longest_monotone,
 )
 
 
@@ -178,6 +180,16 @@ class TestLongestMonotone:
             else:
                 assert d == DEC
                 assert idx == min(winners)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(hs.integers(-40, 40), min_size=1, max_size=60, unique=True))
+    @example([2, 1])
+    @example([1, 2, 3])
+    @example(list(gen_es_extremal(4).values))
+    @example(list(gen_es_extremal(7).values))
+    @example([-v for v in gen_es_extremal(5).values])
+    def test_one_pass_matches_two_passes(self, vals):
+        assert longest_monotone(Sequence(vals)) == two_pass_longest_monotone(vals)
 
     def test_sqrt_lower_bound(self):
         for seed in range(10):

@@ -59,6 +59,27 @@ def test_traced_avoid_records_one_balanced_line_span(monkeypatch):
     assert [span[0] for span in tracer.spans].count("avoid.balanced_line") == 1
 
 
+def test_traced_avoid_reaches_extraction_and_longest_monotone(monkeypatch):
+    """``avoid.extract_s`` and the ``core.longest_monotone`` metrics under it
+    see both of the pipeline's extractions and their fallback runs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    import blockseq
+
+    cloud = blockseq.gen_point_cloud(2000, 3)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        blockseq.mutually_avoiding_sets(cloud, 3)
+    finally:
+        tracer.remove()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("avoid") == 1
+    assert names.count("avoid.extract") == 2
+    assert names.count("core.longest_monotone") >= 1
+
+
 def test_traced_cli_extract_records_one_extract_span(monkeypatch, tmp_path):
     """``cli.inproc_extract_s`` holds an ``extract`` span only while
     ``cmd_extract`` calls the extractor through ``cli.extract_block_monotone``."""
