@@ -18,12 +18,24 @@ Within a single page, two arcs cross exactly when their same-side spans
 interleave; the construction confines such pairs to a single block of
 the partition, which is what keeps every page under its crossing budget
 ``epsilon * size**2``.
+
+Checks run where data enters or leaves: ``OrderedGraph``, ``Page``,
+``PagePartition`` and ``partition_multiset`` check all their input.
+``paginate`` builds its pages with the private ``Page._trusted``, which
+takes only pages the package assembled: it runs the two page checks that
+float rounding can break (each biarc crosses the spine strictly inside its
+edge; a page's crossings are pairwise distinct) on every page at once,
+checks that the pages partition the edge set, and returns a checked
+``PagePartition``.  Every other page property follows from the checked
+graph and the recursion.  The CLI rebuilds every page with ``Page`` before
+it writes, and the pages artifact reader checks every page it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -58,7 +70,24 @@ _Entry = tuple[_Span, _Span | None]
 _Draft = tuple[list[_Edge], list[_Entry], int]  # edges, layout, split vertex
 
 
-def _check_edge(edge, n: int) -> _Edge:
+def _as_tuple(items, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError as exc:
+        raise InvalidInputError(f"{what} must be iterable, got {items!r}") from exc
+
+
+def _check_epsilon(epsilon) -> float:
+    """A crossing budget parameter: a real number in (0, 1], as a float."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise InvalidInputError(f"epsilon must be a real number, got {epsilon!r}")
+    epsilon = float(epsilon)
+    if not math.isfinite(epsilon) or not 0.0 < epsilon <= 1.0:
+        raise InvalidInputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    return epsilon
+
+
+def _check_edge(edge, n: float = math.inf) -> _Edge:
     if (
         not isinstance(edge, tuple)
         or len(edge) != 2
@@ -82,7 +111,7 @@ class OrderedGraph:
         require_int(n=n)
         if n < 1:
             raise InvalidInputError(f"vertex count must be positive, got {n!r}")
-        edges = tuple(edges)
+        edges = _as_tuple(edges, "edges")
         for edge in edges:
             _check_edge(edge, n)
         if len(set(edges)) != len(edges):
@@ -93,11 +122,48 @@ class OrderedGraph:
     @classmethod
     def _trusted(cls, n: int, edges: tuple[_Edge, ...]) -> OrderedGraph:
         """A graph on edges already taken from a validated graph on n
-        vertices, built without checking them again."""
+        vertices, built without checking them again.  Private: graphs from
+        outside the package go through ``OrderedGraph``."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "edges", edges)
         return graph
+
+
+def _layout_entry(entry) -> _Entry:
+    """One layout entry as a tuple: a span of two reals, and a second span
+    or None."""
+    try:
+        upper, lower = entry
+        spans = [tuple(upper)] + ([] if lower is None else [tuple(lower)])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed layout entry {entry!r}") from exc
+    for span in spans:
+        if len(span) != 2 or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in span
+        ):
+            raise InvalidInputError(f"malformed layout entry {entry!r}")
+    return spans[0], (spans[1] if len(spans) == 2 else None)
+
+
+def _check_biarc_floats(edges, layout) -> None:
+    """The page checks that float rounding can break: each biarc crosses the
+    spine strictly inside its edge, and the page's crossings are pairwise
+    distinct."""
+    crossings = []
+    for edge, (upper, lower) in zip(edges, layout):
+        if lower is not None:
+            if not upper[0] < upper[1] < lower[1]:
+                raise InvalidInputError(
+                    f"biarc of {edge!r} must cross the spine inside the edge"
+                )
+            crossings.append(upper[1])
+    if len(set(crossings)) != len(crossings):
+        raise InvalidInputError("biarc spine crossings must be pairwise distinct")
+
+
+def _style(layout) -> str:
+    return BIARCS if any(lower is not None for _, lower in layout) else UPPER_ARCS
 
 
 @dataclass(frozen=True)
@@ -120,11 +186,8 @@ class Page:
     layout: tuple[_Entry, ...]
 
     def __init__(self, edges, style, split_b, layout):
-        edges = tuple(edges)
-        layout = tuple(
-            tuple(part if part is None else tuple(part) for part in entry)
-            for entry in layout
-        )
+        edges = _as_tuple(edges, "page edges")
+        layout = tuple(_layout_entry(entry) for entry in _as_tuple(layout, "page layout"))
         if style not in (UPPER_ARCS, BIARCS):
             raise InvalidInputError(f"unknown page style {style!r}")
         require_int(split_b=split_b)
@@ -132,29 +195,22 @@ class Page:
             raise InvalidInputError(f"split vertex must be positive, got {split_b!r}")
         if not edges:
             raise InvalidInputError("a page must hold at least one edge")
+        for edge in edges:
+            _check_edge(edge)
         if len(layout) != len(edges):
             raise InvalidInputError("layout must have one entry per edge")
         if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
             raise InvalidInputError("page edges must be strictly lex-sorted")
-        lowers = []
-        max_vertex = max(r for _, r in edges)
         for edge, entry in zip(edges, layout):
-            left, right = _check_edge(edge, max_vertex)
-            if len(entry) != 2:
-                raise InvalidInputError(f"malformed layout entry {entry!r}")
+            left, right = edge
             upper, lower = entry
             if lower is None:
-                if tuple(upper) != (float(left), float(right)):
+                if upper != (float(left), float(right)):
                     raise InvalidInputError(
                         f"upper-arc span {upper!r} does not match edge {edge!r}"
                     )
             else:
-                upper = tuple(upper)
-                lower = tuple(lower)
-                if len(upper) != 2 or len(lower) != 2:
-                    raise InvalidInputError(f"malformed layout entry {entry!r}")
-                crossing = upper[1]
-                if lower[0] != crossing:
+                if lower[0] != upper[1]:
                     raise InvalidInputError(
                         f"biarc halves of {edge!r} meet at {upper[1]!r} != {lower[0]!r}"
                     )
@@ -162,21 +218,32 @@ class Page:
                     raise InvalidInputError(
                         f"biarc span endpoints {entry!r} do not match edge {edge!r}"
                     )
-                if not left < crossing < right:
-                    raise InvalidInputError(
-                        f"biarc of {edge!r} must cross the spine inside the edge"
-                    )
-                lowers.append(crossing)
-        if style == UPPER_ARCS and lowers:
-            raise InvalidInputError("upper-arcs page may not contain biarcs")
-        if style == BIARCS and not lowers:
-            raise InvalidInputError("biarcs page must contain at least one biarc")
-        if len(set(lowers)) != len(lowers):
-            raise InvalidInputError("biarc spine crossings must be pairwise distinct")
+        if style != _style(layout):
+            raise InvalidInputError(
+                "upper-arcs page may not contain biarcs"
+                if style == UPPER_ARCS
+                else "biarcs page must contain at least one biarc"
+            )
+        _check_biarc_floats(edges, layout)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "style", style)
         object.__setattr__(self, "split_b", split_b)
         object.__setattr__(self, "layout", layout)
+
+    @classmethod
+    def _trusted(
+        cls, edges: tuple[_Edge, ...], style: str, split_b: int, layout: tuple[_Entry, ...]
+    ) -> Page:
+        """A page ``paginate`` assembled, built without checking it again:
+        ``paginate`` runs the checks floats can break on every page at once,
+        and the others hold by construction.  Private: pages from outside the
+        package go through ``Page``."""
+        page = object.__new__(cls)
+        object.__setattr__(page, "edges", edges)
+        object.__setattr__(page, "style", style)
+        object.__setattr__(page, "split_b", split_b)
+        object.__setattr__(page, "layout", layout)
+        return page
 
     @property
     def size(self) -> int:
@@ -198,15 +265,13 @@ class PagePartition:
     metrics: tuple[int, ...]
 
     def __init__(self, pages, epsilon, metrics):
-        pages = tuple(pages)
-        metrics = tuple(metrics)
+        pages = _as_tuple(pages, "pages")
+        metrics = _as_tuple(metrics, "crossing counts")
         if not pages:
             raise InvalidInputError("a page partition needs at least one page")
         if not all(isinstance(p, Page) for p in pages):
             raise InvalidInputError("pages must be Page instances")
-        epsilon = float(epsilon)
-        if not 0.0 < epsilon <= 1.0 or not math.isfinite(epsilon):
-            raise InvalidInputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+        epsilon = _check_epsilon(epsilon)
         if len(metrics) != len(pages):
             raise InvalidInputError("need one crossing count per page")
         seen: set[_Edge] = set()
@@ -270,18 +335,23 @@ def partition_multiset(values, k: int):
     require_int(k=k)
     if k < 2:
         raise InvalidInputError(f"depth k must be >= 2, got {k!r}")
-    values = list(values)
+    values = _as_tuple(values, "values")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if (
+            isinstance(v, bool)
+            or not isinstance(v, (int, float))
+            or isinstance(v, float) and not math.isfinite(v)
+        ):
             raise InvalidInputError(f"values must be finite reals, got {v!r}")
     n = len(values)
     if n == 0:
         return (), ()
-    order = sorted(range(n), key=lambda i: (values[i], i))
+    # a stable sort breaks ties by position; ints and floats compare exactly
+    order = sorted(range(n), key=values.__getitem__)
     rank = [0] * n
     for position, index in enumerate(order):
         rank[index] = position
-    labeled = partition_sequence(Sequence(tuple(float(r) for r in rank)), k)
+    labeled = partition_sequence(Sequence._trusted(tuple(rank)), k)
     parts = tuple(witness for _, witness in labeled.parts)
     deleted = tuple(sorted(labeled.remainder))
     if len(deleted) > (k - 1) ** 2:
@@ -292,19 +362,25 @@ def partition_multiset(values, k: int):
     return parts, deleted
 
 
+def _crossing(l: int, r: int, b: int, n: int) -> float:
+    return b + 1 - l / n - r / (2 * n * n)
+
+
 def spine_crossing(l: int, r: int, b: int, n: int) -> float:
     """Spine coordinate where the biarc of edge (l, r) changes half-plane.
 
-    The point lies strictly inside (b, b + 1) and is distinct across
-    distinct edges, which makes biarc crossings on one page depend only
-    on span interleaving.
+    In exact arithmetic the point lies strictly inside (b, b + 1), and
+    lex-later edges cross strictly earlier, at least 1/(2n^2) apart, which
+    makes biarc crossings on one page depend only on span interleaving.
+    The returned float is that point rounded: on long spines two crossings
+    can round to the same float, and ``paginate`` refuses such a page.
     """
     require_int(l=l, r=r, b=b, n=n)
     if not 1 <= l <= b < r <= n:
         raise InvalidInputError(
             f"edge ({l}, {r}) does not span split vertex {b} within 1..{n}"
         )
-    return b + 1 - l / n - r / (2 * n * n)
+    return _crossing(l, r, b, n)
 
 
 _CHUNK = 256  # spans compared against all others per step
@@ -338,7 +414,7 @@ def _layout(edges, b: int, n: int, biarc: bool) -> list[_Entry]:
     cross the spine inside (b, b + 1)."""
     if not biarc:
         return [((float(l), float(r)), None) for l, r in edges]
-    crossings = [spine_crossing(l, r, b, n) for l, r in edges]
+    crossings = [_crossing(l, r, b, n) for l, r in edges]
     # Lex-later edges cross the spine strictly earlier in exact arithmetic,
     # and crossing counting relies on it; consecutive crossings can differ
     # by 1/(2n^2), which floats near b + 1 stop resolving on long spines.
@@ -389,20 +465,19 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
     PreconditionError when the spine is so long that two of a page's biarc
     spine crossings, 1/(2n^2) apart at least, round to the same float.
     """
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise InvalidInputError(f"epsilon must be a real number, got {epsilon!r}")
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or not 0.0 < epsilon <= 1.0:
-        raise InvalidInputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    epsilon = _check_epsilon(epsilon)
     if not graph.edges:
         raise InvalidInputError("cannot paginate a graph with no edges")
     # (k - 1)^2 >= |E| at k = |E| + 1 already leaves every split's crossing
     # edges to singleton pages, so a larger k draws the same pages
     k = max(2, math.ceil(min(1.0 / epsilon, len(graph.edges) + 1)))
-    pages = []
-    for edges, layout, b in _build_pages(sorted(graph.edges), k, graph.n):
-        style = BIARCS if any(lo is not None for _, lo in layout) else UPPER_ARCS
-        pages.append(Page(edges, style, b, layout))
+    drafts = _build_pages(sorted(graph.edges), k, graph.n)
+    for edges, layout, _ in drafts:
+        _check_biarc_floats(edges, layout)
+    pages = [
+        Page._trusted(tuple(edges), _style(layout), b, tuple(layout))
+        for edges, layout, b in drafts
+    ]
     drawn = sorted(edge for page in pages for edge in page.edges)
     if drawn != sorted(graph.edges):
         raise SearchFailedError("pages do not partition the edge set")

@@ -218,12 +218,14 @@ def _check_avoid(w) -> None:
 
 
 def _check_pages(spine) -> None:
-    from .biarc import PagePartition, count_page_crossings
+    from .biarc import Page, PagePartition, count_page_crossings
 
     _, pages, epsilon, metrics = spine
     if not pages and not metrics:
         return  # a bare spine has nothing to violate
     PagePartition(pages, epsilon, metrics)
+    for p in pages:  # paginate builds its pages unchecked; every page check runs here
+        Page(p.edges, p.style, p.split_b, p.layout)
     if tuple(count_page_crossings(p) for p in pages) != metrics:
         raise InvalidInputError("page crossing metrics do not match layout")
 

@@ -62,6 +62,16 @@ class Sequence:
             raise InvalidInputError("sequence values must be pairwise distinct")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(cls, values: tuple[float, ...]) -> Sequence:
+        """A sequence of pairwise-distinct finite reals the package built
+        (int ranks, for one), taken as they are, without converting or
+        checking them again.
+        Private: values from outside the package go through ``Sequence``."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "values", values)
+        return seq
+
     @property
     def n(self) -> int:
         return len(self.values)

@@ -20,6 +20,11 @@ subsequence and the exact gapped-chain search.
 All public indices are 1-based positions in the sequence, or 1-based ids into
 the input point set.  Directions follow the sequence convention: "inc" means
 up-right.
+
+The public entry points check their input; internally the partition works
+on positions and ranks it built, hands the search rank sequences through the
+private ``Sequence._trusted`` (ranks are distinct by construction), and
+removes extracted positions with one boolean mask over the positions.
 """
 
 from __future__ import annotations
@@ -109,12 +114,20 @@ class _Wit:
         return _cat(self.blocks)
 
     def public(self) -> BlockWitness:
-        return BlockWitness(self.direction, [b + 1 for b in self.blocks])
+        return BlockWitness(self.direction, [(b + 1).tolist() for b in self.blocks])
 
 
 def _ranks(seq: Sequence) -> np.ndarray:
     """0-based value rank of every entry."""
     return np.argsort(np.argsort(seq.values))
+
+
+def _drop(ids: np.ndarray, gone: np.ndarray, n: int) -> np.ndarray:
+    """The positions ``ids`` without those in ``gone``, in their order; all
+    positions lie in 0..n-1."""
+    keep = np.ones(n, dtype=bool)
+    keep[gone] = False
+    return ids[keep[ids]]
 
 
 def _by_x(p: PointSet) -> tuple[list[int], Sequence]:
@@ -153,7 +166,7 @@ def _extract_best(ys: np.ndarray, ids: np.ndarray, depth: int) -> _Wit | None:
     """
     if depth < 1 or len(ids) <= (depth - 1) ** 2:
         return None
-    seq = Sequence(ys[ids].tolist())
+    seq = Sequence._trusted(tuple(ys[ids].tolist()))  # distinct ranks
     # Erdos-Szekeres: m > (depth-1)^2 gives a monotone run of >= depth entries
     d, pos = longest_monotone(seq)
     s = len(pos) // depth
@@ -189,7 +202,7 @@ def _peel(
         if wit is None or wit.size < least:
             break
         parts.append(wit)
-        cur = np.setdiff1d(cur, wit.ids(), assume_unique=True)
+        cur = _drop(cur, wit.ids(), len(ys))
     return parts, cur
 
 
@@ -261,7 +274,7 @@ def _step(ys: np.ndarray, st: _State, k: int) -> tuple[list[_Wit], _State, np.nd
     x_wit = _extract_best(ys, y0, 3 * k)
     if x_wit is None:  # cannot happen: |Y| > (3k-1)^2 guarantees a chunked LIS
         raise SearchFailedError("depth-3k extraction failed unexpectedly")
-    remaining = np.setdiff1d(y0, x_wit.ids(), assume_unique=False)
+    remaining = _drop(y0, x_wit.ids(), len(ys))
     if st.t == 0:
         # orientation is free when the staircase is trivial; oppose X so the
         # deepening branch below applies
@@ -353,8 +366,8 @@ def _finish(ys: np.ndarray, st: _State, k: int) -> tuple[list[_Wit], np.ndarray]
 def _labeled(parts: list[_Wit], rest: np.ndarray, metrics: dict) -> LabeledPartition:
     """The public partition over the sorted remainder ``rest``: each part's
     1-based ids (its blocks run left to right) with its witness."""
-    pub = tuple((tuple(int(i) + 1 for i in w.ids()), w.public()) for w in parts)
-    return LabeledPartition(pub, tuple(int(i) + 1 for i in rest), metrics)
+    pub = tuple((tuple((w.ids() + 1).tolist()), w.public()) for w in parts)
+    return LabeledPartition(pub, tuple((rest + 1).tolist()), metrics)
 
 
 def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
@@ -400,10 +413,10 @@ def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
     parts.extend(drained)
     cleanup = 0
     while len(rest) > (k - 1) ** 2:
-        d, posn = longest_monotone(Sequence(ys[rest].tolist()))
+        d, posn = longest_monotone(Sequence._trusted(tuple(ys[rest].tolist())))
         chain = rest[np.asarray(posn, dtype=np.int64) - 1]
         parts.append(_Wit(d, [np.asarray([i]) for i in chain]))
-        rest = np.setdiff1d(rest, chain, assume_unique=False)
+        rest = _drop(rest, chain, n)
         cleanup += 1
 
     metrics = {

@@ -1,5 +1,6 @@
 """Tests for ordered-graph pagination with per-page crossing budgets."""
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -20,6 +21,7 @@ from blockseq.biarc import (
     partition_multiset,
     spine_crossing,
 )
+from blockseq.cli import _random_graph
 from blockseq.core import DEC, INC, gen_random
 from blockseq.errors import InvalidInputError, PreconditionError
 from blockseq.oracle import brute_crossings_geometric
@@ -219,6 +221,40 @@ def test_partition_multiset_validation():
         partition_multiset([1.0, float("nan")], 2)
     with pytest.raises(InvalidInputError):
         partition_multiset([1.0, True], 2)
+
+
+def test_partition_multiset_ranks_big_ints_exactly():
+    # float(2**53 + 1) == float(2**53): a float64 cast would tie them and rank
+    # them by position, as if increasing; 10**400 has no float at all
+    assert partition_multiset([2**53 + 1, 2**53], 2) == partition_multiset([2, 1], 2)
+    assert partition_multiset([10**400, 1], 2) == partition_multiset([2, 1], 2)
+
+
+ONE_ARC = (((1.0, 2.0), None),)
+
+# public constructor calls that once raised an untyped error or accepted bad input
+BAD_CALLS = {
+    "page edge of three ints": lambda: Page([(1, 2, 3)], UPPER_ARCS, 1, ONE_ARC),
+    "page edge not a pair": lambda: Page([1], UPPER_ARCS, 1, ONE_ARC),
+    "page layout entry not a pair": lambda: Page([(1, 2)], UPPER_ARCS, 1, [5]),
+    "page span of a string": lambda: Page(
+        [(1, 4)], BIARCS, 2, [((1.0, "x"), ("x", 4.0))]
+    ),
+    "page edges not iterable": lambda: Page(None, UPPER_ARCS, 1, ONE_ARC),
+    "partition epsilon a string": lambda: PagePartition((arc_page(((1, 2),)),), "0.5", (0,)),
+    "partition epsilon a bool": lambda: PagePartition((arc_page(((1, 2),)),), True, (0,)),
+    "partition epsilon None": lambda: PagePartition((arc_page(((1, 2),)),), None, (0,)),
+    "partition epsilon a list": lambda: PagePartition((arc_page(((1, 2),)),), [0.5], (0,)),
+    "partition metrics None": lambda: PagePartition((arc_page(((1, 2),)),), 0.5, None),
+    "multiset values an int": lambda: partition_multiset(5, 2),
+    "graph edges None": lambda: OrderedGraph(3, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_public_constructors_raise_typed_errors(case):
+    with pytest.raises(InvalidInputError):
+        BAD_CALLS[case]()
 
 
 def test_paginate_single_edge():
@@ -476,13 +512,20 @@ def test_page_partition_validation():
 
 
 def test_paginate_builds_one_page_per_returned_page(monkeypatch):
-    built = []
-    page_init = Page.__init__
+    """paginate builds each page it returns once, through the trusted
+    constructor, and never through the checking one."""
+    built, checked = [], []
+    trusted, page_init = Page._trusted, Page.__init__
+
+    def counting_trusted(*args):
+        built.append(args[0])
+        return trusted(*args)
 
     def counting_init(self, *args):
-        built.append(args[0])
+        checked.append(args[0])
         page_init(self, *args)
 
+    monkeypatch.setattr(Page, "_trusted", counting_trusted)
     monkeypatch.setattr(Page, "__init__", counting_init)
     rng = np.random.default_rng(5)
     pairs = [(l, r) for l in range(1, 41) for r in range(l + 1, 41)]
@@ -490,6 +533,19 @@ def test_paginate_builds_one_page_per_returned_page(monkeypatch):
     pp = paginate(OrderedGraph(40, sorted(pairs[i] for i in picked)), 0.5)
     assert len(pp.pages) > 1
     assert len(built) == len(pp.pages)
+    assert checked == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_paginate_pages_pass_every_page_check(seed):
+    """paginate builds its pages unchecked: each one equals the page the
+    checking constructor builds from the same fields."""
+    rng = np.random.default_rng(seed)
+    for n, m in ((12, 30), (60, 400), (200, 1500)):
+        graph = random_graph(rng, n, m)
+        for epsilon in (1, 0.5, 0.25, 0.1):
+            for page in paginate(graph, epsilon).pages:
+                assert Page(page.edges, page.style, page.split_b, page.layout) == page
 
 
 # Two biarcs of one page whose spine crossings are 1/(2n^2) apart, below float
@@ -509,6 +565,14 @@ def test_paginate_refuses_spines_whose_crossings_tie_in_floats():
     ]
     pp = paginate(OrderedGraph(10**7, TIED_AT_1E8.edges), 0.5)
     assert sum(page.size for page in pp.pages) == len(TIED_AT_1E8.edges)
+
+
+def test_paginate_refuses_a_biarc_rounded_onto_its_edge_end():
+    """paginate's own check of its unchecked pages: on a 10^9-vertex spine
+    the biarc of (1, n) crosses at n - 1/n - 1/(2n), which rounds to n."""
+    n = 10**9
+    with pytest.raises(InvalidInputError, match="must cross the spine inside the edge"):
+        paginate(OrderedGraph(n, [(1, n), (n // 2, n)]), 0.5)
 
 
 def test_build_pages_splits_without_rechecking_edges(monkeypatch):
@@ -533,3 +597,20 @@ def test_build_pages_splits_without_rechecking_edges(monkeypatch):
     assert built == [] and len(seen) > 10
     assert all(g.n == 60 and set(g.edges) <= set(graph.edges) for g in seen)
     assert sorted(e for page in pp.pages for e in page.edges) == sorted(graph.edges)
+
+
+# repr of paginate(g, epsilon) for the graph `gen --kind graph --n N --m M
+# --seed S` writes, hashed
+PAGES_SHA256 = {
+    (200, 4000, 1, 0.5): "fb8b43342b7427e2735fe91269a50e1586481b69a4bd0ef5b83f82f98d773e03",
+    (200, 4000, 1, 0.25): "89b968f16114bae928d9c7d17b72e824f1a4fbe5084a0816e77bd4e654bd66bd",
+    (200, 4000, 2, 0.5): "4570c595fa0e899b27ead05635cc687e4ffb0731242cb0cd01669899b6ce6b6e",
+    (200, 4000, 2, 0.25): "5b27cc5d5f7b73f2281d83d0674f68d5969ab3d5d1b7e3c369c2cb8106196235",
+    (60, 500, 1, 0.2): "22f507bc3b73919b7b66d72dec81259392a137316c468758115362d674808f0e",
+}
+
+
+@pytest.mark.parametrize("n, m, seed, epsilon", sorted(PAGES_SHA256))
+def test_paginate_pinned(n, m, seed, epsilon):
+    got = repr(paginate(_random_graph(n, m, seed), epsilon)).encode()
+    assert hashlib.sha256(got).hexdigest() == PAGES_SHA256[n, m, seed, epsilon]

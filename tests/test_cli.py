@@ -497,6 +497,26 @@ def test_paginate_dense_graph_succeeds(tmp_path):
     ok(run(["verify", "--witness", pages, "--in", g]))
 
 
+def test_paginate_rechecks_every_page_before_writing(tmp_path, monkeypatch):
+    """paginate builds its pages without Page's checks; the CLI runs them
+    all before writing, so a page with unsorted edges exits 3 unwritten."""
+    from blockseq import biarc
+
+    def unsorted_pages(graph, epsilon):
+        edges = ((2, 3), (1, 2))
+        layout = tuple(((float(l), float(r)), None) for l, r in edges)
+        page = Page._trusted(edges, biarc.UPPER_ARCS, 1, layout)
+        return biarc.PagePartition((page,), epsilon, (0,))
+
+    g = write(tmp_path / "g.json", {"n": 3, "edges": [[1, 2], [2, 3]]})
+    pages = tmp_path / "pages.json"
+    monkeypatch.setattr(biarc, "paginate", unsorted_pages)
+    result = run(["paginate", "--epsilon", "0.5", "--in", g, "--out", str(pages)])
+    assert result.exit_code == 3
+    assert result.log[0]["event"] == "self-verification-failed"
+    assert not pages.exists()
+
+
 def test_render_single_edge_semicircle(tmp_path):
     g = write(tmp_path / "g.json", {"n": 2, "edges": [[1, 2]]})
     pages = str(tmp_path / "pages.json")

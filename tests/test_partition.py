@@ -1,5 +1,6 @@
 """Tests for the block-monotone partition machinery."""
 
+import hashlib
 import math
 import random
 
@@ -532,3 +533,29 @@ def test_partition_point_set_on_clouds_with_unsorted_real_x(n, seed, k):
     for _, w in lp.parts:
         assert validate_point_witness(p, w) and w.depth >= k
     assert len(lp.remainder) <= (k - 1) ** 2
+
+
+# repr of each partition of gen_random(1000, seed), hashed
+PARTITION_SHA256 = {
+    ("partition", 1, 2): "0880336e9d300586db04247f7dcee795d880684e337e9244090e3bd10ab2899d",
+    ("greedy", 1, 2): "0a72bb82316c3863f896fe69d1da2d793962411174330448a355fc0f26011c20",
+    ("partition", 1, 3): "c2c56c2da1c4f4d2e1fe0fd000d3f85001685fbe555e09032c37afe4bae006f6",
+    ("greedy", 1, 3): "95cc4ed405201c21762f6b0fb059c0691ac119cae4cc179bf7d5cc6e080fbd91",
+    ("partition", 1, 5): "5e2ecc35eb839d39c70f3edee8aae6a9cf840d7ea4d144838127d904fccdf46c",
+    ("greedy", 1, 5): "3a1c9d4a0627e849408fdd7863fb5bd3b7df2ed3905d411d59ec6f1cf025fc7b",
+    ("partition", 2, 2): "d187f45de53a6fcc4c5c14c3c72332f36a4d78baeb3ed29e7ccd6420ed80c701",
+    ("greedy", 2, 2): "0178a644304dd1339b502cd9053f73c3ce28a7024211ba5d148f441b3c34d5ca",
+    ("partition", 2, 3): "95f8676914f0b191f6b260da8e9f780ccd1040fd59191263fe06da782e0d42c4",
+    ("greedy", 2, 3): "d7ae32dc3e6ec06a4458f91c85ab9a6a14990c4dbb87c32bf8bfa37af04a8650",
+    ("partition", 2, 5): "8b54b3dade49c322a388c50367ded1744dd710f548516f6a7953f355c1271726",
+    ("greedy", 2, 5): "4fe4c6feaa7d6d08a85a686e3b2340e09090ea819d7c5e38cd0ee3557a49d699",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_partitions_pinned(seed):
+    seq = gen_random(1000, seed)
+    for k in (2, 3, 5):
+        for name, run in (("partition", partition_sequence), ("greedy", greedy_partition)):
+            got = hashlib.sha256(repr(run(seq, k)).encode()).hexdigest()
+            assert got == PARTITION_SHA256[name, seed, k], (name, k)

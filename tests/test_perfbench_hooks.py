@@ -3,6 +3,8 @@ back: a renamed or deleted patch point would make ``--trace 1`` raise."""
 
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -112,12 +114,17 @@ def test_traced_partition_greedy_and_paginate_reach_their_layers(monkeypatch):
 
     seq, small = blockseq.gen_random(1000, seed=1), blockseq.gen_random(500, seed=2)
     graph = OrderedGraph(12, [(1, 5), (2, 9), (3, 4), (3, 12), (6, 10), (7, 8), (8, 11)])
+    # large enough that pagination reaches the gapped-chain search
+    pairs = [(l, r) for l in range(1, 61) for r in range(l + 1, 61)]
+    picked = np.random.default_rng(3).choice(len(pairs), size=400, replace=False)
+    searched = OrderedGraph(60, sorted(pairs[i] for i in picked))
     tracer = tracing.Tracer()
     try:
         tracer.install()
         blockseq.partition_sequence(seq, 3)
         blockseq.greedy_partition(small, 3)
         blockseq.paginate(graph, 0.5)
+        blockseq.paginate(searched, 0.25)
     finally:
         tracer.remove()
     under = {}  # root op name -> names of the spans it ran
@@ -128,3 +135,6 @@ def test_traced_partition_greedy_and_paginate_reach_their_layers(monkeypatch):
         for layer in ("core.longest_monotone", "extract.search", "extract.chain_to_blocks"):
             assert under[op].count(layer) > 0, (op, layer)
     assert under["paginate"].count("biarc.half_split") > 0
+    for layer in ("biarc.multiset", "partition", "extract.search",
+                  "core.longest_monotone", "biarc.crossings"):
+        assert under["paginate"].count(layer) > 0, layer
