@@ -416,12 +416,16 @@ def _layout(edges, b: int, n: int, biarc: bool) -> list[_Entry]:
         return [((float(l), float(r)), None) for l, r in edges]
     crossings = [_crossing(l, r, b, n) for l, r in edges]
     # Lex-later edges cross the spine strictly earlier in exact arithmetic,
-    # and crossing counting relies on it; consecutive crossings can differ
-    # by 1/(2n^2), which floats near b + 1 stop resolving on long spines.
-    if any(x <= y for x, y in zip(crossings, crossings[1:])):
+    # inside (b, b + 1), and crossing counting relies on both; consecutive
+    # crossings can differ by 1/(2n^2), and a crossing can lie within 1/n of
+    # b or b + 1: gaps that floats near b stop resolving on long spines.
+    if any(x <= y for x, y in zip(crossings, crossings[1:])) or not (
+        b < crossings[-1] and crossings[0] < b + 1
+    ):
         raise PreconditionError(
             f"a spine of {n} vertices is too long for this graph: two biarc "
-            "spine crossings round to the same or swapped floats"
+            "spine crossings round to the same or swapped floats, or one "
+            f"rounds onto an end of ({b}, {b + 1})"
         )
     return [((float(l), c), (c, float(r))) for (l, r), c in zip(edges, crossings)]
 
@@ -463,7 +467,8 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
     and the number of pages is O(k^2 log k log |E|) for k = ceil(1/epsilon).
     Deterministic: equal inputs give equal drawings.  Raises
     PreconditionError when the spine is so long that two of a page's biarc
-    spine crossings, 1/(2n^2) apart at least, round to the same float.
+    spine crossings, 1/(2n^2) apart at least, round to the same float, or
+    one rounds onto b or b + 1 at its split b.
     """
     epsilon = _check_epsilon(epsilon)
     if not graph.edges:

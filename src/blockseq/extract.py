@@ -28,20 +28,18 @@ rows together: for every chain length it keeps the largest minimum window
 over chains ending at each entry.  It walks bands of max(_WIDTH, _CELLS // n)
 columns, so a small table is one or a few bands and its cost follows its
 cells, not its count of numpy calls.  ``_CELLS`` only caps the size of a
-band's temporaries; the band width cannot change the table.  Carried one
-level past the target depth, the same table also holds the witness: when no
-chain at that s is longer than the target, the chain the DP would return is
-traced back from the table one column of windows at a time,
-O(depth * n log n), with the DP's tie-breaks.  Only when a longer chain
-exists does one DP at that s rebuild the witness.
+band's temporaries; the band width cannot change the table.  Built to the
+target depth and no further, the same table also holds the witness: a chain
+of exactly depth+1 entries at that s is traced back from it one column of
+windows at a time, O(depth * n log n), with the DP's tie-breaks.
 
 ``_best_gapped`` is the one best-s search: ``max_gapped_blocksize`` and the
-partition's extractions both call it.
+partition's extractions both call it, and neither runs the chain DP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -190,20 +188,18 @@ def _largest_s(best: np.ndarray, depth: int) -> tuple[int, str | None]:
 def _traced_chain(
     vals: np.ndarray, best: np.ndarray, bb: np.ndarray, s: int, direction: str
 ) -> GappedChain:
-    """The chain ``gapped_chain_dp(seq, s, direction)`` returns, read off a
-    table of levels 0..depth+1 whose direction row reaches s on level depth
-    but not on level depth+1, so that its longest chains have depth+1
-    entries.  By the table's lemma, the chain ends at the first i with
-    best[d, depth, i] >= s, and the smallest longest predecessor of an entry
-    on level L is the first j linked to it with best[d, L-1, j] >= s: the
-    DP's own tie-breaks.  Each step prices one column with ``_window_row``,
-    O(depth * n log n) in all.  The DP tables are left empty; only
-    ``chain_to_blocks`` reads the result."""
+    """An s-gapped direction chain of exactly depth+1 entries, read off a
+    table of levels 0..depth whose direction row reaches s on level depth.
+    The chain ends at the first i with best[d, depth, i] >= s, and from an
+    entry on level L it steps to the first j linked to it with
+    best[d, L-1, j] >= s: the DP's tie-breaks, applied at the target depth.
+    By the table's recurrence an entry that reaches s on level L has such a
+    j, so every step finds one.  Each step prices one column with
+    ``_window_row``, O(depth * n log n) in all."""
     table = best[_ROW[direction]]
-    depth = len(table) - 2
     chain: list[int] = []
     end = len(vals)  # the entry picked last; candidates come before it
-    for L in range(depth, -1, -1):
+    for L in range(len(table) - 1, -1, -1):
         ok = table[L, :end] >= s
         if chain:
             row = _window_row(vals, bb, end)
@@ -213,7 +209,7 @@ def _traced_chain(
             raise SearchFailedError(f"no level-{L} entry continues the s={s} chain")
         end = int(hits[0])
         chain.append(end)
-    return GappedChain(direction, s, tuple(i + 1 for i in reversed(chain)), (), ())
+    return GappedChain(direction, s, tuple(i + 1 for i in reversed(chain)))
 
 
 # Read by the benchmark's environment record; the DP has no compiled kernel.
@@ -222,18 +218,13 @@ _HAVE_NUMBA = False
 
 @dataclass(frozen=True)
 class GappedChain:
-    """A maximum-length monotone chain with s-gapped consecutive pairs.
-
-    ``chain`` holds 1-based indices.  ``dp_lengths[i-1]`` is the longest
-    qualifying chain ending at index i; ``dp_pred[i-1]`` is its 1-based
-    predecessor (0 = none).
-    """
+    """A monotone chain with s-gapped consecutive pairs; ``chain`` holds
+    1-based indices.  ``gapped_chain_dp`` returns a longest one, the best-s
+    search one of exactly the asked depth."""
 
     direction: str
     s: int
     chain: tuple[int, ...]
-    dp_lengths: tuple[int, ...] = field(repr=False)
-    dp_pred: tuple[int, ...] = field(repr=False)
 
     @property
     def length(self) -> int:
@@ -248,9 +239,8 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain
 
     With ``direction=None`` one window pass feeds both directions' chains,
     block by block, and the longer chain is returned (INC when the lengths
-    are equal) with that direction's ``dp_lengths`` and ``dp_pred``: the
-    same result as the longer of the two one-direction calls, with the
-    windows priced once instead of twice."""
+    are equal): the same result as the longer of the two one-direction
+    calls, with the windows priced once instead of twice."""
     if direction not in (INC, DEC, None):
         raise InvalidInputError(f"unknown direction {direction!r}")
     require_int(s=s)
@@ -259,7 +249,7 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain
     directions = (INC, DEC) if direction is None else (direction,)
     n = len(seq)
     if n == 0:
-        return GappedChain(directions[0], s, (), (), ())
+        return GappedChain(directions[0], s, ())
     vals = np.asarray(seq.values, dtype=float)
     runs = [chain_arrays(n) for _ in directions]
     # 32 columns: chain_block's triangle inside a block is O(width^2) Python
@@ -271,13 +261,7 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain
     pick = tops.index(max(tops))  # the first, INC, on equal lengths
     lengths, pred = runs[pick]
     chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
-    return GappedChain(
-        direction=directions[pick],
-        s=s,
-        chain=tuple(i + 1 for i in chain),
-        dp_lengths=tuple(int(x) for x in lengths),
-        dp_pred=tuple(int(p) + 1 for p in pred),
-    )
+    return GappedChain(directions[pick], s, tuple(i + 1 for i in chain))
 
 
 def _window_entries(seq: Sequence, i: int, j: int, direction: str) -> list[int]:
@@ -349,31 +333,27 @@ def _best_gapped(
     seq: Sequence, depth: int, floor: int = 0
 ) -> tuple[int, GappedChain | None]:
     """Largest block-size s whose s-gapped chain reaches depth+1 entries, in
-    either direction, with the chain ``gapped_chain_dp(seq, s, d)`` finds in
-    the direction d of s (INC on ties); (0, None) when s < 1, and (s, None)
-    when s is at most ``floor``, so no witness is built that a caller's
-    floor beats.  One bottleneck pass, carried to depth+1, finds s; unless
-    row d has a chain of depth+2 entries at s, the chain is traced back from
-    the same table, and otherwise one DP at s rebuilds it."""
+    either direction, with a chain of exactly depth+1 entries traced in the
+    direction d of s (INC on ties); (0, None) when s < 1, and (s, None) when
+    s is at most ``floor``, so no witness is built that a caller's floor
+    beats.  One bottleneck table to level ``depth`` finds s and holds the
+    chain."""
     if (len(seq) - depth - 1) // depth < 1:  # depth+1 entries, depth gaps of s >= 1
         return 0, None
     vals = np.asarray(seq.values, dtype=float)
-    best, bb = _bottleneck_table(vals, depth + 1)
+    best, bb = _bottleneck_table(vals, depth)
     s, d = _largest_s(best, depth)
     s = max(s, 0)
     if s <= floor:
         return s, None
-    if best[_ROW[d], depth + 1].max() >= s:
-        return s, gapped_chain_dp(seq, s, d)
     return s, _traced_chain(vals, best, bb, s, d)
 
 
 def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | None]:
     """Largest s >= 1 admitting an s-gapped chain of length >= k+1 (either
-    direction), with the witness of the chain ``gapped_chain_dp`` finds at s
-    in the direction of s: INC when both directions reach s, even if the DEC
-    chain at s is longer.  (0, None) when only the block-size-1 fallback
-    exists.  See ``_best_gapped``."""
+    direction), with a witness of exactly depth k and block-size s in the
+    direction of s, INC when both directions reach s.  (0, None) when only
+    the block-size-1 fallback exists.  See ``_best_gapped``."""
     require_int(k=k)
     if k < 1:
         raise InvalidInputError("k must be >= 1")

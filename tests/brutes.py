@@ -6,9 +6,10 @@ library always means a genuine bug on one side.  ``best_gapped_s`` and
 ``rebuild_best_gapped`` are the exception: they replay the package's slower
 two-pass route to a gapped witness (the block-size search, then a fresh
 chain DP at that size) and pin the witness the bottleneck-table trace reads
-off.  ``two_pass_longest_monotone`` is the package's former
-``longest_monotone``, one patience pass and one rebuild per direction, to
-pin the one-pass version to the same output.  ``triple_signs_loop``
+off wherever the DP's chain has the target depth.
+``two_pass_longest_monotone`` is the package's former ``longest_monotone``,
+one patience pass and one rebuild per direction, to pin the one-pass
+version to the same output.  ``triple_signs_loop``
 replays the avoid module's orientation sampling one triple at a time, to
 pin the batched version to the same output.  ``rank_state`` builds the
 partition loop's own state from planar points, ranked the way the loop
@@ -64,6 +65,40 @@ def brute_chain_tables(values, s, direction):
     for start in range(n):
         walk(start, 1)
     return ending, (max(ending) if n else 0)
+
+
+def brute_trace(values, s, direction, length=None):
+    """The 1-based s-gapped ``direction`` chain of ``length`` entries (the
+    longest by default) that the chain DP's tie-breaks pick, from the
+    lengths ``brute_chain_tables`` enumerates: it ends at the smallest index
+    whose longest chain has at least ``length`` entries, and each earlier
+    entry is the smallest index linked to the next one whose longest chain
+    has at least as many entries as remain.  At the full length that is the
+    smallest index with the maximum length, then each time the smallest
+    valid predecessor one shorter.  () when no chain has ``length``
+    entries."""
+    ending, top = brute_chain_tables(values, s, direction)
+    length = top if length is None else length
+    sign = 1 if direction == "inc" else -1
+
+    def linked(j, i):  # 1-based, j < i
+        return sign * (values[i - 1] - values[j - 1]) > 0 and naive_is_gapped(values, j, i, s)
+
+    chain = []
+    for left in range(length, 0, -1):
+        nxt = chain[-1] if chain else len(values) + 1
+        pick = next(
+            (
+                j
+                for j in range(1, nxt)
+                if ending[j - 1] >= left and (not chain or linked(j, nxt))
+            ),
+            None,
+        )
+        if pick is None:
+            return ()
+        chain.append(pick)
+    return tuple(reversed(chain))
 
 
 def _dfs_longest(n, linked):

@@ -569,9 +569,10 @@ def test_paginate_refuses_spines_whose_crossings_tie_in_floats():
 
 def test_paginate_refuses_a_biarc_rounded_onto_its_edge_end():
     """paginate's own check of its unchecked pages: on a 10^9-vertex spine
-    the biarc of (1, n) crosses at n - 1/n - 1/(2n), which rounds to n."""
+    the biarc of (1, n) crosses at n - 1/n - 1/(2n), which rounds to n: a
+    spine too long for the graph, not invalid input."""
     n = 10**9
-    with pytest.raises(InvalidInputError, match="must cross the spine inside the edge"):
+    with pytest.raises(PreconditionError, match=f"spine of {n} vertices"):
         paginate(OrderedGraph(n, [(1, n), (n // 2, n)]), 0.5)
 
 

@@ -837,12 +837,14 @@ def test_paginate_on_a_huge_spine(tmp_path):
 
 
 def test_paginate_spine_too_long_for_float_crossings_exit2(tmp_path):
-    """Biarc crossings 1/(2n^2) apart tie in floats from n = 10^6: exit 2,
-    naming the spine, with nothing written; a spine a tenth as long draws."""
+    """Biarc crossings 1/(2n^2) apart tie in floats from n = 10^6, and at
+    n = 10^9 the crossing of (1, n) rounds onto n: exit 2, naming the spine,
+    with nothing written; a spine a tenth as long draws."""
     pages = tmp_path / "pages.json"
     for n, edges in (
         (10**6, [[333333, 666666], [333333, 666667], [1, 2]]),
         (10**8, [[1, 2], [2, 7], [2, 8], [4, 6], [6, 7]]),
+        (10**9, [[1, 10**9], [5 * 10**8, 10**9]]),
     ):
         g = write(tmp_path / "g.json", {"n": n, "edges": edges})
         result = run(["paginate", "--epsilon", "0.5", "--in", g, "--out", str(pages)])

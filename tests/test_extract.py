@@ -1,3 +1,4 @@
+import functools
 from itertools import permutations
 import math
 import random
@@ -20,17 +21,21 @@ from blockseq import (
     gen_clustered,
     gen_es_extremal,
     gen_random,
+    greedy_partition,
     is_gapped_pair,
     longest_monotone,
     max_gapped_blocksize,
+    paginate,
+    partition_sequence,
     validate_block_witness,
 )
-from blockseq import extract
+from blockseq import extract, partition
+from blockseq.cli import _random_graph
 from blockseq.errors import SearchFailedError
-from blockseq.extract import _best_gapped, _bottleneck_table, _traced_chain
+from blockseq.extract import GappedChain, _best_gapped, _bottleneck_table, _traced_chain
 from blockseq.extract import _window_blocks, _window_row
 from blockseq.oracle import max_blocksize_exact
-from brutes import best_gapped_s, brute_chain_tables, naive_count_box, naive_is_gapped
+from brutes import best_gapped_s, brute_chain_tables, brute_trace, naive_count_box
 from brutes import rebuild_best_gapped
 
 
@@ -84,23 +89,10 @@ class TestGappedChainDP:
             for s in range(0, 4):
                 for d in (INC, DEC):
                     ch = gapped_chain_dp(seq, s, d)
-                    ending, best = brute_chain_tables(vals, s, d)
-                    assert ch.length == best
-                    assert list(ch.dp_lengths) == ending
-                    # pred: the smallest valid predecessor one shorter (1-based, 0 = none)
-                    sign = 1 if d == INC else -1
-                    for i in range(n):
-                        want = next(
-                            (
-                                j + 1
-                                for j in range(i)
-                                if sign * (vals[i] - vals[j]) > 0
-                                and naive_is_gapped(vals, j + 1, i + 1, s)
-                                and ending[j] == ending[i] - 1
-                            ),
-                            0,
-                        )
-                        assert ch.dp_pred[i] == want
+                    assert ch.length == brute_chain_tables(vals, s, d)[1]
+                    # ends at the smallest index of maximum length; each
+                    # predecessor is the smallest valid one one shorter
+                    assert ch.chain == brute_trace(vals, s, d)
 
     def test_length_non_increasing_in_s(self):
         for seed in range(8):
@@ -120,7 +112,7 @@ class TestGappedChainDP:
                 inc, dec = gapped_chain_dp(seq, s, INC), gapped_chain_dp(seq, s, DEC)
                 got = gapped_chain_dp(seq, s, None)
                 want = inc if inc.length >= dec.length else dec
-                for name in ("direction", "s", "chain", "dp_lengths", "dp_pred"):
+                for name in ("direction", "s", "chain"):
                     assert getattr(got, name) == getattr(want, name), (len(seq), s, name)
 
     def test_joint_mode_tie_goes_to_inc(self):
@@ -188,7 +180,7 @@ class TestWindowBlocks:
                 for d in (INC, DEC):
                     for s in (0, 1, 3):
                         ch = gapped_chain_dp(seq, s, d)
-                        out.append((ch.chain, ch.dp_lengths, ch.dp_pred))
+                        out.append((ch.direction, ch.s, ch.chain))
                 out.extend(best_gapped_s(seq, depth) for depth in (1, 2, 4))
                 out.extend(max_gapped_blocksize(seq, k) for k in (1, 2, 4) if len(seq) > k)
             return out
@@ -549,58 +541,80 @@ def _trace_inputs():
 
 
 # inputs whose longest chain at s* is longer than the target depth, so that
-# the witness comes from a chain DP, not from the bottleneck table
+# the traced witness is shorter than the chain a DP at s* returns
 FALLBACKS = [(gen_random(14, seed=133), 3), (gen_clustered(4, 5, "increasing"), 5)]
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_depth_witness(seq, depth):
+    """(s*, witness) the search must return at ``depth``: the two-pass
+    rebuild wherever the DP's chain at s* has depth+1 entries, and otherwise
+    the brute trace of depth+1 entries in the direction of s*."""
+    s, w = rebuild_best_gapped(seq, depth)
+    if w is None or w.depth == depth:
+        return s, w
+    chain = brute_trace(seq.values, s, w.direction, depth + 1)
+    return s, chain_to_blocks(seq, GappedChain(w.direction, s, chain))
+
+
+def _check_exact_depth(seq, depth, s, w):
+    if w is not None:
+        assert (w.depth, w.block_size) == (depth, s)
+        assert validate_block_witness(seq, w) is True
+    assert (s, w) == _exact_depth_witness(seq, depth)
+
+
 class TestTracedWitness:
-    @pytest.fixture
-    def routes(self, monkeypatch):
-        """Counts of witnesses traced off the table and rebuilt by a DP."""
-        seen = {"traced": 0, "dp": 0}
-
-        def counted(owner, name, key):
-            original = getattr(owner, name)
-
-            def wrapper(*args):
-                seen[key] += 1
-                return original(*args)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(extract, "_traced_chain", "traced")
-        counted(extract, "gapped_chain_dp", "dp")
-        return seen
-
-    def test_partition_search_matches_rebuild(self, routes):
+    def test_partition_search_matches_rebuild(self):
         for seq in _trace_inputs():
             for depth in range(1, 7):
                 s, ch = _best_gapped(seq, depth)
-                got = (s, None if ch is None else chain_to_blocks(seq, ch))
-                assert got == rebuild_best_gapped(seq, depth)
-        assert routes["traced"] > 100 and routes["dp"] > 0
+                _check_exact_depth(seq, depth, s, None if ch is None else chain_to_blocks(seq, ch))
 
-    def test_blocksize_matches_rebuild(self, routes):
+    def test_blocksize_matches_rebuild(self):
         for seq in _trace_inputs():
             for k in range(1, 7):
                 if len(seq) > k:
-                    assert max_gapped_blocksize(seq, k) == rebuild_best_gapped(seq, k)
-        assert routes["traced"] > 100 and routes["dp"] > 0
+                    _check_exact_depth(seq, k, *max_gapped_blocksize(seq, k))
 
     @pytest.mark.parametrize("seq, depth", FALLBACKS)
-    def test_longer_chain_falls_back_to_the_dp(self, routes, seq, depth):
+    def test_longer_chain_is_traced_at_exact_depth(self, seq, depth):
         s, ch = _best_gapped(seq, depth)
-        assert routes == {"traced": 0, "dp": 1}
+        assert gapped_chain_dp(seq, s, ch.direction).length > depth + 1
         w = chain_to_blocks(seq, ch)
-        assert w.depth > depth
-        assert (s, w) == rebuild_best_gapped(seq, depth)
+        _check_exact_depth(seq, depth, s, w)
         assert max_gapped_blocksize(seq, depth) == (s, w)
 
     def test_missing_predecessor_is_a_typed_failure(self):
         vals = np.asarray(gen_random(40, seed=2).values)
-        best, bb = _bottleneck_table(vals, 3)
+        best, bb = _bottleneck_table(vals, 2)
         s = int(best[0, 2].max())
         assert s >= 1
         best[0, 1] = -1  # no chain of two entries leads to the level-2 end
         with pytest.raises(SearchFailedError):
             _traced_chain(vals, best, bb, s, INC)
+
+
+class TestOneWitnessPath:
+    def test_only_the_extractor_runs_the_chain_dp(self, monkeypatch):
+        """The searches trace every witness off the bottleneck table; the
+        chain DP serves ``extract_block_monotone`` alone."""
+        calls = []
+        for owner in (extract, partition):
+            original = owner.gapped_chain_dp
+
+            def counted(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(owner, "gapped_chain_dp", counted)
+        seqs = FALLBACKS + [(gen_random(400, seed=3), 3)]
+        seqs.append((gen_clustered(3, 6, "seeded-random", seed=4), 3))
+        for seq, k in seqs:
+            partition_sequence(seq, k)
+            greedy_partition(seq, k)
+            max_gapped_blocksize(seq, k)
+        paginate(_random_graph(40, 300, 7), 0.4)
+        assert calls == []
+        extract_block_monotone(gen_random(1000, seed=1), 3, c=2)
+        assert len(calls) == 1

@@ -541,7 +541,7 @@ PARTITION_SHA256 = {
     ("greedy", 1, 2): "0a72bb82316c3863f896fe69d1da2d793962411174330448a355fc0f26011c20",
     ("partition", 1, 3): "c2c56c2da1c4f4d2e1fe0fd000d3f85001685fbe555e09032c37afe4bae006f6",
     ("greedy", 1, 3): "95cc4ed405201c21762f6b0fb059c0691ac119cae4cc179bf7d5cc6e080fbd91",
-    ("partition", 1, 5): "5e2ecc35eb839d39c70f3edee8aae6a9cf840d7ea4d144838127d904fccdf46c",
+    ("partition", 1, 5): "aebb9fee60b45f3355c42250dd1dbc054b6253fcacad0c4b41ed959ffc3e699f",
     ("greedy", 1, 5): "3a1c9d4a0627e849408fdd7863fb5bd3b7df2ed3905d411d59ec6f1cf025fc7b",
     ("partition", 2, 2): "d187f45de53a6fcc4c5c14c3c72332f36a4d78baeb3ed29e7ccd6420ed80c701",
     ("greedy", 2, 2): "0178a644304dd1339b502cd9053f73c3ce28a7024211ba5d148f441b3c34d5ca",

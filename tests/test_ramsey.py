@@ -8,6 +8,7 @@ import pytest
 
 from blockseq import (
     DEC, INC, InvalidInputError, Sequence, gen_clustered, gen_es_extremal, gen_random,
+    max_gapped_blocksize,
 )
 from blockseq import ramsey
 from blockseq.core import validate_block_witness
@@ -558,3 +559,28 @@ class TestPathWitnessToBlocks:
                 assert bw.direction == (INC if w.color == 1 else DEC)
                 assert bw.depth == k and bw.block_size == s
                 assert validate_block_witness(seq, bw) is True
+
+    def test_block_paths_of_a_sequence_are_its_gapped_chains(self):
+        """The sequence <-> coloring bridge: on a sequence's coloring a
+        depth-k, block-size-s path exists exactly when s <= s*, the largest
+        gapped block-size of ``max_gapped_blocksize``; at s* it takes color 1
+        exactly when the search's direction is INC, and its blocks are a
+        valid witness over the sequence."""
+        rng = random.Random(113)
+        cases = 0
+        for trial in range(60):
+            k = rng.randint(1, 4)
+            n = rng.randint(k + 1, 60)
+            seq = gen_random(n, seed=rng.randrange(10**6))
+            c = coloring_from_sequence(seq)
+            s_star, w = max_gapped_blocksize(seq, k)
+            for s in range(1, s_star + 2):
+                path = find_block_path(c, k, s)
+                assert (path is not None) == (s <= s_star), (n, k, s)
+                cases += 1
+                if path is None:
+                    continue
+                if s == s_star:
+                    assert (path.color == 1) == (w.direction == INC)
+                assert validate_block_witness(seq, path_witness_to_blocks(path)) is True
+        assert cases > 200
