@@ -22,12 +22,14 @@ the partition, which is what keeps every page under its crossing budget
 Checks run where data enters or leaves: ``OrderedGraph``, ``Page``,
 ``PagePartition`` and ``partition_multiset`` check all their input.
 ``paginate`` builds its pages with the private ``Page._trusted``, which
-takes only pages the package assembled: it runs the two page checks that
-float rounding can break (each biarc crosses the spine strictly inside its
-edge; a page's crossings are pairwise distinct) on every page at once,
-checks that the pages partition the edge set, and returns a checked
-``PagePartition``.  Every other page property follows from the checked
-graph and the recursion.  The CLI rebuilds every page with ``Page`` before
+takes only pages the package assembled, checks that the pages partition
+the edge set, and returns a checked ``PagePartition``.  Every other page
+property follows from the checked graph and the recursion, the two that
+float rounding can break included: ``_layout`` refuses a part whose biarc
+crossings round to equal or swapped floats or onto b or b + 1, so each
+biarc crosses the spine strictly inside its edge, and a page holds at most
+one part per split, whose crossings lie in (b, b + 1), so its crossings
+are pairwise distinct.  The CLI rebuilds every page with ``Page`` before
 it writes, and the pages artifact reader checks every page it reads.
 """
 
@@ -235,9 +237,8 @@ class Page:
         cls, edges: tuple[_Edge, ...], style: str, split_b: int, layout: tuple[_Entry, ...]
     ) -> Page:
         """A page ``paginate`` assembled, built without checking it again:
-        ``paginate`` runs the checks floats can break on every page at once,
-        and the others hold by construction.  Private: pages from outside the
-        package go through ``Page``."""
+        every page check holds by construction.  Private: pages from outside
+        the package go through ``Page``."""
         page = object.__new__(cls)
         object.__setattr__(page, "edges", edges)
         object.__setattr__(page, "style", style)
@@ -476,12 +477,9 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
     # (k - 1)^2 >= |E| at k = |E| + 1 already leaves every split's crossing
     # edges to singleton pages, so a larger k draws the same pages
     k = max(2, math.ceil(min(1.0 / epsilon, len(graph.edges) + 1)))
-    drafts = _build_pages(sorted(graph.edges), k, graph.n)
-    for edges, layout, _ in drafts:
-        _check_biarc_floats(edges, layout)
     pages = [
         Page._trusted(tuple(edges), _style(layout), b, tuple(layout))
-        for edges, layout, b in drafts
+        for edges, layout, b in _build_pages(sorted(graph.edges), k, graph.n)
     ]
     drawn = sorted(edge for page in pages for edge in page.edges)
     if drawn != sorted(graph.edges):

@@ -99,6 +99,17 @@ class BlockWitness:
             self, "blocks", tuple(tuple(int(i) for i in b) for b in blocks)
         )
 
+    @classmethod
+    def _trusted(cls, direction: str, blocks: tuple[tuple[int, ...], ...]) -> BlockWitness:
+        """A witness the package built from ints it computed itself, taken
+        as it is, without converting every index again.
+        Private: witnesses from outside the package go through
+        ``BlockWitness``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "direction", direction)
+        object.__setattr__(w, "blocks", blocks)
+        return w
+
     @property
     def depth(self) -> int:
         return len(self.blocks)

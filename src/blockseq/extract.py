@@ -290,7 +290,7 @@ def chain_to_blocks(seq: Sequence, ch: GappedChain) -> BlockWitness:
                 f"pair ({i},{j}) is not {ch.s}-gapped (only {len(entries)} entries)"
             )
         blocks.append(tuple(entries[: ch.s]))
-    return BlockWitness(ch.direction, blocks)
+    return BlockWitness._trusted(str(ch.direction), tuple(blocks))
 
 
 def _fallback_witness(seq: Sequence) -> BlockWitness:

@@ -23,8 +23,10 @@ up-right.
 
 The public entry points check their input; internally the partition works
 on positions and ranks it built, hands the search rank sequences through the
-private ``Sequence._trusted`` (ranks are distinct by construction), and
-removes extracted positions with one boolean mask over the positions.
+private ``Sequence._trusted`` (ranks are distinct by construction), returns
+witnesses built with the private ``BlockWitness._trusted`` from the int
+positions it computed, and removes extracted positions with one boolean mask
+over the positions.
 """
 
 from __future__ import annotations
@@ -114,7 +116,9 @@ class _Wit:
         return _cat(self.blocks)
 
     def public(self) -> BlockWitness:
-        return BlockWitness(self.direction, [(b + 1).tolist() for b in self.blocks])
+        return BlockWitness._trusted(
+            self.direction, tuple(tuple((b + 1).tolist()) for b in self.blocks)
+        )
 
 
 def _ranks(seq: Sequence) -> np.ndarray:

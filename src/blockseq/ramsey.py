@@ -18,13 +18,17 @@ color edges from a row of the tile to an x before its last column, and the
 most color edges into a column of the tile from an x at or after its first
 row.  No count exceeds either, and both maxima come from block sums of U in
 O(n^2) time.  The depth-1 search computes tiles in decreasing bound until
-no bound can win; the chain search computes only the tiles whose bound
-reaches ``s``.  Every partial sum is an integer at most n, and n stays far
+no bound can win.  The chain search walks the column blocks from left to
+right: in each it computes only the tiles whose bound reaches ``s``, runs
+the longest-chain DP over the block's columns, and stops at the first
+vertex whose chain reaches k+1 entries, leaving the later column blocks
+uncomputed.  Every partial sum is an integer at most n, and n stays far
 below 2^24 (the generators stop at ``MAX_VERTICES``), so float32 holds the
 counts exactly.
 
 The searches hold one color's U at a time, as float32 row strips of the
-upper triangle (about 2 n^2 bytes), and build no n x n float32 matrix: at
+upper triangle (about 2 n^2 bytes), and build no n x n float32 matrix (the
+chain search adds one column block's links, n x ``_TILE`` bools at most): at
 ``MAX_VERTICES`` the strips take about 0.5 GB beside the 512 MB int16 color
 matrix, where an n x n float32 U and its product took 2 GB.
 """
@@ -35,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _WIDTH, DEC, INC, BlockWitness, Sequence, longest_chain, trace_chain
-from .core import require_int, require_seed
+from .core import _WIDTH, DEC, INC, BlockWitness, Sequence, chain_arrays, chain_block
+from .core import longest_chain, require_int, require_seed, trace_chain
 from .errors import InvalidInputError
 
 __all__ = [
@@ -346,41 +350,63 @@ def depth1_block_path(c: PairColoring) -> BlockPathWitness | None:
     return BlockPathWitness(color, (u, v), (_middles(c, color, u, v),))
 
 
-def _links(tiles: _MiddleTiles, n: int, s: int) -> np.ndarray:
-    """linked[u, v]: at least ``s`` middles, computed only in the tiles
-    whose bound reaches ``s``; no other tile holds a link."""
-    linked = np.zeros((n, n), dtype=bool)
+def _first_chain(c: PairColoring, color: int, k: int, s: int) -> list[int] | None:
+    """The chain of k+1 linked vertices (0-based) that the longest-chain DP
+    traces back from the first vertex reaching k+1, in ``color``; None when
+    no vertex does.
+
+    Column block J's links come from the tiles (I, J) whose bound reaches
+    ``s``, written into one ``jhi`` x ``_TILE`` strip; no other tile holds a
+    link.  The DP then runs over the block in ``_WIDTH`` sub-blocks that
+    stop at its end, since a sub-block reads links into its own columns
+    only.  Lengths and predecessors before a vertex never depend on links
+    into later columns, so stopping at the first vertex that reaches k+1
+    traces the chain the DP over all n vertices would."""
+    tiles = _middle_counts(c, color)
+    size = tiles.size
+    linked_rows = [[] for _ in tiles.strips]  # per column block: rows to compute
     for bound, row, col in tiles.order:
         if bound < s:
             break
-        counts = tiles.tile(row, col)
-        u0, v0 = row * tiles.size, col * tiles.size
-        h, w = counts.shape
-        linked[u0 : u0 + h, v0 : v0 + w] = counts >= s
-    return linked
+        linked_rows[col].append(row)
+    lengths, pred = chain_arrays(c.n)
+    for col, rows in enumerate(linked_rows):
+        jlo = col * size
+        jhi = jlo + len(tiles.strips[col])
+        links = np.zeros((jhi, jhi - jlo), dtype=bool)  # links[u, v - jlo]
+        for row in rows:
+            links[row * size : (row + 1) * size] = tiles.tile(row, col) >= s
+        for lo in range(jlo, jhi, _WIDTH):
+            hi = min(lo + _WIDTH, jhi)
+            chain_block(lengths, pred, lo, hi, links[:hi, lo - jlo : hi - jlo].T)
+            reached = np.flatnonzero(lengths[lo:hi] > k)
+            if len(reached):  # its chain has exactly k+1 entries
+                return trace_chain(pred, lo + int(reached[0]))
+    return None
 
 
 def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
     """Search for a depth-k, block-size-s monochromatic block path.
 
     Per color, vertices u < v are linked when at least ``s`` middles x
-    satisfy color(u,x) = color(x,v) = color; a longest-chain DP then looks
-    for k+1 linked vertices.  The direct pair (u, v) itself is free to have
-    any color.  Exact for this chain formulation; the smallest qualifying
-    color wins."""
+    satisfy color(u,x) = color(x,v) = color; a longest-chain DP over the
+    vertex order then looks for k+1 linked vertices, and the chain it
+    traces back from the first vertex reaching k+1 is the path, each block
+    the first ``s`` middles of its pair.  The direct pair (u, v) itself is
+    free to have any color.  Exact for this chain formulation; the smallest
+    qualifying color wins.  The DP walks the columns left to right and
+    stops at that first vertex: it computes only the tiles whose bound
+    reaches ``s`` in the column blocks up to it, and it holds one color's
+    tiles and one column block's links at a time."""
     require_int(k=k, s=s)
     if k < 1 or s < 1:
         raise InvalidInputError("k and s must be >= 1")
-    n = c.n
-    if n < k + 1:
+    if c.n < k + 1:
         return None
     for color in range(1, c.q + 1):
-        linked = _links(_middle_counts(c, color), n, s)
-        lengths, pred = longest_chain(n, _upper_blocks(linked))
-        if int(lengths.max()) >= k + 1:
-            # the first endpoint reaching k+1 has a chain of exactly k+1
-            end = int(np.argmax(lengths >= k + 1))
-            chain = [v + 1 for v in trace_chain(pred, end)]
+        found = _first_chain(c, color, k, s)
+        if found is not None:
+            chain = [v + 1 for v in found]
             blocks = tuple(
                 _middles(c, color, u, v)[:s] for u, v in zip(chain, chain[1:])
             )

@@ -9,7 +9,9 @@ chain DP at that size) and pin the witness the bottleneck-table trace reads
 off wherever the DP's chain has the target depth.
 ``two_pass_longest_monotone`` is the package's former ``longest_monotone``,
 one patience pass and one rebuild per direction, to pin the one-pass
-version to the same output.  ``triple_signs_loop``
+version to the same output.  ``brute_block_path`` replays the block-path
+search over all n vertices (every link, then one chain DP) to pin the
+column-by-column search to the same witness.  ``triple_signs_loop``
 replays the avoid module's orientation sampling one triple at a time, to
 pin the batched version to the same output.  ``rank_state`` builds the
 partition loop's own state from planar points, ranked the way the loop
@@ -164,6 +166,32 @@ def brute_middle_counts(matrix, color):
         vs = [v for v in range(x + 1, n) if m[x, v] == color]
         counts[np.ix_(us, vs)] += 1
     return counts
+
+
+def brute_block_path(c, k, s):
+    """(colour, endpoints, blocks) of the block path the package's search
+    returns, rebuilt from the brute-force counts: per colour, link u < v at
+    >= s middles, run ``brute_longest_chain`` over all n vertices, trace
+    back from the first vertex whose chain reaches k+1, and keep the first
+    s middles of each pair; the smallest colour with such a vertex wins.
+    All 1-based; None when no colour has one."""
+    m = np.asarray(c.matrix)
+    for color in range(1, c.q + 1):
+        linked = brute_middle_counts(m, color) >= s
+        lengths, pred = brute_longest_chain(c.n, ((i, linked[:i, i]) for i in range(1, c.n)))
+        ends = [v for v in range(c.n) if lengths[v] >= k + 1]
+        if not ends:
+            continue
+        chain = [ends[0]]
+        while pred[chain[-1]] >= 0:
+            chain.append(pred[chain[-1]])
+        chain.reverse()
+        blocks = tuple(
+            tuple(x + 1 for x in range(u + 1, v) if m[u, x] == color and m[x, v] == color)[:s]
+            for u, v in zip(chain, chain[1:])
+        )
+        return color, tuple(v + 1 for v in chain), blocks
+    return None
 
 
 def brute_depth1(matrix, q):

@@ -25,7 +25,8 @@ from blockseq.ramsey import (
     validate_block_path,
 )
 from brutes import (
-    brute_block_path_color, brute_depth1, brute_middle_counts, brute_monochromatic_path,
+    brute_block_path, brute_block_path_color, brute_depth1, brute_middle_counts,
+    brute_monochromatic_path,
 )
 
 
@@ -355,6 +356,85 @@ class TestSearchesMatchBruteForce:
                 assert validate_block_path(c, w) is True
                 found += 1
         assert found >= 100 and missed >= 30
+
+    def test_find_block_path_witness_is_the_full_dp_one(self, monkeypatch, tile):
+        """The search stops at the first vertex whose chain reaches k+1;
+        its witness is the one a chain DP over every link of all n vertices
+        traces back from there, at every tile size."""
+        monkeypatch.setattr(ramsey, "_TILE", tile)
+        found = 0
+        for c in brute_colorings():
+            top = (brute_depth1(c.matrix, c.q) or (0,))[0]
+            for k, s in [(1, s) for s in range(1, top + 2)] + [(2, 1), (2, 3), (3, 2)]:
+                want = brute_block_path(c, k, s)
+                w = find_block_path(c, k, s)
+                assert w == (None if want is None else BlockPathWitness(*want)), (c.n, k, s)
+                found += want is not None
+        assert found >= 100
+
+
+def counted_tiles(monkeypatch):
+    """Every tile stream built through ``ramsey._middle_counts``, each with
+    a counter of the tiles computed from it."""
+    streams, calls = [], {}
+    kernel, tile = ramsey._middle_counts, ramsey._MiddleTiles.tile
+
+    def building(c, color):
+        tiles = kernel(c, color)
+        streams.append(tiles)
+        calls[id(tiles)] = []
+        return tiles
+
+    def counting(self, row, col):
+        calls[id(self)].append((row, col))
+        return tile(self, row, col)
+
+    monkeypatch.setattr(ramsey, "_middle_counts", building)
+    monkeypatch.setattr(ramsey._MiddleTiles, "tile", counting)
+    return streams, calls
+
+
+def reaching(tiles, s):
+    return sorted((row, col) for bound, row, col in tiles.order if bound >= s)
+
+
+class TestBlockPathStopsEarly:
+    def test_found_path_leaves_later_tiles(self, monkeypatch):
+        monkeypatch.setattr(ramsey, "_TILE", 32)
+        streams, calls = counted_tiles(monkeypatch)
+        w = find_block_path(gen_random_coloring(600, 2, seed=3), 2, 5)
+        assert w is not None and w.color == 1 and len(streams) == 1
+        done = calls[id(streams[0])]
+        assert len(set(done)) == len(done) and set(done) <= set(reaching(streams[0], 5))
+        assert 0 < len(done) < len(reaching(streams[0], 5))
+
+    @pytest.mark.parametrize("big, q, tile", [(2, 7, 16), (3, 4, 8), (4, 3, 7)])
+    def test_no_path_computes_each_reaching_tile_once(self, monkeypatch, big, q, tile):
+        monkeypatch.setattr(ramsey, "_TILE", tile)
+        streams, calls = counted_tiles(monkeypatch)
+        assert find_block_path(gen_recursive_coloring(big, q), big, 1) is None
+        assert len(streams) == q
+        for tiles in streams:
+            assert sorted(calls[id(tiles)]) == reaching(tiles, 1)
+        assert sum(len(done) for done in calls.values()) > 0
+
+
+class TestBlockPathMemory:
+    @pytest.mark.parametrize("k, s, finds", [(3, 50, True), (2, 400, False)])
+    def test_peak_below_one_and_a_half_int16_matrices(self, k, s, finds):
+        """One color's float32 strips (about 2 n^2 bytes) and one column
+        block's links live at a time; the n x n link matrix and the previous
+        color's strips beside the next color's took 3.8 n^2 and 4.8 n^2."""
+        n = 2048
+        c = gen_random_coloring(n, 2, seed=8)
+        tracemalloc.start()
+        try:
+            w = find_block_path(c, k, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (w is not None) == finds
+        assert peak < 3 * n * n
 
 
 class TestDepth1Memory:
