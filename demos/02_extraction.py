@@ -1,4 +1,4 @@
-"""Extracting wide block-monotone structure with the gapped-chain DP.
+"""Extracting wide block-monotone structure with gapped chains.
 
 A single longest monotone subsequence only reaches length ~sqrt(n).  To get
 *blocks* of many entries each, the extractor chains pairs that keep at least
@@ -27,7 +27,7 @@ k = 3
 s = 40
 for direction in ("inc", "dec"):
     ch = gapped_chain_dp(seq, s, direction)
-    print(f"{direction} chains with gap {s}: longest has {ch.length} links")
+    print(f"{direction} chains with gap {s}: longest has {ch.length} entries")
 
 ch = gapped_chain_dp(seq, s, "dec")
 w = chain_to_blocks(seq, ch)
@@ -36,16 +36,20 @@ print(f"converted: depth {w.depth}, {w.block_size} entries per block, "
 
 # -- the one-call extractor --------------------------------------------------
 
-# The block size scales like n / (ck)^2.  The default constant c is huge on
-# purpose (asymptotic safety margin); desk-sized inputs use c=2 to see the
-# DP branch instead of the classical fallback.
+# The extractor keeps the larger of two witnesses of depth exactly k: the
+# longest monotone subsequence cut into k blocks, and, once n >= (ck)^2,
+# the exact search's chain at the largest feasible gap.  The default
+# constant c is huge on purpose (asymptotic safety margin), so desk-sized
+# inputs only get the cut; c=2 opens the search, whose blocks scale like
+# n / k^2.
 print(f"\ndefault c = {DEFAULT_C}")
 for c in (None, 2):
     w = extract_block_monotone(seq, k, c)
     label = "default" if c is None else f"c={c}"
     print(f"extract k={k} [{label}]: depth={w.depth} block size={w.block_size}")
-    assert validate_block_witness(seq, w) and w.depth >= k
+    assert validate_block_witness(seq, w) and w.depth == k
 
+# the promised floor; the search's largest gap is usually far above it
 target = math.ceil(n / (2 * k) ** 2)
 w = extract_block_monotone(seq, k, 2)
 print(f"guaranteed block size at c=2: >= ceil(n/(ck)^2) = {target}; "

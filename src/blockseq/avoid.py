@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import DEC, INC, BlockWitness, Sequence, require_entries, require_int, require_seed
+from .core import DEC, INC, Sequence, require_entries, require_int, require_seed
 from .errors import InvalidInputError, PreconditionError, SearchFailedError
 from .extract import extract_block_monotone
 from .partition import PointSet
@@ -286,19 +286,6 @@ def balanced_line(P, Q, L: Line, m: int) -> tuple[Line, str]:
     )
 
 
-def _rechunk(w: BlockWitness, depth: int) -> BlockWitness:
-    """Reshape a witness to exactly ``depth`` equal-size blocks: fallback
-    chains (size-1 blocks) are regrouped, deeper witnesses truncated."""
-    if w.block_size == 1:
-        chain = [i for block in w.blocks for i in block]
-        size = len(chain) // depth
-        blocks = tuple(
-            tuple(chain[i * size : (i + 1) * size]) for i in range(depth)
-        )
-        return BlockWitness(w.direction, blocks)
-    return BlockWitness(w.direction, w.blocks[:depth])
-
-
 def _triple_signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Orientation signs over all triples of an evenly spread subsample,
     with repeats: (i, j, l) for i < j and every l, so l = i and l = j give
@@ -397,9 +384,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 
     slab = np.flatnonzero((xwork > 0.0) & (xwork < d) & (ywork > 0.0))
     slab = slab[np.lexsort((ywork[slab], xwork[slab]))]
-    wit_q = _rechunk(
-        extract_block_monotone(Sequence(ywork[slab].tolist()), 2 * k + 1), 2 * k + 1
-    )
+    wit_q = extract_block_monotone(Sequence(ywork[slab].tolist()), 2 * k + 1)
     q_blocks = [tuple(int(slab[i - 1]) for i in block) for block in wit_q.blocks]
     if wit_q.direction == INC:
         xwork = d - xwork
@@ -425,7 +410,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     rho = np.hypot(xwork[flank] - xwork[pivot], ywork[flank] - ywork[pivot])
     ranks = np.empty(len(flank), dtype=float)
     ranks[np.lexsort((np.arange(len(flank)), rho))] = np.arange(len(flank))
-    wit_a = _rechunk(extract_block_monotone(Sequence(ranks.tolist()), k), k)
+    wit_a = extract_block_monotone(Sequence(ranks.tolist()), k)
     a_blocks = [tuple(int(flank[i - 1]) for i in block) for block in wit_a.blocks]
     b_blocks = q_blocks[:k] if wit_a.direction == DEC else q_blocks[k + 1 :]
 

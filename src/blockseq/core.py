@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 import math
+from numbers import Integral
 import random
 from typing import TYPE_CHECKING
 
@@ -86,6 +87,14 @@ class Sequence:
         return self.values[i - 1]
 
 
+def _index(i) -> int:
+    """A witness index as an int: any integer type but bool (numpy's too),
+    never a truncated float or a parsed string."""
+    if not isinstance(i, Integral) or isinstance(i, bool):
+        raise InvalidInputError(f"witness indices must be integers, got {i!r}")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class BlockWitness:
     """A block-monotone subsequence: direction plus 1-based index blocks."""
@@ -96,7 +105,7 @@ class BlockWitness:
     def __init__(self, direction, blocks):
         object.__setattr__(self, "direction", str(direction))
         object.__setattr__(
-            self, "blocks", tuple(tuple(int(i) for i in b) for b in blocks)
+            self, "blocks", tuple(tuple(_index(i) for i in b) for b in blocks)
         )
 
     @classmethod

@@ -15,12 +15,9 @@ count on increasing pairs, its bitwise complement on decreasing ones), in
 narrow integers.  The chain itself comes from ``core.chain_block``, the one
 longest-chain step, which takes the same blocks and which the Ramsey path
 searches share through ``core.longest_chain``; its blocks keep ``_WIDTH`` =
-32 columns, because the triangle inside a block is plain Python.  Because
-the window array is signed, one pass can feed both directions' chains block
-by block: ``extract_block_monotone`` asks ``gapped_chain_dp`` for the longer
-of the two (INC on equal lengths) and prices every window once, never
-storing a block.  The independent range-counting module can re-derive every
-window count, which the tests use as a cross-check.
+32 columns, because the triangle inside a block is plain Python.  The
+independent range-counting module can re-derive every window count, which
+the tests use as a cross-check.
 
 The largest feasible s for a target depth comes from one bottleneck pass over
 the same windows, O(depth * n^2), filling the increasing and the decreasing
@@ -33,14 +30,16 @@ target depth and no further, the same table also holds the witness: a chain
 of exactly depth+1 entries at that s is traced back from it one column of
 windows at a time, O(depth * n log n), with the DP's tie-breaks.
 
-``_best_gapped`` is the one best-s search: ``max_gapped_blocksize`` and the
-partition's extractions both call it, and neither runs the chain DP.
+``_best_gapped`` is the one best-s search: ``max_gapped_blocksize``,
+``extract_block_monotone`` and the partition's extractions all call it, and
+none of them runs the chain DP.  The extractor and the partition keep one
+rule: the larger of a cut longest monotone subsequence and the search's
+chain, so every witness has exactly the asked depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -56,9 +55,9 @@ __all__ = [
     "max_gapped_blocksize",
 ]
 
-# The extraction constant c.  extract_block_monotone promises blocks of
-# ceil(n/(ck)^2) entries once n >= (ck)^2.  Deliberately conservative;
-# callers of the extractor may pass a smaller c.
+# The extraction constant c.  extract_block_monotone runs the search, and
+# so promises blocks of ceil(n/(ck)^2) entries, once n >= (ck)^2.
+# Deliberately conservative; callers of the extractor may pass a smaller c.
 DEFAULT_C = 40
 
 
@@ -231,37 +230,27 @@ class GappedChain:
         return len(self.chain)
 
 
-def gapped_chain_dp(seq: Sequence, s: int, direction: str | None) -> GappedChain:
+def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
     """Longest monotone chain (given direction) whose consecutive pairs are
     s-gapped.  Deterministic: the predecessor is the smallest index among
     those realizing the maximal previous length, and the chain ends at the
-    smallest index achieving the global maximum.
-
-    With ``direction=None`` one window pass feeds both directions' chains,
-    block by block, and the longer chain is returned (INC when the lengths
-    are equal): the same result as the longer of the two one-direction
-    calls, with the windows priced once instead of twice."""
-    if direction not in (INC, DEC, None):
+    smallest index achieving the global maximum."""
+    if direction not in (INC, DEC):
         raise InvalidInputError(f"unknown direction {direction!r}")
     require_int(s=s)
     if s < 0:
         raise InvalidInputError("s must be >= 0")
-    directions = (INC, DEC) if direction is None else (direction,)
     n = len(seq)
     if n == 0:
-        return GappedChain(directions[0], s, ())
+        return GappedChain(direction, s, ())
     vals = np.asarray(seq.values, dtype=float)
-    runs = [chain_arrays(n) for _ in directions]
+    lengths, pred = chain_arrays(n)
     # 32 columns: chain_block's triangle inside a block is O(width^2) Python
     for lo, hi, window in _window_blocks(vals, None, _WIDTH):
-        for d, (lengths, pred) in zip(directions, runs):
-            # ~window >= s on decreasing pairs, without a complemented copy
-            chain_block(lengths, pred, lo, hi, window >= s if d == INC else window <= ~s)
-    tops = [int(lengths.max()) for lengths, _ in runs]
-    pick = tops.index(max(tops))  # the first, INC, on equal lengths
-    lengths, pred = runs[pick]
+        # ~window >= s on decreasing pairs, without a complemented copy
+        chain_block(lengths, pred, lo, hi, window >= s if direction == INC else window <= ~s)
     chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
-    return GappedChain(directions[pick], s, tuple(i + 1 for i in chain))
+    return GappedChain(direction, s, tuple(i + 1 for i in chain))
 
 
 def _window_entries(seq: Sequence, i: int, j: int, direction: str) -> list[int]:
@@ -293,22 +282,18 @@ def chain_to_blocks(seq: Sequence, ch: GappedChain) -> BlockWitness:
     return BlockWitness._trusted(str(ch.direction), tuple(blocks))
 
 
-def _fallback_witness(seq: Sequence) -> BlockWitness:
-    direction, idx = longest_monotone(seq)
-    return BlockWitness(direction, tuple((i,) for i in idx))
-
-
 def extract_block_monotone(
     seq: Sequence, k: int, c: int | None = None
 ) -> BlockWitness:
-    """Depth >= k block-monotone witness for any sequence with n > (k-1)^2.
+    """Block-monotone witness of depth exactly k for any sequence with
+    n > (k-1)^2: the larger of two candidates, the first on ties.
 
-    Small inputs (n < (ck)^2) use the classical fallback: the longest
-    monotone subsequence, of length >= ceil(sqrt(n)) >= k, as block-size-1
-    blocks.  Larger inputs run one gapped-chain DP at s = ceil(n/(ck)^2)
-    over both directions, whose single window pass prices both, and convert
-    the longer chain (INC on equal lengths) if it has k+1 entries; if it
-    does not (possible only for lowered c), the fallback is used.
+    The longest monotone subsequence, of length L >= ceil(sqrt(n)) >= k,
+    cut into k blocks of L // k entries; and, once n >= (ck)^2, the exact
+    search's chain of k+1 entries at the largest gap s*, whose k windows
+    give k blocks of s* entries.  s* is at least the promised floor
+    ceil(n/(ck)^2) whenever a chain reaches it (for a lowered c none may,
+    and the cut is kept).  The search builds no chain that the cut beats.
     """
     c = DEFAULT_C if c is None else c
     require_int(k=k, c=c)
@@ -321,12 +306,15 @@ def extract_block_monotone(
         raise PreconditionError(
             f"extraction requires n > (k-1)^2; got n={n}, k={k}"
         )
-    if n < (c * k) ** 2:
-        return _fallback_witness(seq)
-    ch = gapped_chain_dp(seq, math.ceil(n / (c * k) ** 2), None)
-    if ch.length < k + 1:
-        return _fallback_witness(seq)
-    return chain_to_blocks(seq, ch)
+    direction, run = longest_monotone(seq)
+    s = len(run) // k
+    if n >= (c * k) ** 2:
+        _, ch = _best_gapped(seq, k, s)
+        if ch is not None:
+            return chain_to_blocks(seq, ch)
+    return BlockWitness._trusted(
+        direction, tuple(tuple(run[i * s : (i + 1) * s]) for i in range(k))
+    )
 
 
 def _best_gapped(

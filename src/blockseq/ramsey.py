@@ -71,24 +71,34 @@ _TILE = 256  # rows and columns per tile of the middle-count product
 @dataclass(frozen=True)
 class PairColoring:
     """A total coloring of the pairs of [n] with colors 1..q.  ``matrix``
-    holds color(i, j) at [i - 1, j - 1] for i < j; nothing reads the
-    diagonal or below it."""
+    holds color(i, j) at [i - 1, j - 1] for i < j, as int16; nothing reads
+    the diagonal or below it.  An int16 matrix is kept without a copy; any
+    other integer or float matrix must hold whole colors in 1..q above its
+    diagonal, and is stored as an int16 copy."""
 
     n: int
     q: int
     matrix: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
+        if self.q > MAX_COLORS:
+            raise InvalidInputError(f"at most {MAX_COLORS} colors are supported, got q={self.q}")
         m = np.asarray(self.matrix)
         if m.shape != (self.n, self.n):
             raise InvalidInputError(
                 f"color matrix shape {m.shape} does not match n={self.n}"
             )
+        if m.dtype.kind not in "iuf":
+            raise InvalidInputError(f"colors must be integers, got {m.dtype} entries")
         for lo in range(0, self.n, _TILE):  # row strips: no n x n temporaries
             strip = m[lo : lo + _TILE, lo:]  # its pairs are above its diagonal
-            if np.triu((strip < 1) | (strip > self.q), 1).any():
-                raise InvalidInputError(f"colors must lie in 1..{self.q}")
-        object.__setattr__(self, "matrix", m)
+            bad = (strip < 1) | (strip > self.q)
+            if m.dtype.kind == "f":
+                bad |= strip != np.floor(strip)  # a fraction, or NaN
+            if np.triu(bad, 1).any():
+                raise InvalidInputError(f"colors must be integers in 1..{self.q}")
+        with np.errstate(invalid="ignore"):  # below the diagonal nothing is read
+            object.__setattr__(self, "matrix", m.astype(np.int16, copy=False))
 
     def color(self, i: int, j: int) -> int:
         if not (1 <= i < j <= self.n):
@@ -224,8 +234,10 @@ def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
     for v in list(w.endpoints) + [v for blk in w.blocks for v in blk]:
         if not (isinstance(v, (int, np.integer)) and 1 <= v <= n):
             raise InvalidInputError(f"vertex {v!r} out of range 1..{n}")
-    if not (1 <= w.color <= c.q):
-        raise InvalidInputError(f"color {w.color} out of range 1..{c.q}")
+    color = w.color
+    if not (isinstance(color, (int, np.integer)) and not isinstance(color, bool)
+            and 1 <= color <= c.q):
+        raise InvalidInputError(f"color {color!r} out of range 1..{c.q}")
     if not interleaved_path(w):
         return False
     p = w.endpoints
@@ -250,9 +262,9 @@ class _MiddleTiles:
     memory.
 
     Each strip's triangle U[lo:hi, lo:] is kept once as float32.  ``tile``
-    multiplies its row strip by the column block gathered from the strips
-    below it, x in lo:jhi, because U[u, x] = 0 for x <= u and U[x, v] = 0
-    for x >= v."""
+    adds the products of its row strip's x columns with the same x rows of
+    each strip below it, x in lo:jhi, because U[u, x] = 0 for x <= u and
+    U[x, v] = 0 for x >= v; it holds one tile and one product at a time."""
 
     def __init__(self, c: PairColoring, color: int):
         n, size = c.n, _TILE
@@ -285,15 +297,18 @@ class _MiddleTiles:
         self.order = [(int(bounds[i]), int(rows[i]), int(cols[i])) for i in order]
 
     def tile(self, row: int, col: int) -> np.ndarray:
-        """Counts for rows row*size.. and columns col*size.., as float32."""
+        """Counts for rows row*size.. and columns col*size.., as float32,
+        summed over the strips x in row..col one product at a time."""
         size = self.size
         lo, jlo = row * size, col * size
         jhi = jlo + self.strips[col].shape[0]
-        below = [
-            strip[:, jlo - k * size : jhi - k * size]
-            for k, strip in enumerate(self.strips[row : col + 1], row)
-        ]
-        return self.strips[row][:, : jhi - lo] @ np.concatenate(below)
+        left = self.strips[row]
+        counts = np.zeros((len(left), jhi - jlo), dtype=np.float32)
+        for x in range(row, col + 1):
+            below = self.strips[x]
+            xlo = x * size
+            counts += left[:, xlo - lo : xlo - lo + len(below)] @ below[:, jlo - xlo : jhi - xlo]
+        return counts
 
 
 # the one per-color entry of both searches, looked up at each call, so a

@@ -7,6 +7,9 @@ library always means a genuine bug on one side.  ``best_gapped_s`` and
 two-pass route to a gapped witness (the block-size search, then a fresh
 chain DP at that size) and pin the witness the bottleneck-table trace reads
 off wherever the DP's chain has the target depth.
+``reference_extract`` is the package's former ``extract_block_monotone``,
+to check that keeping the larger of the cut monotone run and the exact
+search never gives smaller blocks.
 ``two_pass_longest_monotone`` is the package's former ``longest_monotone``,
 one patience pass and one rebuild per direction, to pin the one-pass
 version to the same output.  ``brute_block_path`` replays the block-path
@@ -335,6 +338,27 @@ def rebuild_best_gapped(seq, depth):
     if s < 1:
         return 0, None
     return s, chain_to_blocks(seq, gapped_chain_dp(seq, s, d))
+
+
+def reference_extract(seq, k, c=None):
+    """The former public extractor: once n >= (ck)^2, one-direction chain
+    DPs at s = ceil(n/(ck)^2) in both directions, and the longer chain (INC
+    on equal lengths) as blocks if it has k+1 entries; otherwise the
+    longest monotone subsequence as blocks of one entry."""
+    from blockseq import DEC, INC, BlockWitness, chain_to_blocks, gapped_chain_dp
+    from blockseq import longest_monotone
+    from blockseq.extract import DEFAULT_C
+
+    c = DEFAULT_C if c is None else c
+    n = len(seq)
+    if n >= (c * k) ** 2:
+        s = -(-n // (c * k) ** 2)
+        inc, dec = gapped_chain_dp(seq, s, INC), gapped_chain_dp(seq, s, DEC)
+        ch = inc if inc.length >= dec.length else dec
+        if ch.length >= k + 1:
+            return chain_to_blocks(seq, ch)
+    direction, idx = longest_monotone(seq)
+    return BlockWitness(direction, [(i,) for i in idx])
 
 
 def triple_signs_loop(xs, ys, sample):

@@ -105,6 +105,17 @@ class TestValidateBlockWitness:
         seq = Sequence([1, 2, 3, 4])
         assert validate_block_witness(seq, BlockWitness(INC, ((1,), (3, 4)))) is False
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "a", "2", None, True])
+    def test_non_integer_indices_rejected(self, bad):
+        # 1.5 used to be stored as 1, so the witness validated
+        with pytest.raises(InvalidInputError):
+            BlockWitness(INC, ((bad,),))
+
+    def test_numpy_integer_indices_accepted(self):
+        w = BlockWitness(INC, ((np.int64(1), np.int32(2)), (np.uint8(3), 4)))
+        assert w.blocks == ((1, 2), (3, 4)) and type(w.blocks[0][0]) is int
+        assert validate_block_witness(Sequence([1, 2, 3, 4]), w) is True
+
     def test_decreasing_direction(self):
         seq = Sequence([4, 3, 2, 1])
         assert validate_block_witness(seq, BlockWitness(DEC, ((1, 2), (3, 4)))) is True

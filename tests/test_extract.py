@@ -36,7 +36,7 @@ from blockseq.extract import GappedChain, _best_gapped, _bottleneck_table, _trac
 from blockseq.extract import _window_blocks, _window_row
 from blockseq.oracle import max_blocksize_exact
 from brutes import best_gapped_s, brute_chain_tables, brute_trace, naive_count_box
-from brutes import rebuild_best_gapped
+from brutes import rebuild_best_gapped, reference_extract
 
 
 class TestGappedChainDP:
@@ -100,27 +100,6 @@ class TestGappedChainDP:
             for d in (INC, DEC):
                 lengths = [gapped_chain_dp(seq, s, d).length for s in range(6)]
                 assert lengths == sorted(lengths, reverse=True)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 65, 300])
-    def test_joint_mode_is_the_longer_direction(self, n):
-        seqs = [gen_random(n, seed=n)]
-        if n:
-            seqs += [gen_clustered(3, max(1, n // 9), inner, seed=n)
-                     for inner in ("increasing", "decreasing", "seeded-random")]
-        for seq in seqs:
-            for s in range(8):
-                inc, dec = gapped_chain_dp(seq, s, INC), gapped_chain_dp(seq, s, DEC)
-                got = gapped_chain_dp(seq, s, None)
-                want = inc if inc.length >= dec.length else dec
-                for name in ("direction", "s", "chain"):
-                    assert getattr(got, name) == getattr(want, name), (len(seq), s, name)
-
-    def test_joint_mode_tie_goes_to_inc(self):
-        # 3 2 1 4 5: the DEC chain (3, 2, 1) ends first, the INC chain
-        # (3, 4, 5) has as many entries
-        seq = Sequence([3, 2, 1, 4, 5])
-        assert gapped_chain_dp(seq, 0, DEC).length == gapped_chain_dp(seq, 0, INC).length == 3
-        assert gapped_chain_dp(seq, 0, None) == gapped_chain_dp(seq, 0, INC)
 
     @pytest.mark.parametrize("s", [True, 1.5, 2.0, "2", None])
     def test_non_integer_s_rejected(self, s):
@@ -351,24 +330,47 @@ class TestExtractBlockMonotone:
         with pytest.raises(InvalidInputError):
             extract_block_monotone(gen_random(400, seed=9), k, c=c)
 
-    def test_one_window_pass_for_both_directions(self, monkeypatch):
-        seq = gen_random(400, seed=9)  # n >= (ck)^2 = 36: the DP route
-        calls = {"dp": 0, "windows": 0}
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 65, 300])
+    def test_one_rule_never_below_the_dp_reference(self, n, monkeypatch):
+        """Exactly depth k, valid, and blocks at least as large as the former
+        extractor's (two one-direction chain DPs, the longer winning, else
+        blocks of one entry); from the gate n >= (ck)^2 on, the partition's
+        extraction on the ranks, and below it the cut monotone run.  Every
+        chain the search traces is re-priced by the range counter."""
+        traced = []
 
-        def counted(name, key):
-            original = getattr(extract, name)
+        def recording(seq, depth, floor=0):
+            s, ch = _best_gapped(seq, depth, floor)
+            if ch is not None:
+                traced.append((seq, ch))
+            return s, ch
 
-            def wrapper(*args):
-                calls[key] += 1
-                return original(*args)
-
-            monkeypatch.setattr(extract, name, wrapper)
-
-        counted("gapped_chain_dp", "dp")
-        counted("_window_blocks", "windows")
-        w = extract_block_monotone(seq, 2, c=3)
-        assert calls == {"dp": 1, "windows": 1}
-        assert validate_block_witness(seq, w) is True and w.block_size == 12
+        monkeypatch.setattr(extract, "_best_gapped", recording)
+        seqs = [gen_random(n, seed=n)]
+        if n:
+            seqs += [gen_clustered(3, max(1, n // 9), inner, seed=n)
+                     for inner in ("increasing", "decreasing", "seeded-random")]
+        for seq in seqs:
+            m = len(seq)
+            ranks = partition._ranks(seq)
+            for k in range(1, 7):
+                for c in (None, 1, 2, 3):
+                    if m <= (k - 1) ** 2:
+                        with pytest.raises(PreconditionError):
+                            extract_block_monotone(seq, k, c)
+                        continue
+                    w = extract_block_monotone(seq, k, c)
+                    assert w.depth == k and validate_block_witness(seq, w) is True
+                    assert w.block_size >= reference_extract(seq, k, c).block_size
+                    if m >= ((c or extract.DEFAULT_C) * k) ** 2:
+                        assert w == partition._extract_best(ranks, np.arange(m), k).public()
+                    else:
+                        assert w.block_size == len(longest_monotone(seq)[1]) // k
+        assert bool(traced) == (n >= 31)
+        for seq, ch in traced:
+            counter = build_counter(seq)
+            for i, j in zip(ch.chain, ch.chain[1:]):
+                assert is_gapped_pair(counter, seq, i, j, ch.s)
 
     def test_real_branch_with_lowered_c(self):
         # lowering c brings the non-fallback branch within desk reach:
@@ -596,9 +598,9 @@ class TestTracedWitness:
 
 
 class TestOneWitnessPath:
-    def test_only_the_extractor_runs_the_chain_dp(self, monkeypatch):
+    def test_no_extraction_runs_the_chain_dp(self, monkeypatch):
         """The searches trace every witness off the bottleneck table; the
-        chain DP serves ``extract_block_monotone`` alone."""
+        extractor, the partition and pagination never run the chain DP."""
         calls = []
         for owner in (extract, partition):
             original = owner.gapped_chain_dp
@@ -614,7 +616,7 @@ class TestOneWitnessPath:
             partition_sequence(seq, k)
             greedy_partition(seq, k)
             max_gapped_blocksize(seq, k)
+            extract_block_monotone(seq, k, c=1)
         paginate(_random_graph(40, 300, 7), 0.4)
-        assert calls == []
         extract_block_monotone(gen_random(1000, seed=1), 3, c=2)
-        assert len(calls) == 1
+        assert calls == []

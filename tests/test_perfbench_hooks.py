@@ -23,9 +23,11 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
 
 
-def test_traced_extract_is_one_dp_and_cross_checks(monkeypatch):
-    """The benchmark's ``extract.dp_*`` counters and its range-counter
-    cross-check only see DP calls made through ``extract.gapped_chain_dp``."""
+def test_traced_extract_runs_the_search_not_the_dp(monkeypatch):
+    """A traced extract records its ``core.longest_monotone`` run and the
+    search's ``extract.chain_to_blocks`` under its ``extract`` span, and no
+    chain DP, so the benchmark's ``extract.dp_*`` counters and its
+    range-counter cross-check read 0 for it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -37,11 +39,13 @@ def test_traced_extract_is_one_dp_and_cross_checks(monkeypatch):
         blockseq.extract_block_monotone(blockseq.gen_random(1000, seed=1), 3, c=2)
     finally:
         tracer.remove()
-    assert [span[0] for span in tracer.spans].count("extract.dp") == 1
-    assert tracer.counts["dp_cells"] == 1000**2
+    names = [span[0] for span in tracer.spans]
+    for name in ("extract", "core.longest_monotone", "extract.chain_to_blocks"):
+        assert names.count(name) == 1, name
+    assert "extract.dp" not in names
+    assert tracer.counts["dp_cells"] == 0
     check = tracer.cross_check()
-    assert check["rangecount.queries"] > 0
-    assert check["rangecount.mismatches"] == 0
+    assert (check["rangecount.queries"], check["rangecount.mismatches"]) == (0, 0)
 
 
 def test_traced_avoid_records_one_balanced_line_span(monkeypatch):

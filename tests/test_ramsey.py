@@ -167,6 +167,39 @@ class TestColoringStrips:
                 PairColoring(n, 2, wrong)
 
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf])
+    def test_float_colors_must_be_whole_and_finite(self, bad):
+        # 1.5 and NaN used to pass the range check, and color() truncated
+        matrix = np.full((3, 3), 1.0)
+        assert PairColoring(3, 2, matrix).color(1, 2) == 1
+        matrix[0, 2] = bad
+        with pytest.raises(InvalidInputError):
+            PairColoring(3, 2, matrix)
+
+    def test_only_the_upper_triangle_is_checked(self):
+        matrix = np.full((3, 3), np.nan)
+        matrix[np.triu_indices(3, 1)] = [1.0, 2.0, 2.0]
+        c = PairColoring(3, 2, matrix)
+        assert c.matrix.dtype == np.int16 and [c.color(1, 2), c.color(2, 3)] == [1, 2]
+
+    @pytest.mark.parametrize("matrix", [np.full((3, 3), "1"), np.full((3, 3), True),
+                                        np.full((3, 3), 1, dtype=object)])
+    def test_non_numeric_colors_rejected(self, matrix):
+        with pytest.raises(InvalidInputError):
+            PairColoring(3, 2, matrix)
+
+    def test_too_many_colors_rejected(self):
+        with pytest.raises(InvalidInputError):
+            PairColoring(2, ramsey.MAX_COLORS + 1, np.ones((2, 2), dtype=np.int64))
+
+    def test_int16_matrix_kept_without_copy(self):
+        c = gen_random_coloring(40, 3, seed=1)
+        assert PairColoring(c.n, c.q, c.matrix).matrix is c.matrix
+        wide = c.matrix.astype(np.int64)
+        again = PairColoring(c.n, c.q, wide)
+        assert again.matrix.dtype == np.int16 and np.array_equal(again.matrix, wide)
+
+
 class TestVertexCap:
     def test_random_rejects_beyond_cap(self):
         with pytest.raises(InvalidInputError):
@@ -437,6 +470,24 @@ class TestBlockPathMemory:
         assert peak < 3 * n * n
 
 
+class TestTileMemory:
+    def test_top_right_tile_holds_no_column_gather(self):
+        """``tile`` adds strip-by-strip products into one float32 tile: the
+        top-right tile at n = 2048 allocates under three tiles' bytes,
+        where gathering its column block took n x ``_TILE`` floats."""
+        n, size = 2048, ramsey._TILE
+        tiles = ramsey._MiddleTiles(gen_random_coloring(n, 2, seed=8), 1)
+        last = len(tiles.strips) - 1
+        tracemalloc.start()
+        try:
+            counts = tiles.tile(0, last)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (size, size) and counts.dtype == np.float32
+        assert peak < 3 * size * size * 4
+
+
 class TestDepth1Memory:
     def test_peak_below_one_float32_matrix(self):
         """The search holds float32 row strips of the upper triangle, never
@@ -617,6 +668,13 @@ class TestValidateBlockPath:
         c = mono_coloring(4)
         with pytest.raises(InvalidInputError):
             validate_block_path(c, BlockPathWitness(1, (1, 9), ((2,),)))
+
+    @pytest.mark.parametrize("color", ["1", 1.0, True, None, 0, 2])
+    def test_color_must_be_an_integer_in_range(self, color):
+        c = mono_coloring(4)
+        with pytest.raises(InvalidInputError):
+            validate_block_path(c, BlockPathWitness(color, (1, 3), ((2,),)))
+        assert validate_block_path(c, BlockPathWitness(np.int64(1), (1, 3), ((2,),))) is True
 
     def test_unequal_blocks_false(self):
         c = mono_coloring(8)
