@@ -181,6 +181,8 @@ def _coords(half) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(half, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidInputError(f"coordinates must be finite: {exc}") from exc
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidInputError(f"points must form an (n, 2) array, got shape {pts.shape}")
     for col, axis in ((pts[:, 0], "x"), (pts[:, 1], "y")):

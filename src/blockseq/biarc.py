@@ -83,7 +83,10 @@ def _check_epsilon(epsilon) -> float:
     """A crossing budget parameter: a real number in (0, 1], as a float."""
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
         raise InvalidInputError(f"epsilon must be a real number, got {epsilon!r}")
-    epsilon = float(epsilon)
+    try:
+        epsilon = float(epsilon)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidInputError(f"epsilon must lie in (0, 1]: {exc}") from exc
     if not math.isfinite(epsilon) or not 0.0 < epsilon <= 1.0:
         raise InvalidInputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     return epsilon

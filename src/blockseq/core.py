@@ -56,6 +56,8 @@ class Sequence:
             vals = tuple(float(v) for v in values)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"sequence values must be reals: {exc}") from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidInputError(f"sequence values must be finite: {exc}") from exc
         for v in vals:
             if not math.isfinite(v):
                 raise InvalidInputError("sequence values must be finite")

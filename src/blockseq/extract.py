@@ -6,23 +6,29 @@ and value.  Each window of a chain then contributes one block of ``s``
 entries, so a chain of length m yields a block-monotone witness of depth
 m - 1 and block-size s.
 
-The DP is O(n^2) total.  Window counts come in blocks of columns: one
-cumulative sum along each row prices the entries below a_i, and a prefix sum
-down the block's columns (log2(width) shifted adds on top of a count carried
-from block to block) prices those below a_j, so a block costs a few array
-operations whatever its width.  One signed array serves both directions (the
-count on increasing pairs, its bitwise complement on decreasing ones), in
-narrow integers.  The chain itself comes from ``core.chain_block``, the one
-longest-chain step, which takes the same blocks and which the Ramsey path
-searches share through ``core.longest_chain``; its blocks keep ``_WIDTH`` =
-32 columns, because the triangle inside a block is plain Python.  The
-independent range-counting module can re-derive every window count, which
-the tests use as a cross-check.
+The DP is O(n^2) total.  Window counts come in blocks of columns.  Counts
+along each row price the entries below a_i by byte lanes: the row's
+comparisons, eight to a 64-bit word, are summed within each word by one
+multiply, and only the word totals take a cumulative sum, so the serial scan
+covers one entry in eight.  A prefix sum down the block's columns
+(log2(width) shifted adds on top of a count carried from block to block)
+prices those below a_j, so a block costs a few array operations whatever its
+width.  Each block comes as one (2, rows, columns) array of narrow integers,
+built in place: the signed windows (the count on increasing pairs, its
+bitwise complement on decreasing ones) and their complement, so either
+direction reads its links as the entries >= s of one row.  The chain itself
+comes from ``core.chain_block``, the one longest-chain step, which takes the
+same blocks and which the Ramsey path searches share through
+``core.longest_chain``; its blocks keep ``_WIDTH`` = 32 columns, because the
+triangle inside a block is plain Python.  The independent range-counting
+module can re-derive every window count, which the tests use as a
+cross-check.
 
 The largest feasible s for a target depth comes from one bottleneck pass over
 the same windows, O(depth * n^2), filling the increasing and the decreasing
 rows together: for every chain length it keeps the largest minimum window
-over chains ending at each entry.  It walks bands of max(_WIDTH, _CELLS // n)
+over chains ending at each entry; the chain of one entry has no window, so
+level 1 is the plain max of the links.  It walks bands of max(_WIDTH, _CELLS // n)
 columns, so a small table is one or a few bands and its cost follows its
 cells, not its count of numpy calls.  ``_CELLS`` only caps the size of a
 band's temporaries; the band width cannot change the table.  Built to the
@@ -75,27 +81,48 @@ def _count_dtype(n: int):
 def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None, width: int = _WIDTH):
     """Window counts of every pair j < i, ``width`` columns i at a time.
 
-    Yields ``(lo, hi, window)`` for the columns i in [lo, hi).  ``window``
-    has one contiguous row per i and one entry per j < hi, so
-    ``window[i - lo, j]`` belongs to the pair (j, i); entries with j >= i are
-    meaningless.  The sign carries the direction: when vals[j] < vals[i] the
-    entry is the count of entries strictly between j and i in position and
-    value, and when vals[j] > vals[i] it is ``~count`` (-count - 1).
+    Yields ``(lo, hi, links)`` for the columns i in [lo, hi), where
+    ``links`` is a fresh contiguous (2, hi - lo, hi) array of the count
+    type with one row per i and one entry per j < hi, so
+    ``links[:, i - lo, j]`` belongs to the pair (j, i); entries with j >= i
+    are meaningless.  ``links[0]`` carries the direction in its sign: when
+    vals[j] < vals[i] the entry is the count of entries strictly between j
+    and i in position and value, and when vals[j] > vals[i] it is ``~count``
+    (-count - 1).  ``links[1] = ~links[0]``, the same windows signed for
+    decreasing pairs, so ``links[_ROW[d]] >= s`` marks the s-gapped
+    direction-d links and is negative on every pair of the other direction.
 
     With C[t][v] the number of x < t with vals[x] < v and bb[i] =
     C[i][vals[i]], bb[i] + bb[j] - C[j+1][vals[i]] - C[i+1][vals[j]] is the
-    count on increasing pairs and ~count on decreasing ones.  The
-    C[j+1] terms are one cumulative sum along each row.  The C[i+1] terms
-    are a prefix sum down the block's columns of the comparisons
-    vals[i] < vals[j], taken as log2(width) in-place shifted adds (numpy
-    reads an overlapping operand before it writes, so each add sees the
-    previous step's values), plus C[lo], carried from block to block.
+    count on increasing pairs and ~count on decreasing ones.
+
+    The C[j+1] terms count along each row by byte lanes.  The comparisons
+    vals[j] < vals[i] fill a zero-padded bool buffer of ceil(hi/8)*8
+    columns, read as little-endian 64-bit words of eight 0/1 bytes.  Times
+    0x0101010101010101 each byte holds its word's count up to itself; that
+    count is at most 8, so no byte carries into the next.  An exclusive
+    cumulative sum of the word totals (the top bytes) scans one entry in
+    eight.  The bytes then widen to unsigned lanes as wide as the count
+    type, read as little-endian words of 8 // itemsize lanes, and each word
+    adds its carry times the lane-ones constant, once for every one of the
+    ``itemsize`` words its eight lanes span.  Every lane ends at a count of
+    at most n, which the count type holds, so no lane carries into its
+    neighbour either; the explicit little-endian views keep the lanes in
+    column order on any host.
+
+    The C[i+1] terms are a prefix sum down the block's columns of the
+    comparisons vals[i] < vals[j], taken as log2(width) shifted adds that
+    alternate between two buffers (an overlapping in-place add would make
+    numpy copy its operand first), plus C[lo], carried from block to block.
     Partial sums may wrap around in the narrow type; the final values fit,
     and wrapped integer arithmetic is exact modulo the type's range.  A
     caller's ``bb`` (of the count type) receives bb[0..hi) as blocks pass.
     """
     n = len(vals)
-    dt = _count_dtype(n)
+    dt = np.dtype(_count_dtype(n))
+    size = dt.itemsize
+    lane = dt.newbyteorder("<")  # little-endian lanes of the count type
+    lane_ones = np.uint64((2**64 - 1) // (2 ** (8 * size) - 1))  # 1 in every lane
     r = np.empty(n, dtype=dt)
     r[np.argsort(vals)] = np.arange(n, dtype=dt)
     if bb is None:
@@ -103,22 +130,38 @@ def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None, width: int = 
     below_lo = np.zeros(n, dtype=dt)  # C[lo][r[j]], set for j < hi
     for lo in range(0, n, width):
         hi = min(lo + width, n)
+        rows, words = hi - lo, -(-hi // 8)
         rb = r[lo:hi, None]
-        window = np.cumsum(rb > r[:hi], axis=1, dtype=dt)  # C[j+1][r[i]]
-        bb[lo:hi] = window[:, lo:hi].diagonal()
+        above = np.zeros((rows, 8 * words), dtype=bool)
+        np.greater(rb, r[:hi], out=above[:, :hi])
+        word = above.view("<u8")
+        word *= np.uint64(0x0101010101010101)  # byte b: the word's count to b
+        carry = np.zeros((rows, words), dtype=np.uint64)  # the count before each word
+        np.cumsum(word[:, :-1] >> np.uint64(56), axis=1, out=carry[:, 1:])  # of word totals
+        carry *= lane_ones
+        counts = np.empty((rows, 8 * words), dtype=lane)
+        np.copyto(counts, word.view(np.uint8), casting="unsafe")
+        counts.view("<u8").reshape(rows, words, size)[...] += carry[:, :, None]
+        row = counts[:, :hi]  # C[j+1][r[i]]
+        bb[lo:hi] = row[:, lo:hi].diagonal()
         if lo:
-            below_lo[lo:hi] = window[:, lo - 1]
-        np.subtract(bb[lo:hi, None], window, out=window)
+            below_lo[lo:hi] = row[:, lo - 1]
+        links = np.empty((2, rows, hi), dtype=dt)
+        window = links[0]
+        np.subtract(bb[lo:hi, None], row, out=window)
         after = (rb < r[:hi]).astype(dt)  # vals[i] < vals[j], summed down next
+        spare = np.empty_like(after)
         step = 1
-        while step < hi - lo:
-            after[step:] += after[:-step]
+        while step < rows:
+            spare[:step] = after[:step]
+            np.add(after[step:], after[:-step], out=spare[step:])
+            after, spare = spare, after
             step *= 2
-        after += below_lo[:hi]  # C[i+1][r[j]]
-        below_lo[:hi] = after[-1]
-        window += bb[:hi]
+        after += below_lo[:hi] - bb[:hi]  # C[i+1][r[j]] - bb[j]
+        np.add(after[-1], bb[:hi], out=below_lo[:hi])
         window -= after
-        yield lo, hi, window
+        np.invert(window, out=links[1])
+        yield lo, hi, links
 
 
 def _window_row(vals: np.ndarray, bb: np.ndarray, e: int) -> np.ndarray:
@@ -147,8 +190,12 @@ def _bottleneck_table(vals: np.ndarray, levels: int) -> tuple[np.ndarray, np.nda
     chains need no separate row.  Level L of a band reads only level L-1 at
     earlier columns, which the band's previous level or an earlier band has
     already finished, so once the band's own pairs with j >= i are masked
-    out (one ``np.copyto`` under a triangle), each level of a band is one
-    array operation, and any band width gives the same table.  A band spans
+    out of its links (one ``np.copyto`` under a triangle), each level of a
+    band is one array operation, and any band width gives the same table.
+    ``links[d]`` is the direction-d window, negative on the other
+    direction's pairs, so the table reads the links ``_window_blocks``
+    yields with no copy.  Level 1 is a plain max over the links: level 0 is
+    n, above every window, so its minimum changes nothing.  A band spans
     max(_WIDTH, _CELLS // n) columns: as many as its (2, width, n)
     temporaries allow under ``_CELLS`` pairs, so small tables take one or a
     few bands.  ``_CELLS`` is a memory cap, not a tuning knob: wider bands
@@ -167,10 +214,10 @@ def _bottleneck_table(vals: np.ndarray, levels: int) -> tuple[np.ndarray, np.nda
     best[:, 0] = n  # a lone entry has no window; n exceeds every window count
     width = max(_WIDTH, _CELLS // max(n, 1))
     later = ~np.tri(min(width, n), dtype=bool, k=-1)  # j >= i within a band
-    for lo, hi, window in _window_blocks(vals, bb, width):
-        links = np.stack((window, ~window))  # negative where not a link
+    for lo, hi, links in _window_blocks(vals, bb, width):
         np.copyto(links[:, :, lo:], -1, where=later[: hi - lo, : hi - lo])
-        for L in range(1, levels + 1):
+        links.max(axis=2, out=best[:, 1, lo:hi])  # min(best[:, 0] = n, link) = link
+        for L in range(2, levels + 1):
             np.minimum(best[:, L - 1, None, :hi], links).max(axis=2, out=best[:, L, lo:hi])
     return best, bb
 
@@ -246,9 +293,9 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
     vals = np.asarray(seq.values, dtype=float)
     lengths, pred = chain_arrays(n)
     # 32 columns: chain_block's triangle inside a block is O(width^2) Python
-    for lo, hi, window in _window_blocks(vals, None, _WIDTH):
-        # ~window >= s on decreasing pairs, without a complemented copy
-        chain_block(lengths, pred, lo, hi, window >= s if direction == INC else window <= ~s)
+    for lo, hi, links in _window_blocks(vals, None, _WIDTH):
+        # links[1] = ~links[0]: each direction's s-gapped links are its row >= s
+        chain_block(lengths, pred, lo, hi, links[_ROW[direction]] >= s)
     chain = trace_chain(pred, int(np.argmax(lengths)))  # smallest index at max
     return GappedChain(direction, s, tuple(i + 1 for i in chain))
 

@@ -127,7 +127,10 @@ def _int_list(values, what: str) -> list[int]:
 def _real(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{what} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidInputError(f"{what} must be finite: {exc}") from exc
 
 
 def _pair(v, what: str):

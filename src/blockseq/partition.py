@@ -70,6 +70,8 @@ class PointSet:
             pts = tuple((float(x), float(y)) for x, y in points)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidInputError(f"coordinates must be finite: {exc}") from exc
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         for arr, axis in ((xs, "x"), (ys, "y")):
@@ -387,29 +389,30 @@ def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
     lt_history: list[tuple[int, int]] = []
     iterations = 0
     all_ids = np.arange(n, dtype=np.int64)
+    steps = np.diff(ys)  # rank steps: all of one sign on a monotone input
+    inc, dec = bool((steps > 0).all()), bool((steps < 0).all())
     if n <= (k - 1) ** 2:
         pool.append(all_ids)
+    elif inc or dec:
+        # fully monotone input: one witness of singleton blocks covers it
+        d = INC if inc else DEC  # INC on ties (n = 1), as longest_monotone
+        parts.append(_Wit(d, [np.asarray([i]) for i in all_ids]))
     else:
-        d, posn = longest_monotone(seq)
-        if len(posn) == n:
-            # fully monotone input: one witness of singleton blocks covers it
-            parts.append(_Wit(d, [np.asarray([i]) for i in all_ids]))
-        else:
-            st = _State([], [all_ids], [], True)
-            small = k * (3 * k - 1) ** 2  # a fresh pattern this small is left over
-            while st.t < k and st.l < 4 * k and (st.l or st.t or len(st.odds[0]) > small):
-                lt_history.append((st.l, st.t))
-                iterations += 1
-                if iterations > 12 * k:
-                    raise SearchFailedError("pattern loop exceeded its round bound")
-                if max(len(o) for o in st.odds) <= (3 * k - 1) ** 2:
-                    break
-                got, st, spill = _step(ys, st, k)
-                parts.extend(got)
-                pool.append(spill)
-            got, rest = _finish(ys, st, k)
+        st = _State([], [all_ids], [], True)
+        small = k * (3 * k - 1) ** 2  # a fresh pattern this small is left over
+        while st.t < k and st.l < 4 * k and (st.l or st.t or len(st.odds[0]) > small):
+            lt_history.append((st.l, st.t))
+            iterations += 1
+            if iterations > 12 * k:
+                raise SearchFailedError("pattern loop exceeded its round bound")
+            if max(len(o) for o in st.odds) <= (3 * k - 1) ** 2:
+                break
+            got, st, spill = _step(ys, st, k)
             parts.extend(got)
-            pool.append(rest)
+            pool.append(spill)
+        got, rest = _finish(ys, st, k)
+        parts.extend(got)
+        pool.append(rest)
 
     # drain the pool with positive-fraction pulls (block size >= 2), then an
     # Erdos-Szekeres cleanup of what is left

@@ -10,6 +10,9 @@ off wherever the DP's chain has the target depth.
 ``reference_extract`` is the package's former ``extract_block_monotone``,
 to check that keeping the larger of the cut monotone run and the exact
 search never gives smaller blocks.
+``reference_bottleneck_table`` is the package's former band loop (a
+cumulative sum along each row, in-place log-step column sums and a stacked
+complement per band), to pin the byte-lane kernel to the same table.
 ``two_pass_longest_monotone`` is the package's former ``longest_monotone``,
 one patience pass and one rebuild per direction, to pin the one-pass
 version to the same output.  ``brute_block_path`` replays the block-path
@@ -327,6 +330,46 @@ def best_gapped_s(seq, depth):
         return -1, None
     best, _ = _bottleneck_table(np.asarray(seq.values, dtype=float), depth)
     return _largest_s(best, depth)
+
+
+def reference_bottleneck_table(vals, levels):
+    """(best, bb) as ``extract._bottleneck_table`` gives them, by the
+    package's former band loop, with the module's count type, ``_WIDTH``
+    and ``_CELLS`` as they stand when called."""
+    from blockseq import extract
+
+    n = len(vals)
+    dt = extract._count_dtype(n)
+    r = np.empty(n, dtype=dt)
+    r[np.argsort(vals)] = np.arange(n, dtype=dt)
+    bb = np.empty(n, dtype=dt)
+    below_lo = np.zeros(n, dtype=dt)
+    best = np.full((2, levels + 1, n), -1, dtype=dt)
+    best[:, 0] = n
+    width = max(extract._WIDTH, extract._CELLS // max(n, 1))
+    later = ~np.tri(min(width, n), dtype=bool, k=-1)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        rb = r[lo:hi, None]
+        window = np.cumsum(rb > r[:hi], axis=1, dtype=dt)
+        bb[lo:hi] = window[:, lo:hi].diagonal()
+        if lo:
+            below_lo[lo:hi] = window[:, lo - 1]
+        np.subtract(bb[lo:hi, None], window, out=window)
+        after = (rb < r[:hi]).astype(dt)
+        step = 1
+        while step < hi - lo:
+            after[step:] += after[:-step]
+            step *= 2
+        after += below_lo[:hi]
+        below_lo[:hi] = after[-1]
+        window += bb[:hi]
+        window -= after
+        links = np.stack((window, ~window))
+        np.copyto(links[:, :, lo:], -1, where=later[: hi - lo, : hi - lo])
+        for L in range(1, levels + 1):
+            np.minimum(best[:, L - 1, None, :hi], links).max(axis=2, out=best[:, L, lo:hi])
+    return best, bb
 
 
 def rebuild_best_gapped(seq, depth):

@@ -106,6 +106,11 @@ def test_balanced_line_not_separated():
         balanced_line(FOUR_P, PointSet([(0, 0), (2, -3)]), X_AXIS, 1)
 
 
+def test_coordinate_arrays_reject_integers_beyond_float_range():
+    with pytest.raises(InvalidInputError, match="finite"):
+        balanced_line([[10**400, 1.0], [2.0, 3.0]], FOUR_Q, X_AXIS, 1)
+
+
 def test_balanced_line_bad_args():
     with pytest.raises(InvalidInputError):
         balanced_line(FOUR_P, PointSet([(0, -1)]), X_AXIS, 1)

@@ -444,6 +444,12 @@ def test_paginate_validation():
         paginate(OrderedGraph(4, ()), 0.5)
 
 
+@pytest.mark.parametrize("epsilon", [10**400, -(10**400)])
+def test_paginate_rejects_integer_epsilon_beyond_float_range(epsilon):
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        paginate(OrderedGraph(3, ((1, 2), (2, 3))), epsilon)
+
+
 @pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
 def test_paginate_tiny_epsilon_draws_singleton_pages(epsilon):
     # 1/epsilon overflows the part cap at 1e-300 and is inf at 5e-324; any

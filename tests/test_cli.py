@@ -193,6 +193,46 @@ def test_extract_precondition_exit2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_readers_refuse_integers_beyond_float_range():
+    # json reads 10**400 as an int, which float() refuses with OverflowError
+    with pytest.raises(InvalidInputError, match="finite"):
+        jsonio.sequence_from_json({"values": [10**400, 1.0]})
+    with pytest.raises(InvalidInputError, match="finite"):
+        jsonio.points_from_json({"points": [[1.0, 2.0], [3.0, -(10**400)]]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--k", "1", "--out", "w.json"],
+        ["partition", "--k", "2", "--out", "p.json"],
+        ["render", "--out", "r.svg"],
+        ["verify"],
+    ],
+    ids=["extract", "partition", "render", "verify"],
+)
+def test_integer_beyond_float_range_fails_like_infinity(tmp_path, argv):
+    # an artifact value past the float range is refused as an infinite one
+    # is: exit 2 from the producing commands, the same event and code from
+    # render and verify, and never a traceback
+    huge, inf = tmp_path / "huge.json", tmp_path / "inf.json"
+    huge.write_text('{"values": [%d, 1.0, 2.0, 3.0, 4.0]}' % 10**400)
+    inf.write_text('{"values": [Infinity, 1.0, 2.0, 3.0, 4.0]}')
+    argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a for a in argv]
+    got, want = (run(argv + ["--in", str(path)]) for path in (huge, inf))
+    assert got.exit_code == want.exit_code
+    assert got.log[0]["event"] == want.log[0]["event"]
+    assert "finite" in got.log[0]["detail"]
+    if argv[0] in ("extract", "partition"):
+        assert got.exit_code == 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockseq", *argv, "--in", str(huge)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
 def test_verify_corrupted_witness_exit3(tmp_path):
     seq = gen(tmp_path, "sequence", "seq.json", n=50, seed=5)
     wpath = str(tmp_path / "w.json")

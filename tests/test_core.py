@@ -63,6 +63,12 @@ class TestSequence:
         with pytest.raises(InvalidInputError):
             Sequence([float("inf"), 0.0])
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)])
+    def test_rejects_integers_beyond_float_range(self, big):
+        # float(10**400) raises OverflowError, not a value error
+        with pytest.raises(InvalidInputError, match="finite"):
+            Sequence([big, 1])
+
     @pytest.mark.parametrize("values", [["a"], None, [[1.0]], [1.0, None]])
     def test_rejects_non_reals_with_typed_error(self, values):
         with pytest.raises(InvalidInputError):

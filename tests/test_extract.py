@@ -36,7 +36,7 @@ from blockseq.extract import GappedChain, _best_gapped, _bottleneck_table, _trac
 from blockseq.extract import _window_blocks, _window_row
 from blockseq.oracle import max_blocksize_exact
 from brutes import best_gapped_s, brute_chain_tables, brute_trace, naive_count_box
-from brutes import rebuild_best_gapped, reference_extract
+from brutes import rebuild_best_gapped, reference_bottleneck_table, reference_extract
 
 
 class TestGappedChainDP:
@@ -116,7 +116,8 @@ class TestWindowBlocks:
     def test_matches_naive_box_counts(self, n):
         vals = list(gen_random(n, seed=n).values)
         columns = []
-        for lo, hi, window in _window_blocks(np.asarray(vals)):
+        for lo, hi, links in _window_blocks(np.asarray(vals)):
+            window = links[0]
             assert window.shape == (hi - lo, hi)
             for i in range(lo, hi):
                 columns.append(i)
@@ -135,8 +136,8 @@ class TestWindowBlocks:
         def windows(dtype):
             monkeypatch.setattr(extract, "_count_dtype", lambda n: dtype)
             return [
-                window[c, : lo + c].astype(np.int64)
-                for lo, hi, window in _window_blocks(vals)
+                links[0, c, : lo + c].astype(np.int64)
+                for lo, hi, links in _window_blocks(vals)
                 for c in range(hi - lo)
             ]
 
@@ -173,8 +174,8 @@ class TestWindowBlocks:
     @staticmethod
     def _rows(vals, width):
         return [
-            window[c, : lo + c].astype(np.int64)
-            for lo, hi, window in _window_blocks(vals, None, width)
+            links[0, c, : lo + c].astype(np.int64)
+            for lo, hi, links in _window_blocks(vals, None, width)
             for c in range(hi - lo)
         ]
 
@@ -225,14 +226,66 @@ class TestWindowBlocks:
         assert np.array_equal(best, want_best) and np.array_equal(bb, want_bb)
 
 
+def _kernel_inputs():
+    rng = random.Random(2718)
+    out = [
+        pytest.param(gen_random(n, seed=rng.randrange(10**6)), id=f"random-{n}")
+        for n in (1, 2, 7, 8, 9, 31, 33, 64, 150, 301, 700)
+    ]
+    for k, s, inner in ((3, 5, "decreasing"), (4, 7, "seeded-random"), (5, 28, "increasing")):
+        seq = gen_clustered(k, s, inner=inner, seed=k)
+        out.append(pytest.param(seq, id=f"clustered-{len(seq)}"))
+    return out
+
+
+class TestByteLaneKernel:
+    @pytest.mark.parametrize("cells", ["default", 0])
+    @pytest.mark.parametrize("seq", _kernel_inputs())
+    def test_table_equals_the_former_band_loop(self, monkeypatch, seq, cells):
+        if cells == 0:  # bands of _WIDTH columns
+            monkeypatch.setattr(extract, "_CELLS", 0)
+        vals = np.asarray(seq.values, dtype=float)
+        for levels in range(1, 10):
+            best, bb = _bottleneck_table(vals, levels)
+            want_best, want_bb = reference_bottleneck_table(vals, levels)
+            assert best.dtype == want_best.dtype
+            assert np.array_equal(best, want_best) and np.array_equal(bb, want_bb)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_row_counts_at_every_band_end(self, monkeypatch, dtype):
+        # a band ending at hi pads its comparisons to the next multiple of 8
+        # columns; every hi % 8 and every lane width must give exact counts
+        monkeypatch.setattr(extract, "_count_dtype", lambda n: dtype)
+        ends = set()
+        for n in (*range(1, 18), 64, 120):  # int8 holds every count up to 127
+            vals = np.asarray(gen_random(n, seed=n + 40).values)
+            for width in (3, 5, 8, 32, n):
+                bb = np.empty(n, dtype=dtype)
+                for lo, hi, links in _window_blocks(vals, bb, width):
+                    assert links.dtype == dtype and links.shape == (2, hi - lo, hi)
+                    assert links.flags.c_contiguous
+                    assert np.array_equal(links[1], ~links[0])
+                    ends.add(hi % 8)
+                    for c in range(hi - lo):
+                        want = _window_row(vals, bb, lo + c)
+                        assert np.array_equal(links[0, c, : lo + c], want)
+        assert ends == set(range(8))
+
+    @pytest.mark.parametrize("direction", [INC, DEC])
+    def test_huge_s_leaves_one_entry_chains(self, direction):
+        # no window reaches 2**40 in either row of the links, whatever their type
+        ch = gapped_chain_dp(gen_random(50, seed=3), 2**40, direction)
+        assert ch == GappedChain(direction, 2**40, (1,))
+
+
 class TestWindowRow:
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 100])
     def test_matches_naive_box_counts_and_block_rows(self, n):
         vals = np.asarray(gen_random(n, seed=n + 3).values)
         bb = np.empty(n, dtype=extract._count_dtype(n))
         rows = [
-            window[c, : lo + c].copy()
-            for lo, hi, window in _window_blocks(vals, bb)
+            links[0, c, : lo + c].copy()
+            for lo, hi, links in _window_blocks(vals, bb)
             for c in range(hi - lo)
         ]
         for e in range(n):

@@ -118,6 +118,29 @@ def assert_exact_cover(lp, n):
     assert sorted(cover) == list(range(1, n + 1))
 
 
+@pytest.mark.parametrize(
+    "values, k, direction",
+    [
+        (range(10), 3, "inc"),
+        (range(10, 0, -1), 3, "dec"),
+        (range(5), 3, "inc"),
+        ([1.0, 2.0], 2, "inc"),
+        ([2.0, 1.0], 2, "dec"),
+    ],
+)
+def test_monotone_input_is_one_part_of_singleton_blocks(values, k, direction):
+    n = len(values)
+    result = partition_sequence(Sequence(values), k)
+    want = BlockWitness(direction, tuple((i,) for i in range(1, n + 1)))
+    assert result.parts == ((tuple(range(1, n + 1)), want),)
+    assert result.remainder == ()
+
+
+def test_single_entry_is_left_over():
+    result = partition_sequence(Sequence([5.0]), 2)
+    assert result.parts == () and result.remainder == (1,)
+
+
 # ---------------------------------------------------------------------------
 # point sets
 
@@ -125,6 +148,14 @@ def assert_exact_cover(lp, n):
 @pytest.mark.parametrize("points", [[("a", 1)], [(1, 2, 3)], [1.0], None])
 def test_pointset_rejects_non_pairs_with_typed_error(points):
     with pytest.raises(InvalidInputError):
+        PointSet(points)
+
+
+@pytest.mark.parametrize(
+    "points", [[(10**400, 1.0), (2.0, 3.0)], [(1.0, 2.0), (3.0, -(10**400))]]
+)
+def test_pointset_rejects_integers_beyond_float_range(points):
+    with pytest.raises(InvalidInputError, match="finite"):
         PointSet(points)
 
 
