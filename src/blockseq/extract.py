@@ -161,12 +161,13 @@ def _window_blocks(vals: np.ndarray, bb: np.ndarray | None = None, width: int = 
         np.add(after[-1], bb[:hi], out=below_lo[:hi])
         window -= after
         np.invert(window, out=links[1])
+        del above, word, counts, row, after, spare  # keep no temporary over the yield
         yield lo, hi, links
 
 
 def _window_row(vals: np.ndarray, bb: np.ndarray, e: int) -> np.ndarray:
     """The signed windows of column e against every j < e, as int64: the
-    values of row e of ``_window_blocks``, in O(n log n).  C[j+1][vals[e]]
+    values of row e of ``_window_blocks``'s ``links[0]``, in O(n log n).  C[j+1][vals[e]]
     is one cumulative sum and C[e][vals[j]] the rank of vals[j] among the
     first e values.  bb[e] + bb[j] reaches 2n, past the count type for
     large n, so the sum is taken wide."""
