@@ -26,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEC, INC, Sequence, require_entries, require_int, require_seed
+from .core import DEC, INC, Sequence, as_tuple, integer, real, real_coordinates
+from .core import require_entries, require_seed
 from .errors import InvalidInputError, PreconditionError, SearchFailedError
 from .extract import extract_block_monotone
 from .partition import PointSet
@@ -60,22 +62,12 @@ class Line:
     intercept: float
 
     def __init__(self, slope, intercept):
-        slope = float(slope)
-        intercept = float(intercept)
-        if not (math.isfinite(slope) and math.isfinite(intercept)):
-            raise InvalidInputError("line coefficients must be finite")
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "slope", real(slope, "line slope"))
+        object.__setattr__(self, "intercept", real(intercept, "line intercept"))
 
     def signed(self, x: float, y: float) -> float:
         """Positive above the line, negative below, zero on it."""
         return y - (self.slope * x + self.intercept)
-
-
-def _as_blocks(blocks) -> tuple[tuple[tuple[float, float], ...], ...]:
-    return tuple(
-        tuple((float(x), float(y)) for x, y in block) for block in blocks
-    )
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,8 @@ class AvoidingWitness:
     guarantee: float
 
     def __init__(self, a_blocks, b_blocks, guarantee):
-        a_blocks = _as_blocks(a_blocks)
-        b_blocks = _as_blocks(b_blocks)
+        a_blocks = tuple(tuple(zip(*real_coordinates(b))) for b in as_tuple(a_blocks, "a_blocks"))
+        b_blocks = tuple(tuple(zip(*real_coordinates(b))) for b in as_tuple(b_blocks, "b_blocks"))
         if len(a_blocks) != len(b_blocks) or not a_blocks:
             raise InvalidInputError("need the same positive number of blocks")
         for fam in (a_blocks, b_blocks):
@@ -105,7 +97,7 @@ class AvoidingWitness:
                 seen.add(pt)
         object.__setattr__(self, "a_blocks", a_blocks)
         object.__setattr__(self, "b_blocks", b_blocks)
-        object.__setattr__(self, "guarantee", float(guarantee))
+        object.__setattr__(self, "guarantee", real(guarantee, "guarantee"))
 
     @property
     def k(self) -> int:
@@ -169,27 +161,20 @@ def _x_split(xs: np.ndarray, j: int) -> float:
     return (part[j - 1] + part[j]) / 2.0
 
 
+class _Half(NamedTuple):  # coordinates the pipeline built and checked
+    xs: np.ndarray
+    ys: np.ndarray
+
+
 def _coords(half) -> tuple[np.ndarray, np.ndarray]:
-    """x and y coordinate arrays of a ``PointSet`` or of an (n, 2) float
-    array, which gets the checks a ``PointSet`` makes: finite coordinates,
-    pairwise-distinct x and pairwise-distinct y."""
-    if isinstance(half, PointSet):
-        flat = chain.from_iterable(half.points)
-        pts = np.fromiter(flat, dtype=float, count=2 * len(half)).reshape(-1, 2)
-        return pts[:, 0], pts[:, 1]
-    try:
-        pts = np.asarray(half, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
-    except OverflowError as exc:  # an integer beyond the float range
-        raise InvalidInputError(f"coordinates must be finite: {exc}") from exc
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidInputError(f"points must form an (n, 2) array, got shape {pts.shape}")
-    for col, axis in ((pts[:, 0], "x"), (pts[:, 1], "y")):
-        if not np.isfinite(col).all():
-            raise InvalidInputError(f"{axis} coordinates must be finite")
-        if len(np.unique(col)) != len(col):
-            raise InvalidInputError(f"{axis} coordinates must be distinct")
+    """x and y coordinate arrays of a ``_Half``, of a ``PointSet``, or of
+    what ``PointSet`` takes (an (n, 2) float array, say) with its checks."""
+    if isinstance(half, _Half):
+        return half
+    if not isinstance(half, PointSet):
+        half = PointSet(half.tolist() if isinstance(half, np.ndarray) else half)
+    flat = chain.from_iterable(half.points)
+    pts = np.fromiter(flat, dtype=float, count=2 * len(half)).reshape(-1, 2)
     return pts[:, 0], pts[:, 1]
 
 
@@ -221,8 +206,9 @@ def balanced_line(P, Q, L: Line, m: int) -> tuple[Line, str]:
     """Find a non-vertical line with exactly ``m`` points of P and of Q
     strictly on one side (the reported one), and no point on it.
 
-    P and Q are each a ``PointSet`` or an (n, 2) float array of (x, y)
-    rows, checked as a ``PointSet`` would be (``InvalidInputError``).
+    P and Q are each a ``PointSet`` or what ``PointSet`` takes, an (n, 2)
+    float array of (x, y) rows, say, checked as a ``PointSet`` would be
+    (``InvalidInputError``).
     They must have equal size n >= m >= 1 and be strictly separated by
     L.  For m < n the side is "upper" (a = m points above the line) or
     "lower" (a = n - m above).  Project both sets as
@@ -254,7 +240,7 @@ def balanced_line(P, Q, L: Line, m: int) -> tuple[Line, str]:
     n = len(px)
     if len(qx) != n:
         raise InvalidInputError(f"sets must have equal size, got {n} != {len(qx)}")
-    require_int(m=m)
+    m = integer(m, "m")
     if not 1 <= m <= n:
         raise InvalidInputError(f"need 1 <= m <= {n}, got {m}")
     sp = _separation_signs(L, px, py)
@@ -317,7 +303,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     ``guarantee`` as a fraction of |P|; blocks keep the original input
     coordinates.
     """
-    require_int(k=k)
+    k = integer(k, "k")
     if k < 1:
         raise InvalidInputError(f"k must be a positive integer, got {k}")
     n = len(P)
@@ -345,13 +331,11 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     elif len(lower) > len(upper):
         lower = np.delete(lower, np.argmin(ywork[lower]))
 
+    halves = _Half(x0[upper], ywork[upper]), _Half(x0[lower], ywork[lower])
+    if any(len(np.unique(ys)) != len(ys) for _, ys in halves):
+        raise InvalidInputError("y coordinates must stay distinct relative to the median")
     m = n // 6
-    H, _side = balanced_line(
-        np.column_stack((x0[upper], ywork[upper])),
-        np.column_stack((x0[lower], ywork[lower])),
-        Line(0.0, 0.0),
-        m,
-    )
+    H, _side = balanced_line(*halves, Line(0.0, 0.0), m)
     if H.slope == 0.0:
         raise SearchFailedError("balancing line degenerate: parallel to the cut")
     xwork = (x0 + H.intercept / H.slope) - ywork / H.slope
@@ -386,7 +370,8 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 
     slab = np.flatnonzero((xwork > 0.0) & (xwork < d) & (ywork > 0.0))
     slab = slab[np.lexsort((ywork[slab], xwork[slab]))]
-    wit_q = extract_block_monotone(Sequence(ywork[slab].tolist()), 2 * k + 1)
+    # the halves' y values were checked distinct in this frame
+    wit_q = extract_block_monotone(Sequence._trusted(tuple(ywork[slab].tolist())), 2 * k + 1)
     q_blocks = [tuple(int(slab[i - 1]) for i in block) for block in wit_q.blocks]
     if wit_q.direction == INC:
         xwork = d - xwork
@@ -412,7 +397,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     rho = np.hypot(xwork[flank] - xwork[pivot], ywork[flank] - ywork[pivot])
     ranks = np.empty(len(flank), dtype=float)
     ranks[np.lexsort((np.arange(len(flank)), rho))] = np.arange(len(flank))
-    wit_a = extract_block_monotone(Sequence(ranks.tolist()), k)
+    wit_a = extract_block_monotone(Sequence._trusted(tuple(ranks.tolist())), k)
     a_blocks = [tuple(int(flank[i - 1]) for i in block) for block in wit_a.blocks]
     b_blocks = q_blocks[:k] if wit_a.direction == DEC else q_blocks[k + 1 :]
 
@@ -428,15 +413,15 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 def gen_point_cloud(n: int, seed: int = 0, box: float = 1000.0) -> PointSet:
     """n uniform random points in a square; real coordinates put them in
     general position with probability one."""
-    require_int(n=n)
-    require_seed(seed)
+    n, seed = integer(n, "n"), require_seed(seed)
     if n < 1:
         raise InvalidInputError(f"n must be positive, got {n}")
-    if not 0.0 < box < math.inf:
+    box = real(box, "box")
+    if not 0.0 < box:
         raise InvalidInputError(f"box must be positive and finite, got {box}")
     require_entries(n)
     rng = np.random.default_rng(seed)
-    return PointSet(rng.uniform(0.0, box, size=(n, 2)))
+    return PointSet(rng.uniform(0.0, box, size=(n, 2)).tolist())
 
 
 def gen_grid_clusters(
@@ -444,10 +429,11 @@ def gen_grid_clusters(
 ) -> PointSet:
     """k x k grid of tight clusters with per_cluster jittered points each,
     the classical near-extremal input for avoiding-family sizes."""
-    require_int(k=k, per_cluster=per_cluster)
-    require_seed(seed)
+    k, per_cluster = integer(k, "k"), integer(per_cluster, "per_cluster")
+    seed = require_seed(seed)
     if k < 1 or per_cluster < 1:
         raise InvalidInputError("k and per_cluster must be positive")
+    jitter = real(jitter, "jitter")
     if not 0.0 < jitter < 0.5:
         raise InvalidInputError("jitter must be in (0, 0.5)")
     require_entries(k * k * per_cluster)
@@ -460,6 +446,6 @@ def gen_grid_clusters(
                 -jitter * spacing, jitter * spacing, size=(per_cluster, 2)
             )
             pts.extend(
-                (i * spacing + ox, j * spacing + oy) for ox, oy in offsets
+                (i * spacing + ox, j * spacing + oy) for ox, oy in offsets.tolist()
             )
     return PointSet(pts)

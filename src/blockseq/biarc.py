@@ -36,12 +36,13 @@ it writes, and the pages artifact reader checks every page it reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 import math
-import numbers
+from numbers import Integral
 
 import numpy as np
 
-from .core import DEC, Sequence, require_int
+from .core import DEC, Sequence, as_tuple, integer, integers, real, real_items, reals
 from .errors import InvalidInputError, PreconditionError, SearchFailedError
 from .partition import partition_sequence
 
@@ -72,37 +73,26 @@ _Entry = tuple[_Span, _Span | None]
 _Draft = tuple[list[_Edge], list[_Entry], int]  # edges, layout, split vertex
 
 
-def _as_tuple(items, what: str) -> tuple:
-    try:
-        return tuple(items)
-    except TypeError as exc:
-        raise InvalidInputError(f"{what} must be iterable, got {items!r}") from exc
-
-
 def _check_epsilon(epsilon) -> float:
     """A crossing budget parameter: a real number in (0, 1], as a float."""
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise InvalidInputError(f"epsilon must be a real number, got {epsilon!r}")
-    try:
-        epsilon = float(epsilon)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise InvalidInputError(f"epsilon must lie in (0, 1]: {exc}") from exc
-    if not math.isfinite(epsilon) or not 0.0 < epsilon <= 1.0:
+    epsilon = real(epsilon, "epsilon")
+    if not 0.0 < epsilon <= 1.0:
         raise InvalidInputError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     return epsilon
 
 
-def _check_edge(edge, n: float = math.inf) -> _Edge:
-    if (
-        not isinstance(edge, tuple)
-        or len(edge) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in edge)
-    ):
-        raise InvalidInputError(f"edge must be a pair of ints, got {edge!r}")
-    left, right = edge
-    if not 1 <= left < right <= n:
-        raise InvalidInputError(f"edge {edge!r} outside 1 <= l < r <= {n}")
-    return edge
+def _check_edges(edges, what: str, n: float = math.inf) -> tuple[_Edge, ...]:
+    """Edges as pairs of Python ints 1 <= l < r <= n."""
+    edges = as_tuple(edges, what)
+    for edge in edges:
+        if not isinstance(edge, tuple) or len(edge) != 2:
+            raise InvalidInputError(f"edge must be a pair of ints, got {edge!r}")
+    ends = integers(chain.from_iterable(edges), "an edge endpoint")
+    edges = tuple(zip(ends[::2], ends[1::2]))
+    for edge in edges:
+        if not 1 <= edge[0] < edge[1] <= n:
+            raise InvalidInputError(f"edge {edge!r} outside 1 <= l < r <= {n}")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -113,12 +103,10 @@ class OrderedGraph:
     edges: tuple[_Edge, ...]
 
     def __init__(self, n, edges):
-        require_int(n=n)
+        n = integer(n, "n")
         if n < 1:
             raise InvalidInputError(f"vertex count must be positive, got {n!r}")
-        edges = _as_tuple(edges, "edges")
-        for edge in edges:
-            _check_edge(edge, n)
+        edges = _check_edges(edges, "edges", n)
         if len(set(edges)) != len(edges):
             raise InvalidInputError("duplicate edges are not allowed")
         object.__setattr__(self, "n", n)
@@ -136,18 +124,17 @@ class OrderedGraph:
 
 
 def _layout_entry(entry) -> _Entry:
-    """One layout entry as a tuple: a span of two reals, and a second span
-    or None."""
+    """One layout entry as a tuple: a span of two finite floats, and a
+    second span or None."""
     try:
         upper, lower = entry
-        spans = [tuple(upper)] + ([] if lower is None else [tuple(lower)])
+        spans = [reals(upper, "a span coordinate")]
+        if lower is not None:
+            spans.append(reals(lower, "a span coordinate"))
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed layout entry {entry!r}") from exc
-    for span in spans:
-        if len(span) != 2 or not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in span
-        ):
-            raise InvalidInputError(f"malformed layout entry {entry!r}")
+        raise InvalidInputError(f"malformed layout entry {entry!r}: {exc}") from exc
+    if any(len(span) != 2 for span in spans):
+        raise InvalidInputError(f"malformed layout entry {entry!r}")
     return spans[0], (spans[1] if len(spans) == 2 else None)
 
 
@@ -191,17 +178,15 @@ class Page:
     layout: tuple[_Entry, ...]
 
     def __init__(self, edges, style, split_b, layout):
-        edges = _as_tuple(edges, "page edges")
-        layout = tuple(_layout_entry(entry) for entry in _as_tuple(layout, "page layout"))
+        edges = _check_edges(edges, "page edges")
+        layout = tuple(_layout_entry(entry) for entry in as_tuple(layout, "page layout"))
         if style not in (UPPER_ARCS, BIARCS):
             raise InvalidInputError(f"unknown page style {style!r}")
-        require_int(split_b=split_b)
+        split_b = integer(split_b, "split_b")
         if split_b < 1:
             raise InvalidInputError(f"split vertex must be positive, got {split_b!r}")
         if not edges:
             raise InvalidInputError("a page must hold at least one edge")
-        for edge in edges:
-            _check_edge(edge)
         if len(layout) != len(edges):
             raise InvalidInputError("layout must have one entry per edge")
         if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
@@ -210,7 +195,7 @@ class Page:
             left, right = edge
             upper, lower = entry
             if lower is None:
-                if upper != (float(left), float(right)):
+                if upper != edge:  # a float equals an int exactly when it holds it
                     raise InvalidInputError(
                         f"upper-arc span {upper!r} does not match edge {edge!r}"
                     )
@@ -219,7 +204,7 @@ class Page:
                     raise InvalidInputError(
                         f"biarc halves of {edge!r} meet at {upper[1]!r} != {lower[0]!r}"
                     )
-                if upper[0] != float(left) or lower[1] != float(right):
+                if upper[0] != left or lower[1] != right:
                     raise InvalidInputError(
                         f"biarc span endpoints {entry!r} do not match edge {edge!r}"
                     )
@@ -269,8 +254,8 @@ class PagePartition:
     metrics: tuple[int, ...]
 
     def __init__(self, pages, epsilon, metrics):
-        pages = _as_tuple(pages, "pages")
-        metrics = _as_tuple(metrics, "crossing counts")
+        pages = as_tuple(pages, "pages")
+        metrics = integers(metrics, "a crossing count")
         if not pages:
             raise InvalidInputError("a page partition needs at least one page")
         if not all(isinstance(p, Page) for p in pages):
@@ -280,7 +265,7 @@ class PagePartition:
             raise InvalidInputError("need one crossing count per page")
         seen: set[_Edge] = set()
         for page, count in zip(pages, metrics):
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            if count < 0:
                 raise InvalidInputError(f"crossing count must be a nonneg int, got {count!r}")
             if count > epsilon * page.size**2:
                 raise InvalidInputError(
@@ -336,17 +321,12 @@ def partition_multiset(values, k: int):
     ``dec`` = nonincreasing) and ``deleted`` lists the dropped
     positions.
     """
-    require_int(k=k)
+    k = integer(k, "k")
     if k < 2:
         raise InvalidInputError(f"depth k must be >= 2, got {k!r}")
-    values = _as_tuple(values, "values")
-    for v in values:
-        if (
-            isinstance(v, bool)
-            or not isinstance(v, (int, float))
-            or isinstance(v, float) and not math.isfinite(v)
-        ):
-            raise InvalidInputError(f"values must be finite reals, got {v!r}")
+    values = real_items(values, "a value")
+    if set(map(type, values)) - {int}:  # ints rank exactly, however large
+        values = tuple(int(v) if isinstance(v, Integral) else real(v, "a value") for v in values)
     n = len(values)
     if n == 0:
         return (), ()
@@ -379,7 +359,8 @@ def spine_crossing(l: int, r: int, b: int, n: int) -> float:
     The returned float is that point rounded: on long spines two crossings
     can round to the same float, and ``paginate`` refuses such a page.
     """
-    require_int(l=l, r=r, b=b, n=n)
+    l, r, b, n = integer(l, "l"), integer(r, "r"), integer(b, "b"), integer(n, "n")
+    real(n, "the spine length n")  # the crossing is a float
     if not 1 <= l <= b < r <= n:
         raise InvalidInputError(
             f"edge ({l}, {r}) does not span split vertex {b} within 1..{n}"
@@ -472,9 +453,11 @@ def paginate(graph: OrderedGraph, epsilon) -> PagePartition:
     Deterministic: equal inputs give equal drawings.  Raises
     PreconditionError when the spine is so long that two of a page's biarc
     spine crossings, 1/(2n^2) apart at least, round to the same float, or
-    one rounds onto b or b + 1 at its split b.
+    one rounds onto b or b + 1 at its split b, and InvalidInputError when
+    n is past the float range that spine coordinates live in.
     """
     epsilon = _check_epsilon(epsilon)
+    real(graph.n, "the spine length n")
     if not graph.edges:
         raise InvalidInputError("cannot paginate a graph with no edges")
     # (k - 1)^2 >= |E| at k = |E| + 1 already leaves every split's crossing

@@ -183,8 +183,8 @@ def _check_partition(lp) -> None:
         _check_witness(w)
     # a partition that names its depth k promises parts of depth >= k and at
     # most (k - 1)^2 points left over
-    k = lp.metrics.get("k")
-    if isinstance(k, int) and not isinstance(k, bool) and k >= 2:
+    k = lp.metrics.get("k", 0)  # an int: the reader refuses any other k
+    if k >= 2:
         if any(len(w.blocks) < k for _, w in lp.parts) or len(lp.remainder) > (k - 1) ** 2:
             raise InvalidInputError(
                 f"a depth-{k} partition needs parts of depth >= {k} and at "

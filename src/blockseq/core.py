@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 import math
-from numbers import Integral
+from numbers import Integral, Real
 import random
 from typing import TYPE_CHECKING
 
@@ -45,6 +45,78 @@ INC = "inc"
 DEC = "dec"
 
 
+# The scalar rule, which every constructor, parameter and reader asks: an
+# integer is any Integral but a bool, numpy's included, kept as a Python int;
+# a real is any Real but a bool (a str is none), kept as a finite float.  Both
+# depend on the type alone: a collection costs one test per distinct type.
+
+
+def as_tuple(items, what: str) -> tuple:
+    """``items`` as a tuple, or a typed error when they are not iterable."""
+    try:
+        return tuple(items)
+    except TypeError as exc:
+        raise InvalidInputError(f"{what} must be iterable, got {items!r}") from exc
+
+
+def _gate(values, what: str, abc: type, kind: str, error) -> tuple[tuple, set[type]]:
+    """``values`` as a tuple, with the set of their types, or ``error``
+    naming the first value that is not an ``abc`` or is a bool."""
+    vals = as_tuple(values, "values")
+    types = set(map(type, vals))
+    for t in types:
+        if not issubclass(t, abc) or issubclass(t, bool):
+            bad = next(v for v in vals if type(v) is t)
+            raise error(f"{what} must be {kind}, got {bad!r}")
+    return vals, types
+
+
+def integers(values, what: str, error: type[Exception] = InvalidInputError) -> tuple[int, ...]:
+    """The integer gate over a collection, as a tuple of Python ints."""
+    vals, types = _gate(values, what, Integral, "an int", error)
+    return vals if types <= {int} else tuple(map(int, vals))
+
+
+def integer(v, what: str, error: type[Exception] = InvalidInputError) -> int:
+    return integers((v,), what, error)[0]
+
+
+def real_items(values, what: str, error: type[Exception] = InvalidInputError) -> tuple:
+    """The real gate's type test alone, for a reader that leaves the
+    conversion to the constructor it calls."""
+    return _gate(values, what, Real, "a real number", error)[0]
+
+
+def reals(values, what: str, error: type[Exception] = InvalidInputError) -> tuple[float, ...]:
+    """The real gate over a collection, as a tuple of floats: ``error`` for
+    a value that is not a real, ``InvalidInputError`` for one that is not
+    finite (an int beyond the float range included)."""
+    vals, types = _gate(values, what, Real, "a real number", error)
+    if not types <= {float}:
+        try:
+            vals = tuple(map(float, vals))
+        except OverflowError as exc:
+            raise InvalidInputError(f"{what} must be finite: {exc}") from exc
+    # a finite sum holds no inf or nan; an infinite one may just have overflowed
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+        raise InvalidInputError(f"{what} must be finite")
+    return vals
+
+
+def real(v, what: str, error: type[Exception] = InvalidInputError) -> float:
+    return reals((v,), what, error)[0]
+
+
+def real_coordinates(points) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The real gate over (x, y) points: their x and their y coordinates."""
+    points = as_tuple(points, "points")
+    try:
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
+    return reals(xs, "an x coordinate"), reals(ys, "a y coordinate")
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A finite sequence of pairwise-distinct finite floats."""
@@ -52,15 +124,7 @@ class Sequence:
     values: tuple[float, ...]
 
     def __init__(self, values):
-        try:
-            vals = tuple(float(v) for v in values)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"sequence values must be reals: {exc}") from exc
-        except OverflowError as exc:  # an integer beyond the float range
-            raise InvalidInputError(f"sequence values must be finite: {exc}") from exc
-        for v in vals:
-            if not math.isfinite(v):
-                raise InvalidInputError("sequence values must be finite")
+        vals = reals(values, "a sequence value")
         if len(set(vals)) != len(vals):
             raise InvalidInputError("sequence values must be pairwise distinct")
         object.__setattr__(self, "values", vals)
@@ -84,17 +148,10 @@ class Sequence:
 
     def value(self, i: int) -> float:
         """Value at 1-based index ``i``."""
+        i = integer(i, "index")
         if not 1 <= i <= len(self.values):
             raise InvalidInputError(f"index {i} out of range 1..{len(self.values)}")
         return self.values[i - 1]
-
-
-def _index(i) -> int:
-    """A witness index as an int: any integer type but bool (numpy's too),
-    never a truncated float or a parsed string."""
-    if not isinstance(i, Integral) or isinstance(i, bool):
-        raise InvalidInputError(f"witness indices must be integers, got {i!r}")
-    return int(i)
 
 
 @dataclass(frozen=True)
@@ -107,7 +164,9 @@ class BlockWitness:
     def __init__(self, direction, blocks):
         object.__setattr__(self, "direction", str(direction))
         object.__setattr__(
-            self, "blocks", tuple(tuple(_index(i) for i in b) for b in blocks)
+            self,
+            "blocks",
+            tuple(integers(b, "a witness index") for b in as_tuple(blocks, "witness blocks")),
         )
 
     @classmethod
@@ -251,14 +310,6 @@ def longest_monotone(seq: Sequence) -> tuple[str, list[int]]:
     return DEC, [i + 1 for i in _lex_smallest(dec_starts, len(dec_tails))]
 
 
-def require_int(**values) -> None:
-    """Reject bools and non-integers, named by keyword, with a typed error
-    before any range check compares them."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidInputError(f"{name} must be an int, got {value!r}")
-
-
 # The generators refuse to make more entries (sequence values, points, or
 # graph vertices plus edges) than this, before allocating any of them.
 MAX_ENTRIES = 2**22
@@ -272,12 +323,13 @@ def require_entries(count: int) -> None:
         )
 
 
-def require_seed(seed) -> None:
+def require_seed(seed) -> int:
     """A seed for numpy's ``default_rng``, which rejects negative ints with a
     bare ValueError: a non-negative int, or a typed error."""
-    require_int(seed=seed)
+    seed = integer(seed, "seed")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 _WIDTH = 32  # entries per block fed to longest_chain by the package
@@ -377,14 +429,14 @@ def inversion_stats(seq: Sequence) -> InversionStats:
 def gen_es_extremal(k: int) -> Sequence:
     """Length-k^2 sequence of k descending runs whose longest monotone
     subsequence has length exactly k."""
-    require_int(k=k)
+    k = integer(k, "k")
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     require_entries(k * k)
     vals: list[float] = []
     for b in range(1, k + 1):
         vals.extend(float(v) for v in range(b * k, (b - 1) * k, -1))
-    return Sequence(vals)
+    return Sequence._trusted(tuple(vals))
 
 
 def gen_clustered(
@@ -401,9 +453,10 @@ def gen_clustered(
     ``delta < 1/2``, so clusters never overlap.  ``inner`` controls the order
     within a cluster: ``increasing``, ``decreasing``, or ``seeded-random``.
     """
-    require_int(k=k, s=s, seed=seed)
+    k, s, seed = integer(k, "k"), integer(s, "s"), integer(seed, "seed")
     if k < 1 or s < 1:
         raise InvalidInputError("k and s must be >= 1")
+    delta = real(delta, "delta")
     if not 0.0 < delta < 0.5:
         raise InvalidInputError("delta must lie in (0, 1/2)")
     if inner not in ("increasing", "decreasing", "seeded-random"):
@@ -419,17 +472,16 @@ def gen_clustered(
         elif inner == "seeded-random":
             rng.shuffle(offsets)
         vals.extend(center + o for o in offsets)
-    return Sequence(vals)
+    return Sequence._trusted(tuple(vals))  # clusters of distinct offsets never overlap
 
 
 def gen_random(n: int, seed: int = 0) -> Sequence:
     """Seeded pseudorandom permutation of {1, ..., n} as floats."""
     import numpy as np
 
-    require_int(n=n)
-    require_seed(seed)
+    n, seed = integer(n, "n"), require_seed(seed)
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     require_entries(n)
     rng = np.random.default_rng(seed)
-    return Sequence((rng.permutation(n) + 1).astype(float))
+    return Sequence._trusted(tuple((rng.permutation(n) + 1.0).tolist()))

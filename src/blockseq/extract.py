@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEC, INC, BlockWitness, Sequence, longest_monotone
-from .core import _WIDTH, chain_arrays, chain_block, require_int, trace_chain
+from .core import _WIDTH, chain_arrays, chain_block, integer, trace_chain
 from .errors import InvalidInputError, PreconditionError, SearchFailedError
 
 __all__ = [
@@ -68,8 +68,10 @@ DEFAULT_C = 40
 
 
 # Pairs per band of the bottleneck table: a band of the table spans
-# max(_WIDTH, _CELLS // n) columns, so its (2, width, n) int16 temporaries
-# stay near 64 KB, inside a core's cache.  A memory cap, not a tuning knob.
+# max(_WIDTH, _CELLS // n) columns, so up to n = 512 its (2, width, n) int16
+# temporaries stay near 64 KB, inside a core's cache.  Past that the band
+# stays at _WIDTH columns and they grow as 128 n bytes, twice that once
+# counts need int32 (n >= 2^15 - 1).  A memory cap, not a tuning knob.
 _CELLS = 2**14
 
 
@@ -200,8 +202,9 @@ def _bottleneck_table(vals: np.ndarray, levels: int) -> tuple[np.ndarray, np.nda
     max(_WIDTH, _CELLS // n) columns: as many as its (2, width, n)
     temporaries allow under ``_CELLS`` pairs, so small tables take one or a
     few bands.  ``_CELLS`` is a memory cap, not a tuning knob: wider bands
-    only grow the temporaries past the cache, and at large n the band stays
-    at ``_WIDTH`` columns.
+    only grow the temporaries past the cache.  Above n = 512 the band stays
+    at ``_WIDTH`` columns, and its temporaries grow as 128 n bytes (256 n
+    once the counts are int32, from n = 2^15 - 1).
 
     The table answers every s at once: the longest s-gapped direction-d
     chain ending at i has at least L+1 entries exactly when
@@ -285,7 +288,7 @@ def gapped_chain_dp(seq: Sequence, s: int, direction: str) -> GappedChain:
     smallest index achieving the global maximum."""
     if direction not in (INC, DEC):
         raise InvalidInputError(f"unknown direction {direction!r}")
-    require_int(s=s)
+    s = integer(s, "s")
     if s < 0:
         raise InvalidInputError("s must be >= 0")
     n = len(seq)
@@ -344,7 +347,7 @@ def extract_block_monotone(
     and the cut is kept).  The search builds no chain that the cut beats.
     """
     c = DEFAULT_C if c is None else c
-    require_int(k=k, c=c)
+    k, c = integer(k, "k"), integer(c, "c")
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     if c < 1:
@@ -390,7 +393,7 @@ def max_gapped_blocksize(seq: Sequence, k: int) -> tuple[int, BlockWitness | Non
     direction), with a witness of exactly depth k and block-size s in the
     direction of s, INC when both directions reach s.  (0, None) when only
     the block-size-1 fallback exists.  See ``_best_gapped``."""
-    require_int(k=k)
+    k = integer(k, "k")
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     n = len(seq)

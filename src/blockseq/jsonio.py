@@ -19,10 +19,12 @@ witness never loads numpy or the algorithm modules.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 import json
 from typing import TYPE_CHECKING
 
-from .core import DEC, INC, BlockWitness, Sequence
+from .core import DEC, INC, BlockWitness, Sequence, integer, integers, real, real_items
 from .errors import BlockseqError, InvalidInputError
 
 if TYPE_CHECKING:
@@ -115,28 +117,27 @@ def _require(doc, kind: str) -> dict:
     return doc
 
 
-def _int_list(values, what: str) -> list[int]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(f"{what} must be integers, got {v!r}")
-        out.append(v)
-    return out
+# The readers ask ``core``'s scalar rule, raising SchemaError for a value of
+# the wrong JSON type; a real they pass on is converted, once, by the
+# constructor, which refuses it when it is not finite.
 
 
-def _real(v, what: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{what} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise InvalidInputError(f"{what} must be finite: {exc}") from exc
+_int = partial(integer, error=SchemaError)
+_ints = partial(integers, error=SchemaError)
+_reals = partial(real_items, error=SchemaError)
 
 
 def _pair(v, what: str):
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise SchemaError(f"{what} must be a pair, got {v!r}")
     return v
+
+
+def _edges(raw, what: str) -> list[tuple]:
+    """A list of [l, r] pairs of JSON ints, as tuples."""
+    edges = [tuple(_pair(entry, what)) for entry in raw]
+    _ints(chain.from_iterable(edges), f"{what} endpoint")
+    return edges
 
 
 # -- sequences ---------------------------------------------------------------
@@ -149,7 +150,7 @@ def sequence_from_json(doc) -> Sequence:
     _require(doc, "sequence")
     if not isinstance(doc["values"], list):
         raise SchemaError("'values' must be a list")
-    return Sequence(tuple(_real(v, "sequence values") for v in doc["values"]))
+    return Sequence(_reals(doc["values"], "a sequence value"))
 
 
 # -- block witnesses ---------------------------------------------------------
@@ -166,10 +167,7 @@ def witness_from_json(doc) -> BlockWitness:
     blocks = doc["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise SchemaError("'blocks' must be a list of index lists")
-    return BlockWitness(
-        direction,
-        tuple(tuple(_int_list(b, "block indices")) for b in blocks),
-    )
+    return BlockWitness(direction, tuple(_ints(b, "a block index") for b in blocks))
 
 
 # -- pair colorings ----------------------------------------------------------
@@ -194,7 +192,7 @@ def coloring_from_json(doc) -> PairColoring:
     _require(doc, "coloring")
     n, q, colors = doc["n"], doc["q"], doc["colors"]
     for name, v in (("n", n), ("q", q)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        if _int(v, f"'{name}'") < 1:
             raise SchemaError(f"'{name}' must be a positive integer, got {v!r}")
     if not isinstance(colors, list):
         raise SchemaError("'colors' must be a list")
@@ -210,8 +208,9 @@ def coloring_from_json(doc) -> PairColoring:
         return c
 
     matrix = np.zeros((n, n), dtype=np.int16)
-    if all(isinstance(c, int) and not isinstance(c, bool) for c in colors):
+    if not colors or not isinstance(colors[0], list):
         # dense triangular form, as coloring_to_json writes it
+        colors = _ints(colors, "a color")
         if colors:
             check(min(colors))
             check(max(colors))
@@ -221,7 +220,7 @@ def coloring_from_json(doc) -> PairColoring:
         for entry in colors:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise SchemaError(f"color entries must be [i, j, c], got {entry!r}")
-            i, j, c = _int_list(entry, "color entry")
+            i, j, c = _ints(entry, "a color entry")
             if not 1 <= i < j <= n:
                 raise SchemaError(f"pair ({i}, {j}) outside 1 <= i < j <= {n}")
             if (i, j) in seen:
@@ -243,11 +242,7 @@ def points_from_json(doc) -> PointSet:
     _require(doc, "points")
     if not isinstance(doc["points"], list):
         raise SchemaError("'points' must be a list")
-    pts = []
-    for entry in doc["points"]:
-        x, y = _pair(entry, "point")
-        pts.append((_real(x, "coordinate"), _real(y, "coordinate")))
-    return PointSet(tuple(pts))
+    return PointSet(_points(doc["points"], "point"))
 
 
 # -- ordered graphs ----------------------------------------------------------
@@ -260,16 +255,10 @@ def graph_from_json(doc) -> OrderedGraph:
     from .biarc import OrderedGraph
 
     _require(doc, "graph")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SchemaError(f"'n' must be an integer, got {n!r}")
+    n = _int(doc["n"], "'n'")
     if not isinstance(doc["edges"], list):
         raise SchemaError("'edges' must be a list")
-    edges = []
-    for entry in doc["edges"]:
-        l, r = _pair(entry, "edge")
-        edges.append(tuple(_int_list([l, r], "edge endpoints")))
-    return OrderedGraph(n, tuple(edges))
+    return OrderedGraph(n, _edges(doc["edges"], "edge"))
 
 
 # -- sequence partitions -----------------------------------------------------
@@ -295,8 +284,11 @@ def partition_from_json(doc) -> LabeledPartition:
         w = witness_from_json(part_doc)
         ids = tuple(sorted(i for block in w.blocks for i in block))
         parts.append((ids, w))
-    remainder = tuple(_int_list(doc["remainder"], "remainder indices"))
-    return LabeledPartition(tuple(parts), remainder, dict(doc["metrics"]))
+    remainder = _ints(doc["remainder"], "a remainder index")
+    metrics = dict(doc["metrics"])
+    if "k" in metrics:  # the depth a partition promises (see cli._check_partition)
+        metrics["k"] = _int(metrics["k"], "metrics 'k'")
+    return LabeledPartition(tuple(parts), remainder, metrics)
 
 
 # -- avoiding families -------------------------------------------------------
@@ -309,19 +301,19 @@ def avoid_to_json(w: AvoidingWitness) -> dict:
     }
 
 
+def _points(raw, what: str) -> list:
+    """A list of [x, y] pairs of JSON numbers, unconverted."""
+    pts = [_pair(entry, what) for entry in raw]
+    _reals([c for pt in pts for c in pt], "a coordinate")
+    return pts
+
+
 def _coord_blocks(raw, what: str):
     if not isinstance(raw, list):
         raise SchemaError(f"'{what}' must be a list of blocks")
-    blocks = []
-    for blk in raw:
-        if not isinstance(blk, list):
-            raise SchemaError(f"{what} blocks must be lists of points")
-        pts = []
-        for entry in blk:
-            x, y = _pair(entry, f"{what} point")
-            pts.append((_real(x, "coordinate"), _real(y, "coordinate")))
-        blocks.append(tuple(pts))
-    return tuple(blocks)
+    if not all(isinstance(blk, list) for blk in raw):
+        raise SchemaError(f"{what} blocks must be lists of points")
+    return [_points(blk, f"{what} point") for blk in raw]
 
 
 def avoid_from_json(doc) -> AvoidingWitness:
@@ -331,7 +323,7 @@ def avoid_from_json(doc) -> AvoidingWitness:
     return AvoidingWitness(
         _coord_blocks(doc["a_blocks"], "a_blocks"),
         _coord_blocks(doc["b_blocks"], "b_blocks"),
-        _real(doc["guarantee"], "guarantee"),
+        _reals([doc["guarantee"]], "'guarantee'")[0],
     )
 
 
@@ -369,19 +361,12 @@ def page_from_json(doc) -> Page:
         raise SchemaError(f"malformed page object: {sorted(doc)!r}")
     if not isinstance(doc["edges"], list) or not isinstance(doc["layout"], list):
         raise SchemaError("page 'edges' and 'layout' must be lists")
-    edges = tuple(
-        tuple(_int_list(_pair(e, "page edge"), "page edge")) for e in doc["edges"]
-    )
-    layout = []
-    for entry in doc["layout"]:
-        upper, lower = _pair(entry, "layout entry")
-        upper = tuple(_real(v, "span coordinate") for v in _pair(upper, "upper span"))
-        if lower is not None:
-            lower = tuple(
-                _real(v, "span coordinate") for v in _pair(lower, "lower span")
-            )
-        layout.append((upper, lower))
-    return Page(edges, doc["style"], doc["split_b"], tuple(layout))
+    edges = _edges(doc["edges"], "page edge")
+    layout = [_pair(entry, "layout entry") for entry in doc["layout"]]
+    spans = [_pair(upper, "upper span") for upper, _ in layout]
+    spans += [_pair(lower, "lower span") for _, lower in layout if lower is not None]
+    _reals(chain.from_iterable(spans), "a span coordinate")
+    return Page(edges, doc["style"], _int(doc["split_b"], "'split_b'"), layout)
 
 
 def _spine_pages(doc) -> tuple[int, tuple[Page, ...], float, tuple[int, ...]]:
@@ -392,10 +377,8 @@ def _spine_pages(doc) -> tuple[int, tuple[Page, ...], float, tuple[int, ...]]:
     _require(doc, "pages")
     if not isinstance(doc["metrics"], list):
         raise SchemaError("'metrics' must be a list")
-    metrics = tuple(_int_list(doc["metrics"], "metrics"))
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SchemaError(f"'n' must be an integer, got {n!r}")
+    metrics = _ints(doc["metrics"], "a crossing count")
+    n = _int(doc["n"], "'n'")
     if not isinstance(doc["pages"], list):
         raise SchemaError("'pages' must be a list")
     pages = tuple(page_from_json(p) for p in doc["pages"])
@@ -409,7 +392,7 @@ def _spine_pages(doc) -> tuple[int, tuple[Page, ...], float, tuple[int, ...]]:
             raise InvalidInputError(
                 f"split vertex {page.split_b} lies past n - 1 = {n - 1}"
             )
-    return n, pages, _real(doc["epsilon"], "epsilon"), metrics
+    return n, pages, real(doc["epsilon"], "'epsilon'", SchemaError), metrics
 
 
 # -- monochromatic paths -----------------------------------------------------
@@ -421,12 +404,10 @@ def monopath_to_json(path: tuple[int, list[int]]) -> dict:
 
 def monopath_from_json(doc) -> tuple[int, list[int]]:
     _require(doc, "monopath")
-    color = doc["color"]
-    if isinstance(color, bool) or not isinstance(color, int):
-        raise SchemaError(f"'color' must be an integer, got {color!r}")
+    color = _int(doc["color"], "'color'")
     if not isinstance(doc["vertices"], list):
         raise SchemaError("'vertices' must be a list")
-    return color, _int_list(doc["vertices"], "path vertices")
+    return color, list(_ints(doc["vertices"], "a path vertex"))
 
 
 def blockpath_to_json(w: BlockPathWitness) -> dict:
@@ -441,18 +422,12 @@ def blockpath_from_json(doc) -> BlockPathWitness:
     from .ramsey import BlockPathWitness
 
     _require(doc, "blockpath")
-    color = doc["color"]
-    if isinstance(color, bool) or not isinstance(color, int):
-        raise SchemaError(f"'color' must be an integer, got {color!r}")
+    color = _int(doc["color"], "'color'")
     if not isinstance(doc["endpoints"], list) or not isinstance(doc["blocks"], list):
         raise SchemaError("'endpoints' and 'blocks' must be lists")
     blocks = []
     for b in doc["blocks"]:
         if not isinstance(b, list):
             raise SchemaError(f"blocks must be lists, got {b!r}")
-        blocks.append(tuple(_int_list(b, "block vertices")))
-    return BlockPathWitness(
-        color,
-        tuple(_int_list(doc["endpoints"], "endpoints")),
-        tuple(blocks),
-    )
+        blocks.append(_ints(b, "a block vertex"))
+    return BlockPathWitness(color, _ints(doc["endpoints"], "an endpoint"), tuple(blocks))

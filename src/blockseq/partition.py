@@ -41,8 +41,9 @@ from .core import (
     INC,
     BlockWitness,
     Sequence,
+    integer,
     longest_monotone,
-    require_int,
+    real_coordinates,
     validate_block_witness,
 )
 from .errors import InvalidInputError, SearchFailedError
@@ -66,20 +67,11 @@ class PointSet:
     points: tuple[tuple[float, float], ...]
 
     def __init__(self, points):
-        try:
-            pts = tuple((float(x), float(y)) for x, y in points)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"points must be (x, y) pairs of reals: {exc}") from exc
-        except OverflowError as exc:  # an integer beyond the float range
-            raise InvalidInputError(f"coordinates must be finite: {exc}") from exc
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        for arr, axis in ((xs, "x"), (ys, "y")):
-            if any(not math.isfinite(v) for v in arr):
-                raise InvalidInputError(f"{axis} coordinates must be finite")
-            if len(set(arr)) != len(arr):
+        xs, ys = real_coordinates(points)
+        for axis, coords in (("x", xs), ("y", ys)):
+            if len(set(coords)) != len(coords):
                 raise InvalidInputError(f"{axis} coordinates must be distinct")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(zip(xs, ys)))
 
     @property
     def n(self) -> int:
@@ -139,7 +131,7 @@ def _drop(ids: np.ndarray, gone: np.ndarray, n: int) -> np.ndarray:
 def _by_x(p: PointSet) -> tuple[list[int], Sequence]:
     """0-based point indices in x order, and the sequence of their y-values."""
     order = sorted(range(len(p)), key=lambda i: p.points[i][0])
-    return order, Sequence(p.points[i][1] for i in order)
+    return order, Sequence._trusted(tuple(p.points[i][1] for i in order))  # distinct y
 
 
 def validate_point_witness(p: PointSet, w: BlockWitness) -> bool:
@@ -379,7 +371,7 @@ def _labeled(parts: list[_Wit], rest: np.ndarray, metrics: dict) -> LabeledParti
 def partition_sequence(seq: Sequence, k: int) -> LabeledPartition:
     """Partition a sequence into block-monotone parts of depth >= k plus at
     most (k-1)^2 leftover entries; part ids are 1-based positions."""
-    require_int(k=k)
+    k = integer(k, "k")
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     ys = _ranks(seq)
@@ -458,7 +450,7 @@ def partition_point_set(p: PointSet, k: int) -> LabeledPartition:
 def greedy_partition(seq: Sequence, k: int) -> LabeledPartition:
     """Baseline: repeatedly pull out the best single depth-k witness until
     at most (k-1)^2 entries remain."""
-    require_int(k=k)
+    k = integer(k, "k")
     if k < 2:
         raise InvalidInputError("partition requires k >= 2")
     ys = _ranks(seq)

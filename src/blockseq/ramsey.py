@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _WIDTH, DEC, INC, BlockWitness, Sequence, chain_arrays, chain_block
-from .core import longest_chain, require_int, require_seed, trace_chain
+from .core import integer, integers, longest_chain, require_seed, trace_chain
 from .errors import InvalidInputError
 
 __all__ = [
@@ -81,8 +81,10 @@ class PairColoring:
     matrix: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.q > MAX_COLORS:
-            raise InvalidInputError(f"at most {MAX_COLORS} colors are supported, got q={self.q}")
+        object.__setattr__(self, "n", integer(self.n, "n"))
+        object.__setattr__(self, "q", integer(self.q, "q"))
+        if not 1 <= self.q <= MAX_COLORS:
+            raise InvalidInputError(f"need q in 1..{MAX_COLORS} colors, got q={self.q}")
         m = np.asarray(self.matrix)
         if m.shape != (self.n, self.n):
             raise InvalidInputError(
@@ -101,6 +103,7 @@ class PairColoring:
             object.__setattr__(self, "matrix", m.astype(np.int16, copy=False))
 
     def color(self, i: int, j: int) -> int:
+        i, j = integer(i, "i"), integer(j, "j")
         if not (1 <= i < j <= self.n):
             raise InvalidInputError(f"need 1 <= i < j <= {self.n}, got ({i}, {j})")
         return int(self.matrix[i - 1, j - 1])
@@ -133,7 +136,7 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
     """The blown-up recursive coloring on k**q vertices: level-r copies are
     glued with a fresh color, so color(i, j) is one plus the most significant
     base-k digit where i-1 and j-1 differ."""
-    require_int(k=k, q=q)
+    k, q = integer(k, "k"), integer(q, "q")
     if k < 1 or not 1 <= q <= MAX_COLORS:
         raise InvalidInputError(f"need k >= 1 and q in 1..{MAX_COLORS}")
     # k >= 2 and q >= 15 already give k**q >= 2**15, so k**q stays small here
@@ -152,8 +155,7 @@ def gen_recursive_coloring(k: int, q: int) -> PairColoring:
 
 def gen_random_coloring(n: int, q: int, seed: int) -> PairColoring:
     """Uniform random coloring; deterministic per seed."""
-    require_int(n=n, q=q)
-    require_seed(seed)
+    n, q, seed = integer(n, "n"), integer(q, "q"), require_seed(seed)
     if not 1 <= n <= MAX_VERTICES or not 1 <= q <= MAX_COLORS:
         raise InvalidInputError(
             f"need n in 1..{MAX_VERTICES} and q in 1..{MAX_COLORS}"
@@ -231,12 +233,11 @@ def validate_block_path(c: PairColoring, w: BlockPathWitness) -> bool:
     conditions.  Out-of-range vertices raise; structural defects return
     False."""
     n = c.n
-    for v in list(w.endpoints) + [v for blk in w.blocks for v in blk]:
-        if not (isinstance(v, (int, np.integer)) and 1 <= v <= n):
+    for v in integers(list(w.endpoints) + [v for blk in w.blocks for v in blk], "a path vertex"):
+        if not 1 <= v <= n:
             raise InvalidInputError(f"vertex {v!r} out of range 1..{n}")
-    color = w.color
-    if not (isinstance(color, (int, np.integer)) and not isinstance(color, bool)
-            and 1 <= color <= c.q):
+    color = integer(w.color, "color")
+    if not 1 <= color <= c.q:
         raise InvalidInputError(f"color {color!r} out of range 1..{c.q}")
     if not interleaved_path(w):
         return False
@@ -413,7 +414,7 @@ def find_block_path(c: PairColoring, k: int, s: int) -> BlockPathWitness | None:
     stops at that first vertex: it computes only the tiles whose bound
     reaches ``s`` in the column blocks up to it, and it holds one color's
     tiles and one column block's links at a time."""
-    require_int(k=k, s=s)
+    k, s = integer(k, "k"), integer(s, "s")
     if k < 1 or s < 1:
         raise InvalidInputError("k and s must be >= 1")
     if c.n < k + 1:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Sequence, require_int
+from .core import Sequence, integer, reals
 from .errors import InvalidInputError
 
 __all__ = ["DominanceCounter", "build_counter", "count_open_box", "is_gapped_pair"]
@@ -43,9 +43,9 @@ class DominanceCounter:
     def __init__(self, values):
         if isinstance(values, Sequence):
             values = values.values
-        vals = np.asarray(list(values), dtype=float)
+        vals = np.asarray(reals(values, "a value"), dtype=float)
         self.n = len(vals)
-        self._values = tuple(float(v) for v in vals)
+        self._values = tuple(vals.tolist())
         size = 1
         while size < max(self.n, 1):
             size *= 2
@@ -104,7 +104,7 @@ def count_open_box(c: DominanceCounter, i_lo, i_hi, v_lo, v_hi) -> int:
 def is_gapped_pair(c: DominanceCounter, seq: Sequence, i: int, j: int, s: int) -> bool:
     """True iff at least ``s`` entries sit strictly between positions i and j
     and strictly between the pair's values (the gap direction is inferred)."""
-    require_int(i=i, j=j, s=s)
+    i, j, s = integer(i, "i"), integer(j, "j"), integer(s, "s")
     if not 1 <= i < j <= len(seq):
         raise InvalidInputError(f"need 1 <= i < j <= n, got i={i}, j={j}")
     if s < 0:

@@ -10,7 +10,7 @@ coordinates can be read back from the path data exactly.
 
 from __future__ import annotations
 
-from .core import require_int
+from .core import integer
 from .errors import InvalidInputError
 
 __all__ = [
@@ -75,12 +75,13 @@ def _semicircle(x1: float, x2: float, y0: float, upper: bool, color: str) -> str
     return f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
-def require_spine(n) -> None:
+def require_spine(n) -> int:
     """A spine length ``render_pages`` draws: an int in 1..MAX_SPINE, or a
     typed error."""
-    require_int(n=n)
+    n = integer(n, "n")
     if not 1 <= n <= MAX_SPINE:
         raise InvalidInputError(f"spine length must lie in 1..{MAX_SPINE}, got {n!r}")
+    return n
 
 
 def render_pages(n: int, pages) -> str:
@@ -89,7 +90,7 @@ def render_pages(n: int, pages) -> str:
     An empty page list yields a spine-only drawing.  Pages cycle through
     the palette so merged sub-diagrams stay distinguishable.
     """
-    require_spine(n)
+    n = require_spine(n)
     radius = UNIT * (n - 1) / 2.0
     y0 = MARGIN + radius
     width = 2 * MARGIN + UNIT * (n - 1)

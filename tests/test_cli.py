@@ -386,6 +386,20 @@ def test_partition_modes(tmp_path):
         ok(run(["verify", "--witness", out, "--in", seq]))
 
 
+@pytest.mark.parametrize("k, code", [(3, 3), (3.0, 4), (True, 4), ("3", 4), (None, 4), (2, 0)])
+def test_verify_reads_the_partition_depth_through_the_integer_gate(tmp_path, k, code):
+    # a depth-2 partition of this sequence breaks the depth-3 promise; a k
+    # that is not an int used to skip the promise and verify
+    seq = gen(tmp_path, "sequence", "seq.json", n=200, seed=1)
+    out = str(tmp_path / "part.json")
+    ok(run(["partition", "--k", "2", "--in", seq, "--out", out]))
+    doc = read(out)
+    doc["metrics"]["k"] = k
+    bad = write(tmp_path / "bad.json", doc)
+    assert run(["verify", "--witness", bad, "--in", seq]).exit_code == code
+    assert run(["verify", "--in", bad]).exit_code == code
+
+
 def test_ramsey_search_and_block_path(tmp_path):
     col = gen(tmp_path, "coloring-recursive", "col.json", k=4, q=2)
     mono = str(tmp_path / "mono.json")

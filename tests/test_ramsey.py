@@ -676,6 +676,19 @@ class TestValidateBlockPath:
             validate_block_path(c, BlockPathWitness(color, (1, 3), ((2,),)))
         assert validate_block_path(c, BlockPathWitness(np.int64(1), (1, 3), ((2,),))) is True
 
+    def test_vertices_must_be_integers(self):
+        c = mono_coloring(4)
+        assert validate_block_path(c, BlockPathWitness(1, (1, 3), ((2,),))) is True
+        assert validate_block_path(
+            c, BlockPathWitness(1, (np.int64(1), 3), ((np.int32(2),),))
+        ) is True
+        # True == 1 made a valid witness of this one; 1.0 read as out of range
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(InvalidInputError, match="must be an int"):
+                validate_block_path(c, BlockPathWitness(1, (bad, 3), ((2,),)))
+            with pytest.raises(InvalidInputError, match="must be an int"):
+                validate_block_path(c, BlockPathWitness(1, (1, 3), ((bad,),)))
+
     def test_unequal_blocks_false(self):
         c = mono_coloring(8)
         w = BlockPathWitness(1, (1, 4, 8), ((2,), (5, 6)))
