@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -161,16 +160,17 @@ def _x_split(xs: np.ndarray, j: int) -> float:
     return (part[j - 1] + part[j]) / 2.0
 
 
-class _Half(NamedTuple):  # coordinates the pipeline built and checked
-    xs: np.ndarray
-    ys: np.ndarray
-
-
 def _coords(half) -> tuple[np.ndarray, np.ndarray]:
-    """x and y coordinate arrays of a ``_Half``, of a ``PointSet``, or of
-    what ``PointSet`` takes (an (n, 2) float array, say) with its checks."""
-    if isinstance(half, _Half):
-        return half
+    """x and y coordinate arrays of a ``PointSet``, of an (n, 2) float
+    array or of what ``PointSet`` takes, with the checks it makes."""
+    if isinstance(half, np.ndarray) and half.dtype == float and half.shape[1:] == (2,):
+        # floats already: only their values need checking, column-wise
+        for col, axis in ((half[:, 0], "x"), (half[:, 1], "y")):
+            if not np.isfinite(col).all():
+                raise InvalidInputError(f"{axis} coordinates must be finite")
+            if len(np.unique(col)) != len(col):
+                raise InvalidInputError(f"{axis} coordinates must be distinct")
+        return half[:, 0], half[:, 1]
     if not isinstance(half, PointSet):
         half = PointSet(half.tolist() if isinstance(half, np.ndarray) else half)
     flat = chain.from_iterable(half.points)
@@ -331,11 +331,13 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     elif len(lower) > len(upper):
         lower = np.delete(lower, np.argmin(ywork[lower]))
 
-    halves = _Half(x0[upper], ywork[upper]), _Half(x0[lower], ywork[lower])
-    if any(len(np.unique(ys)) != len(ys) for _, ys in halves):
-        raise InvalidInputError("y coordinates must stay distinct relative to the median")
     m = n // 6
-    H, _side = balanced_line(*halves, Line(0.0, 0.0), m)
+    H, _side = balanced_line(
+        np.column_stack((x0[upper], ywork[upper])),
+        np.column_stack((x0[lower], ywork[lower])),
+        Line(0.0, 0.0),
+        m,
+    )
     if H.slope == 0.0:
         raise SearchFailedError("balancing line degenerate: parallel to the cut")
     xwork = (x0 + H.intercept / H.slope) - ywork / H.slope
@@ -370,8 +372,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
 
     slab = np.flatnonzero((xwork > 0.0) & (xwork < d) & (ywork > 0.0))
     slab = slab[np.lexsort((ywork[slab], xwork[slab]))]
-    # the halves' y values were checked distinct in this frame
-    wit_q = extract_block_monotone(Sequence._trusted(tuple(ywork[slab].tolist())), 2 * k + 1)
+    wit_q = extract_block_monotone(Sequence(ywork[slab].tolist()), 2 * k + 1)
     q_blocks = [tuple(int(slab[i - 1]) for i in block) for block in wit_q.blocks]
     if wit_q.direction == INC:
         xwork = d - xwork
@@ -397,7 +398,7 @@ def mutually_avoiding_sets(P: PointSet, k: int) -> AvoidingWitness:
     rho = np.hypot(xwork[flank] - xwork[pivot], ywork[flank] - ywork[pivot])
     ranks = np.empty(len(flank), dtype=float)
     ranks[np.lexsort((np.arange(len(flank)), rho))] = np.arange(len(flank))
-    wit_a = extract_block_monotone(Sequence._trusted(tuple(ranks.tolist())), k)
+    wit_a = extract_block_monotone(Sequence._trusted(tuple(ranks.tolist())), k)  # distinct ranks
     a_blocks = [tuple(int(flank[i - 1]) for i in block) for block in wit_a.blocks]
     b_blocks = q_blocks[:k] if wit_a.direction == DEC else q_blocks[k + 1 :]
 

@@ -191,11 +191,11 @@ class Page:
             raise InvalidInputError("layout must have one entry per edge")
         if any(edges[i] >= edges[i + 1] for i in range(len(edges) - 1)):
             raise InvalidInputError("page edges must be strictly lex-sorted")
-        for edge, entry in zip(edges, layout):
-            left, right = edge
-            upper, lower = entry
+        # spans hold the endpoints as floats, rounded past 2^53 as _layout rounds them
+        ends = reals(chain.from_iterable(edges), "an edge endpoint")
+        for edge, span, (upper, lower) in zip(edges, zip(ends[::2], ends[1::2]), layout):
             if lower is None:
-                if upper != edge:  # a float equals an int exactly when it holds it
+                if upper != span:
                     raise InvalidInputError(
                         f"upper-arc span {upper!r} does not match edge {edge!r}"
                     )
@@ -204,9 +204,9 @@ class Page:
                     raise InvalidInputError(
                         f"biarc halves of {edge!r} meet at {upper[1]!r} != {lower[0]!r}"
                     )
-                if upper[0] != left or lower[1] != right:
+                if upper[0] != span[0] or lower[1] != span[1]:
                     raise InvalidInputError(
-                        f"biarc span endpoints {entry!r} do not match edge {edge!r}"
+                        f"biarc span endpoints {(upper, lower)!r} do not match edge {edge!r}"
                     )
         if style != _style(layout):
             raise InvalidInputError(

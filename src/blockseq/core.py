@@ -82,8 +82,8 @@ def integer(v, what: str, error: type[Exception] = InvalidInputError) -> int:
 
 
 def real_items(values, what: str, error: type[Exception] = InvalidInputError) -> tuple:
-    """The real gate's type test alone, for a reader that leaves the
-    conversion to the constructor it calls."""
+    """The real gate's type test alone, for a caller that keeps ints exact
+    (``partition_multiset`` ranks them, however large)."""
     return _gate(values, what, Real, "a real number", error)[0]
 
 
@@ -452,6 +452,8 @@ def gen_clustered(
     Each cluster stays within ``(center - delta, center + delta)`` with
     ``delta < 1/2``, so clusters never overlap.  ``inner`` controls the order
     within a cluster: ``increasing``, ``decreasing``, or ``seeded-random``.
+    A ``delta`` below the float spacing at a centre rounds values of one
+    cluster together, and the resulting repeat is refused.
     """
     k, s, seed = integer(k, "k"), integer(s, "s"), integer(seed, "seed")
     if k < 1 or s < 1:
@@ -472,7 +474,7 @@ def gen_clustered(
         elif inner == "seeded-random":
             rng.shuffle(offsets)
         vals.extend(center + o for o in offsets)
-    return Sequence._trusted(tuple(vals))  # clusters of distinct offsets never overlap
+    return Sequence(vals)
 
 
 def gen_random(n: int, seed: int = 0) -> Sequence:

@@ -24,7 +24,7 @@ from itertools import chain
 import json
 from typing import TYPE_CHECKING
 
-from .core import DEC, INC, BlockWitness, Sequence, integer, integers, real, real_items
+from .core import DEC, INC, BlockWitness, Sequence, integer, integers, real, reals
 from .errors import BlockseqError, InvalidInputError
 
 if TYPE_CHECKING:
@@ -118,13 +118,13 @@ def _require(doc, kind: str) -> dict:
 
 
 # The readers ask ``core``'s scalar rule, raising SchemaError for a value of
-# the wrong JSON type; a real they pass on is converted, once, by the
-# constructor, which refuses it when it is not finite.
+# the wrong JSON type, and pass on ints and floats, which the constructors
+# take without converting them again.
 
 
 _int = partial(integer, error=SchemaError)
 _ints = partial(integers, error=SchemaError)
-_reals = partial(real_items, error=SchemaError)
+_reals = partial(reals, error=SchemaError)
 
 
 def _pair(v, what: str):
@@ -302,10 +302,9 @@ def avoid_to_json(w: AvoidingWitness) -> dict:
 
 
 def _points(raw, what: str) -> list:
-    """A list of [x, y] pairs of JSON numbers, unconverted."""
-    pts = [_pair(entry, what) for entry in raw]
-    _reals([c for pt in pts for c in pt], "a coordinate")
-    return pts
+    """A list of [x, y] pairs of JSON numbers, as (x, y) float tuples."""
+    flat = iter(_reals(chain.from_iterable(_pair(entry, what) for entry in raw), "a coordinate"))
+    return list(zip(flat, flat))
 
 
 def _coord_blocks(raw, what: str):
@@ -323,7 +322,7 @@ def avoid_from_json(doc) -> AvoidingWitness:
     return AvoidingWitness(
         _coord_blocks(doc["a_blocks"], "a_blocks"),
         _coord_blocks(doc["b_blocks"], "b_blocks"),
-        _reals([doc["guarantee"]], "'guarantee'")[0],
+        real(doc["guarantee"], "'guarantee'", SchemaError),
     )
 
 
@@ -362,10 +361,12 @@ def page_from_json(doc) -> Page:
     if not isinstance(doc["edges"], list) or not isinstance(doc["layout"], list):
         raise SchemaError("page 'edges' and 'layout' must be lists")
     edges = _edges(doc["edges"], "page edge")
+
+    def span(v):
+        return _reals(_pair(v, "layout span"), "a span coordinate")
+
     layout = [_pair(entry, "layout entry") for entry in doc["layout"]]
-    spans = [_pair(upper, "upper span") for upper, _ in layout]
-    spans += [_pair(lower, "lower span") for _, lower in layout if lower is not None]
-    _reals(chain.from_iterable(spans), "a span coordinate")
+    layout = [(span(upper), None if lower is None else span(lower)) for upper, lower in layout]
     return Page(edges, doc["style"], _int(doc["split_b"], "'split_b'"), layout)
 
 

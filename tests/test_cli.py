@@ -178,6 +178,15 @@ def test_gen_kinds_verify_roundtrip(tmp_path):
     assert len(result.log) == len(files)
 
 
+def test_paginate_past_two_to_53_reads_back(tmp_path):
+    # spans hold the endpoints rounded to floats; the reader compares them so
+    g = write(tmp_path / "g.json", {"n": 2**60, "edges": [[2**53 + 1, 2**53 + 3]]})
+    out = str(tmp_path / "p.json")
+    ok(run(["paginate", "--epsilon", "0.5", "--in", g, "--out", out]))
+    ok(run(["verify", "--in", out]))
+    ok(run(["verify", "--witness", out, "--in", g]))
+
+
 def test_extract_happy_path(tmp_path):
     seq = gen(tmp_path, "sequence", "seq.json", n=50, seed=4)
     out = str(tmp_path / "w.json")

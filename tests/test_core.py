@@ -310,6 +310,11 @@ class TestGenerators:
         with pytest.raises(InvalidInputError):
             gen_clustered(2, 2, inner="increasing", delta=0.5)
 
+    def test_clustered_delta_below_float_spacing_is_refused(self):
+        # 1 +- 3e-18 rounds to 1.0 for both offsets of the first cluster
+        with pytest.raises(InvalidInputError, match="distinct"):
+            gen_clustered(1, 2, delta=1e-17)
+
     def test_clustered_bad_inner(self):
         with pytest.raises(InvalidInputError):
             gen_clustered(2, 2, inner="sideways")
